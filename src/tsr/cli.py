@@ -37,10 +37,9 @@ from .congruence import (
 from .errors import TsrError
 from .join import join, join_bar_flat, join_lts
 from .languages import buchi_equiv, finite_equiv, infinite_traceable_equiv
-from .records import ALPHABET_LIMIT_ENV, FiniteWord, Lasso
+from .records import ALPHABET_LIMIT_ENV
 from .serialize import (
     dumps_canonical,
-    instance_to_json,
     lasso_from_json,
     lasso_to_json,
     load_json,

@@ -24,7 +24,7 @@ special error is raised.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from .automata import (
@@ -220,69 +220,103 @@ def _reachable_bar(b: Bar) -> Bar:
 # ---------------------------------------------------------------------------
 # Transition profiles
 
-# A profile is a pair (reach_rows, final_rows) of bitmask tuples indexed by
-# source state: bit q of reach_rows[p] says some path drives p to q over the
-# word, and bit q of final_rows[p] says some such path also visits a final
-# state (endpoints included).  final_rows[p] is always a submask of
-# reach_rows[p].  Composition is relational join with best-flag semantics.
+# A profile of an n-state machine is a pair (R, F) of ints, each an n-by-n
+# bit matrix packed row by row: bit p*n + q of R says some path drives p to q
+# over the word, and the same bit of F says some such path also visits a
+# final state (endpoints included).  F is always a submask of R.  Composition
+# is relational join with best-flag semantics:
+#   (A*B).R[p] = OR of B.R[i] over the i in A.R[p],
+#   (A*B).F[p] = OR of B.F[i] over the i in A.R[p], and of B.R[i] over the
+#                i in A.F[p].
+# Column i of A, shifted down to the lowest bit of each row, is
+# (A >> i) & COL, where COL has bit p*n set for every p.  Multiplying that
+# column by row i of B (an int below 2**n) copies the row into every selected
+# row of the product at once and cannot carry, because the selected bits lie
+# n apart.  So a product costs one multiply per non-zero row of B.
 
-Profile = Tuple[Tuple[int, ...], Tuple[int, ...]]
+Profile = Tuple[int, int]
+Rows = Tuple[Tuple[int, int, int], ...]  # (i, R row i, F row i), non-zero rows only
 
 
-def _profile_mult(a: Profile, b: Profile) -> Profile:
-    ar, af = a
+def _mult_columns(cols, rows: Rows) -> Profile:
+    """The product of a profile, given as its columns, with one given as rows."""
+    cols_r, cols_f = cols
+    r = f = 0
+    for i, br, bf in rows:
+        cr = cols_r[i]
+        if cr:
+            r |= cr * br
+            f |= cr * bf
+        cf = cols_f[i]
+        if cf:
+            f |= cf * br
+    return (r, f)
+
+
+def _rows(b: Profile, n: int) -> Rows:
+    """Row i of R and of F, for each i whose R row is not empty."""
     br, bf = b
-    rr = []
-    rf = []
-    for p in range(len(ar)):
-        r = 0
-        f = 0
-        m = ar[p]
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            r |= br[i]
-            f |= bf[i]
-            m ^= low
-        m = af[p]
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            f |= br[i]
-            m ^= low
-        rr.append(r)
-        rf.append(f)
-    return (tuple(rr), tuple(rf))
+    full = (1 << n) - 1
+    out = []
+    for i in range(n):
+        r = (br >> (i * n)) & full
+        if r:
+            out.append((i, r, (bf >> (i * n)) & full))
+    return tuple(out)
+
+
+def _step_mask(rows: Rows, mask: int) -> int:
+    """The states reachable in one profile step from the set ``mask``."""
+    out = 0
+    for i, br, _ in rows:
+        if (mask >> i) & 1:
+            out |= br
+    return out
 
 
 @dataclass
 class _ProfileSpace:
-    order: tuple
-    index: dict
+    n: int
+    col: int               # bit p*n set for every state p
     unit: Profile
     letters: dict          # Record -> Profile
+    letter_rows: dict      # Record -> Rows of that profile
     initial_mask: int
-    final_diag_cache: dict = field(default_factory=dict)
 
-    def accepting_pair(self, sigma: Profile, rho: Profile) -> bool:
-        # Some initial state reaches, via sigma, a state q that rho can loop
-        # on while visiting a final state.
-        rho_f = rho[1]
-        diag = self.final_diag_cache.get(rho_f)
-        if diag is None:
-            diag = 0
-            for q in range(len(rho_f)):
-                if (rho_f[q] >> q) & 1:
-                    diag |= 1 << q
-            self.final_diag_cache[rho_f] = diag
-        targets = 0
-        m = self.initial_mask
-        sigma_r = sigma[0]
-        while m:
-            low = m & -m
-            targets |= sigma_r[low.bit_length() - 1]
-            m ^= low
-        return bool(targets & diag)
+    def columns(self, a: Profile):
+        """Column i of R and of F, each shifted down to bit p*n of row p."""
+        ar, af = a
+        col = self.col
+        span = range(self.n)
+        return [(ar >> i) & col for i in span], [(af >> i) & col for i in span]
+
+    def mult(self, a: Profile, b: Profile) -> Profile:
+        return _mult_columns(self.columns(a), _rows(b, self.n))
+
+    def successors(self, a: Profile, letters) -> list:
+        """a*r for each letter r, cutting a's columns only once."""
+        cols = self.columns(a)
+        return [_mult_columns(cols, self.letter_rows[r]) for r in letters]
+
+    def loop_entries(self, rho: Profile) -> int:
+        """States from which reading the idempotent rho forever can accept.
+
+        These are the states p that rho drives to some q which rho can take
+        back to itself through a final state.  A linked pair (sigma, rho)
+        accepts exactly when sigma drives some initial state into this set.
+        """
+        n = self.n
+        r, f = rho
+        diag = 0
+        for q in range(n):
+            if (f >> (q * n + q)) & 1:
+                diag |= 1 << q
+        out = 0
+        if diag:
+            for p in range(n):
+                if (r >> (p * n)) & diag:
+                    out |= 1 << p
+        return out
 
 
 def _profile_space(b: Bar, letters: Iterable[Record]) -> _ProfileSpace:
@@ -290,30 +324,40 @@ def _profile_space(b: Bar, letters: Iterable[Record]) -> _ProfileSpace:
     order = tuple(sorted(base.states))
     index = {q: i for i, q in enumerate(order)}
     final = b.final if isinstance(b, Bar) else frozenset(base.states)
-    fmask_states = frozenset(final)
     n = len(order)
     adj = _adjacency(base)
-    unit_r = tuple(1 << p for p in range(n))
-    unit_f = tuple((1 << p) if order[p] in fmask_states else 0 for p in range(n))
     fmask = 0
     for p in range(n):
-        if order[p] in fmask_states:
+        if order[p] in final:
             fmask |= 1 << p
+    col = 0
+    unit_r = unit_f = 0
+    for p in range(n):
+        col |= 1 << (p * n)
+        unit_r |= 1 << (p * n + p)
+        if (fmask >> p) & 1:
+            unit_f |= 1 << (p * n + p)
     letter_profiles = {}
     for r in letters:
-        rows = []
-        frows = []
+        lr = lf = 0
         for p in range(n):
             mask = 0
             for dst in adj.get((order[p], r), frozenset()):
                 mask |= 1 << index[dst]
-            rows.append(mask)
-            frows.append(mask if (1 << p) & fmask else mask & fmask)
-        letter_profiles[r] = (tuple(rows), tuple(frows))
+            lr |= mask << (p * n)
+            lf |= (mask if (fmask >> p) & 1 else mask & fmask) << (p * n)
+        letter_profiles[r] = (lr, lf)
     initial_mask = 0
     for q in base.initial:
         initial_mask |= 1 << index[q]
-    return _ProfileSpace(order, index, (unit_r, unit_f), letter_profiles, initial_mask)
+    return _ProfileSpace(
+        n,
+        col,
+        (unit_r, unit_f),
+        letter_profiles,
+        {r: _rows(x, n) for r, x in letter_profiles.items()},
+        initial_mask,
+    )
 
 
 def _joint_closure(spaces, letters, limit):
@@ -324,18 +368,14 @@ def _joint_closure(spaces, letters, limit):
     empty word; period profiles must come from the non-empty table).
     """
     unit = tuple(s.unit for s in spaces)
-    letter_elems = {
-        r: tuple(s.letters[r] for s in spaces) for r in letters
-    }
     elements = {unit: ()}
     nonempty = {}
     queue = deque([unit])
     while queue:
         elem = queue.popleft()
         word = elements[elem]
-        for r in letters:
-            le = letter_elems[r]
-            nxt = tuple(_profile_mult(elem[i], le[i]) for i in range(len(spaces)))
+        steps = zip(*(s.successors(e, letters) for s, e in zip(spaces, elem)))
+        for r, nxt in zip(letters, steps):
             if nxt not in nonempty:
                 nonempty[nxt] = word + (r,)
             if nxt not in elements:
@@ -349,32 +389,12 @@ def _joint_closure(spaces, letters, limit):
     return elements, nonempty
 
 
-def _joint_mult(a, b):
-    return tuple(_profile_mult(a[i], b[i]) for i in range(len(a)))
+def _idempotent(spaces, e) -> bool:
+    return all(s.mult(x, x) == x for s, x in zip(spaces, e))
 
 
 def _word_sort_key(word):
     return (len(word), word)
-
-
-def _apply_rows(rows: Tuple[int, ...], mask: int) -> int:
-    """Union of the given rows over the set bits of ``mask``."""
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= rows[low.bit_length() - 1]
-        m ^= low
-    return out
-
-
-def _loop_diag(frows: Tuple[int, ...]) -> int:
-    """States that can return to themselves through a final visit."""
-    diag = 0
-    for q in range(len(frows)):
-        if (frows[q] >> q) & 1:
-            diag |= 1 << q
-    return diag
 
 
 def _reach_pairs(spaces, letters):
@@ -387,7 +407,7 @@ def _reach_pairs(spaces, letters):
         word = pairs[current]
         for r in letters:
             nxt = tuple(
-                _apply_rows(s.letters[r][0], current[i])
+                _step_mask(s.letter_rows[r], current[i])
                 for i, s in enumerate(spaces)
             )
             if nxt not in pairs:
@@ -418,29 +438,54 @@ def buchi_equiv(b1: Bar, b2: Bar, monoid_limit: int = DEFAULT_MONOID_LIMIT) -> V
     spaces = (_profile_space(b1, letters), _profile_space(b2, letters))
     elements, nonempty = _joint_closure(spaces, letters, monoid_limit)
 
-    # One representative per class of idempotents agreeing on reach rows and
-    # final-loop diagonals; nothing else about the period can matter.
-    idempotents = {}
+    # A period matters only through the states from which reading it forever
+    # accepts, so one idempotent per such pair of state sets is scanned: the
+    # one with the shortest word.
+    periods = {}
     for e in sorted(
-        (e for e in nonempty if _joint_mult(e, e) == e),
+        (e for e in nonempty if _idempotent(spaces, e)),
         key=lambda e: _word_sort_key(nonempty[e]),
     ):
-        key = tuple((e[i][0], _loop_diag(e[i][1])) for i in range(len(spaces)))
-        idempotents.setdefault(key, e)
+        periods.setdefault(tuple(s.loop_entries(x) for s, x in zip(spaces, e)), e)
 
     pairs = sorted(
         _reach_pairs(spaces, letters).items(),
         key=lambda item: _word_sort_key(item[1]),
     )
-    for key, rho in idempotents.items():
-        (rows1, diag1), (rows2, diag2) = key
-        for masks, word in pairs:
-            acc1 = bool(_apply_rows(rows1, masks[0]) & diag1)
-            acc2 = bool(_apply_rows(rows2, masks[1]) & diag2)
-            if acc1 != acc2:
+    for (entries1, entries2), rho in periods.items():
+        for (mask1, mask2), word in pairs:
+            if bool(mask1 & entries1) != bool(mask2 & entries2):
                 witness = Lasso(tuple(word), tuple(nonempty[rho]), names)
                 return Verdict(False, witness)
     return Verdict(True)
+
+
+def _live_states(nodes, succ, accepting) -> set:
+    """The nodes from which some cycle through an accepting node is reachable.
+
+    Such cycles lie exactly in the strongly connected components that have an
+    accepting member and an edge inside them; the live nodes are those
+    components' members and every node that can reach one.
+    """
+    live = set()
+    for scc in strongly_connected_components(nodes, succ):
+        members = set(scc)
+        if any(accepting(q) for q in scc) and (
+            len(scc) > 1 or any(c in members for c in succ(scc[0]))
+        ):
+            live |= members
+    preds = {}
+    for node in nodes:
+        for child in succ(node):
+            preds.setdefault(child, []).append(node)
+    frontier = list(live)
+    while frontier:
+        node = frontier.pop()
+        for p in preds.get(node, ()):
+            if p not in live:
+                live.add(p)
+                frontier.append(p)
+    return live
 
 
 def buchi_complement(
@@ -458,6 +503,16 @@ def buchi_complement(
     exactly rho, visiting a final cut marker at every block boundary.  Words
     in the input's language admit no such split; words outside it admit one
     by Ramsey-style factorization, which is what makes the result complete.
+
+    States are named by monoid element ids, in the closure's breadth-first
+    order: reader ``r<sigma>``, block ``b<rho>_<profile so far>`` and cut
+    ``c<rho>``.  Only the initial reader and the reachable states that can
+    still reach an accepting cycle are kept.  The trim keeps the lasso
+    language, whose accepting runs stay among such states.  It keeps the
+    finite-word language too: the final states are the cuts, each cut
+    ``c<rho>`` lies on a cycle because rho is realized by a non-empty word,
+    so every state that can reach a final state can reach an accepting cycle.
+    When no cut is reachable, a lone final state ``never`` pads the result.
     """
     if not isinstance(b, Bar):
         raise TsrError("buchi_complement takes a Buchi automaton")
@@ -471,83 +526,84 @@ def buchi_complement(
     space = _profile_space(b, letters)
     elements, nonempty = _joint_closure((space,), letters, monoid_limit)
 
-    ids = {}
-    for elem in elements:
-        ids[elem] = len(ids)
+    # Work on single profiles indexed by element id; ids follow the closure
+    # order, so id 0 is the unit.
+    order = [e[0] for e in elements]
+    ids = {x: i for i, x in enumerate(order)}
+    succ = [[ids[y] for y in space.successors(x, letters)] for x in order]
+    first = [ids[space.letters[r]] for r in letters]
 
-    idempotents = [e for e in nonempty if _profile_mult(e[0], e[0]) == e[0]]
-    pairs = []
-    for rho in idempotents:
-        for sigma in elements:
-            if _joint_mult(sigma, rho) != sigma:
+    # rhos[id of sigma]: the ids of the periods rho such that (sigma, rho) is
+    # a linked, non-accepting pair.
+    reach = [_step_mask(_rows(x, space.n), space.initial_mask) for x in order]
+    columns = [space.columns(x) for x in order]
+    rhos = {}
+    for e in nonempty:
+        if not _idempotent((space,), e):
+            continue
+        rho = e[0]
+        entries = space.loop_entries(rho)
+        rows = _rows(rho, space.n)
+        for sigma_id, sigma in enumerate(order):
+            if reach[sigma_id] & entries or _mult_columns(columns[sigma_id], rows) != sigma:
                 continue
-            if not space.accepting_pair(sigma[0], rho[0]):
-                pairs.append((sigma, rho))
-    used_rhos = sorted({ids[rho] for _, rho in pairs})
+            rhos.setdefault(sigma_id, []).append(ids[rho])
 
-    def reader(elem):
-        return f"r{ids[elem]}"
+    def start_block(rho_id):
+        for k, r in enumerate(letters):
+            yield r, ("b", rho_id, first[k])
+            if first[k] == rho_id:
+                yield r, ("c", rho_id)
 
-    def block(rho_id, elem):
-        return f"b{rho_id}_{ids[elem]}"
+    def edges(state):
+        if state[0] == "r":
+            x = state[1]
+            for k, r in enumerate(letters):
+                yield r, ("r", succ[x][k])
+            for rho_id in rhos.get(x, ()):
+                yield from start_block(rho_id)
+        elif state[0] == "b":
+            _, rho_id, x = state
+            for k, r in enumerate(letters):
+                y = succ[x][k]
+                yield r, ("b", rho_id, y)
+                if y == rho_id:
+                    yield r, ("c", rho_id)
+        else:
+            yield from start_block(state[1])
 
-    def cut(rho_id):
-        return f"c{rho_id}"
-
-    transitions = set()
-    for elem in elements:
-        word = elements[elem]
-        for r in letters:
-            nxt = _joint_mult(elem, (space.letters[r],))
-            transitions.add((reader(elem), r, reader(nxt)))
-    entry_sigmas = {}
-    for sigma, rho in pairs:
-        entry_sigmas.setdefault(ids[rho], set()).add(sigma)
-    letter_elem = {r: (space.letters[r],) for r in letters}
-    for rho_id in used_rhos:
-        rho = None
-        for e in elements:
-            if ids[e] == rho_id:
-                rho = e
-                break
-        for sigma in entry_sigmas[rho_id]:
-            for r in letters:
-                first = letter_elem[r]
-                transitions.add((reader(sigma), r, block(rho_id, first)))
-                if first == rho:
-                    transitions.add((reader(sigma), r, cut(rho_id)))
-        for elem in elements:
-            for r in letters:
-                nxt = _joint_mult(elem, letter_elem[r])
-                transitions.add((block(rho_id, elem), r, block(rho_id, nxt)))
-                if nxt == rho:
-                    transitions.add((block(rho_id, elem), r, cut(rho_id)))
-        for r in letters:
-            first = letter_elem[r]
-            transitions.add((cut(rho_id), r, block(rho_id, first)))
-            if first == rho:
-                transitions.add((cut(rho_id), r, cut(rho_id)))
-
-    initial = frozenset({reader(next(e for e in elements if elements[e] == ()))})
-    # Restrict to the part reachable from the initial reader state.
-    adj = {}
-    for src, r, dst in transitions:
-        adj.setdefault(src, set()).add(dst)
-    seen = set(initial)
-    frontier = list(initial)
+    initial = ("r", 0)
+    out = {}
+    seen = {initial}
+    frontier = [initial]
     while frontier:
-        node = frontier.pop()
-        for child in adj.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    transitions = frozenset(t for t in transitions if t[0] in seen and t[2] in seen)
-    states = frozenset(seen)
-    final = frozenset(s for s in states if s.startswith("c"))
+        state = frontier.pop()
+        out[state] = list(edges(state))
+        for _, dst in out[state]:
+            if dst not in seen:
+                seen.add(dst)
+                frontier.append(dst)
+    live = _live_states(
+        list(out), lambda q: (d for _, d in out[q]), lambda q: q[0] == "c"
+    )
+    live.add(initial)
+
+    def name(state):
+        if state[0] == "r":
+            return f"r{state[1]}"
+        if state[0] == "b":
+            return f"b{state[1]}_{state[2]}"
+        return f"c{state[1]}"
+
+    states = frozenset(name(q) for q in live)
+    transitions = frozenset(
+        (name(q), r, name(d)) for q in live for r, d in out[q] if d in live
+    )
+    final = frozenset(name(q) for q in live if q[0] == "c")
     if not final:
         states = states | {"never"}
         final = frozenset({"never"})
-    return Bar(Ltsr(states, base.names, base.data, transitions, initial), final)
+    return Bar(Ltsr(states, base.names, base.data, transitions, frozenset({name(initial)})), final)
 
 
 def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
@@ -685,25 +741,7 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
         for dst in adj.get((q, period[i]), frozenset()):
             yield (dst, nxt)
 
-    good_cores = set()
-    for scc in strongly_connected_components(nodes, successors):
-        members = set(scc)
-        nontrivial = len(scc) > 1 or any(c in members for c in successors(scc[0]))
-        if nontrivial and any(q in b.final for q, _ in scc):
-            good_cores |= members
-    # Backward closure: any node that can reach a good core is good.
-    preds = {}
-    for node in nodes:
-        for child in successors(node):
-            preds.setdefault(child, []).append(node)
-    good = set(good_cores)
-    frontier = list(good_cores)
-    while frontier:
-        node = frontier.pop()
-        for p in preds.get(node, ()):
-            if p not in good:
-                good.add(p)
-                frontier.append(p)
+    good = _live_states(nodes, successors, lambda node: node[0] in b.final)
     return frozenset(q for (q, i) in good if i == 0)
 
 

@@ -128,6 +128,45 @@ def walk_words(letters, max_len, root, extend):
     return count
 
 
+def naive_profile_compose(a, b):
+    """Relational composition of two profiles given as sets of state pairs.
+
+    A profile is (reach, fin): reach holds the pairs (p, q) that the word can
+    drive p to q, fin the pairs for which some such path visits a final
+    state.  The product reads ``a`` then ``b``.
+    """
+    reach_a, fin_a = a
+    reach_b, fin_b = b
+    reach = {(p, q) for (p, i) in reach_a for (j, q) in reach_b if i == j}
+    fin = {(p, q) for (p, i) in fin_a for (j, q) in reach_b if i == j}
+    fin |= {(p, q) for (p, i) in reach_a for (j, q) in fin_b if i == j}
+    return (frozenset(reach), frozenset(fin))
+
+
+def states_reaching_accepting_cycles(m):
+    """States with a path to a final state that can return to itself.
+
+    Plain graph searches from every state, written straight from the
+    definition.
+    """
+    succ = {}
+    for src, _, dst in m.base.transitions:
+        succ.setdefault(src, set()).add(dst)
+
+    def reachable(sources):
+        seen = set(sources)
+        frontier = list(sources)
+        while frontier:
+            for child in succ.get(frontier.pop(), ()):
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+        return seen
+
+    on_cycle = {f for f in m.final if f in reachable(succ.get(f, ()))}
+    return {q for q in m.base.states if reachable([q]) & on_cycle}
+
+
 A0 = rec(A="0")
 B0 = rec(B="0")
 TAU_ = TAU

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, driven in process through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from tsr.serialize import dumps_canonical, machine_to_json
 
 A = rec(A="0")
 TAU = Record.of({})
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_machine(tmp_path, name, m):
@@ -193,3 +195,34 @@ def test_usage_errors_exit_two(capsys):
 def test_missing_file_is_reported(capsys):
     assert main(["validate", "/no/such/file.json"]) == 2
     assert capsys.readouterr().err != ""
+
+
+# Outputs of the commands that exercise the profile monoid and the Ramsey
+# scan, pinned byte for byte.  Each pair in tests/golden has a left and a
+# right machine: parity is the two parity automata (lasso-equal, finite
+# languages differ); mutant is a fuzz trial's joined machines (equal in both
+# languages); unequal is two random automata whose lasso languages differ;
+# refusal is the fuzz trial whose joint monoid passes the 20,000-element bound.
+GOLDEN_CASES = [("counterexample", ["counterexample"], 0)] + [
+    (f"{pair}.{argv[0]}", argv + [f"{pair}_left.json", f"{pair}_right.json"], code)
+    for pair, equiv_code, distinguish_code in (
+        ("parity", 0, 1),
+        ("mutant", 0, 0),
+        ("unequal", 1, 1),
+        ("refusal", 2, 2),
+    )
+    for argv, code in (
+        (["equiv", "--relation", "b"], equiv_code),
+        (["distinguish"], distinguish_code),
+    )
+]
+
+
+@pytest.mark.parametrize("name,argv,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_outputs(name, argv, code, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    err = GOLDEN / f"{name}.err"
+    assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")

@@ -1,8 +1,20 @@
 """Finite, lasso, and infinite-trace language decisions."""
 
-import pytest
+from dataclasses import replace
 
-from helpers import bar, lassos_up_to, lts, rec, words_up_to
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import (
+    bar,
+    lassos_up_to,
+    lts,
+    naive_profile_compose,
+    rec,
+    states_reaching_accepting_cycles,
+    words_up_to,
+)
 from tsr.automata import (
     accepts_finite,
     accepts_lasso,
@@ -30,6 +42,7 @@ from tsr.languages import (
     infinite_traceable_equiv,
     shortest_accept_difference,
 )
+from tsr.languages import _profile_space
 from tsr.records import TAU, FiniteWord, Lasso
 
 A = rec(A="0")
@@ -137,6 +150,50 @@ def test_buchi_complement_is_exact_on_small_machines():
             l = Lasso.of(pre, per, names={"A"})
             assert accepts_lasso(b, l) != accepts_lasso(comp, l)
         assert buchi_empty(buchi_intersect(b, comp)) is None
+
+
+@st.composite
+def profile_triples(draw):
+    """A machine size, a final set, and three profiles over it.
+
+    Profiles of real words put a pair in ``fin`` whenever an endpoint is
+    final, so the drawn ones do too; that is what makes the unit a unit.
+    """
+    n = draw(st.integers(1, 9))
+    final = draw(st.frozensets(st.integers(0, n - 1)))
+    pairs = [(p, q) for p in range(n) for q in range(n)]
+    triple = []
+    for _ in range(3):
+        reach = draw(st.frozensets(st.sampled_from(pairs)))
+        fin = draw(st.frozensets(st.sampled_from(sorted(reach)))) if reach else frozenset()
+        fin |= {(p, q) for (p, q) in reach if p in final or q in final}
+        triple.append((reach, frozenset(fin)))
+    return n, final, triple
+
+
+def _pack(n, profile):
+    return tuple(sum(1 << (p * n + q) for (p, q) in pairs) for pairs in profile)
+
+
+@given(profile_triples())
+def test_packed_profile_product_is_relational_composition(case):
+    n, final, (a, b, c) = case
+    states = [f"s{p}" for p in range(n)]
+    machine = bar(states, ["A"], ["0"], [], states[:1], [states[p] for p in final])
+    space = _profile_space(machine, [])
+    pa, pb, pc = (_pack(n, x) for x in (a, b, c))
+    assert space.mult(pa, pb) == _pack(n, naive_profile_compose(a, b))
+    assert space.mult(space.mult(pa, pb), pc) == space.mult(pa, space.mult(pb, pc))
+    assert space.mult(pa, space.unit) == pa
+    assert space.mult(space.unit, pa) == pa
+
+
+def test_buchi_complement_keeps_only_live_states():
+    params = GenParams(max_states=5, name_pool=frozenset({"A"}), data_pool=frozenset({"0", "1"}))
+    for seed in range(12):
+        comp = buchi_complement(random_machine(replace(params, seed=seed), "bar"))
+        live = states_reaching_accepting_cycles(comp)
+        assert comp.base.states - live <= comp.base.initial | {"never"}
 
 
 def test_buchi_intersect():
