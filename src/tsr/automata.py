@@ -374,6 +374,35 @@ def gba_accepts_lasso(g: Gba, l: Lasso) -> bool:
     return False
 
 
+_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
+
+
+def _component(name: str) -> str:
+    """A state name as it appears inside a composite name such as ``(p,q)``.
+
+    A name is kept verbatim when it cannot blur the composite's commas: it
+    has no backslash, its parentheses nest properly, and each of its commas
+    sits inside parentheses.  Plain names and the names earlier joins made
+    have that shape, so they read as before.  Any other name has each of
+    ``\\ , ( )`` escaped with a backslash, which keeps distinct component
+    tuples on distinct composite names.
+    """
+    depth = 0
+    for c in name:
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif c == "\\" or (c == "," and not depth):
+            break
+    else:
+        if not depth:
+            return name
+    return name.translate(_ESCAPES)
+
+
 def _fresh_state(taken, stem: str) -> str:
     candidate = stem
     n = 0

@@ -33,12 +33,11 @@ from .automata import (
     Machine,
     Verdict,
     base_of,
-    degeneralize,
     gba_accepts_lasso,
     trap_states,
 )
 from .errors import SizeBoundError, TrapStateError, TsrError
-from .join import distinguishing_context, join, join_bar_flat, join_lts
+from .join import distinguishing_context, join, join_lts
 from .languages import (
     buchi_equiv,
     finite_equiv,
@@ -346,7 +345,8 @@ def check_instance(rel: str, a: Machine, b: Machine, c: Machine) -> CongruenceIn
         # off directly. Flattening first would perturb the finite language.
         conclusion = finite_equiv(join(a, c), join(b, c))
     else:
-        conclusion = buchi_equiv(join_bar_flat(a, c), join_bar_flat(b, c))
+        # buchi_equiv tracks every member of the joins' final families.
+        conclusion = buchi_equiv(join(a, c), join(b, c))
     witness = conclusion.witness if premise.equal and not conclusion.equal else None
     return CongruenceInstance(
         relation=rel,
@@ -386,7 +386,7 @@ def buchi_counterexample() -> CongruenceInstance:
     context = distinguishing_context(left.names, right.names, left.data)
     premise = buchi_equiv(left, right)
     j1, j2 = join(left, context), join(right, context)
-    conclusion = buchi_equiv(degeneralize(j1), degeneralize(j2))
+    conclusion = buchi_equiv(j1, j2)
     difference = shortest_accept_difference(left, right)
     if difference is None:
         raise TsrError("parity pair lost its finite-language difference; bug")
@@ -443,7 +443,7 @@ def distinguish_by_context(b1: Bar, b2: Bar) -> Optional[Tuple[Bar, Lasso]]:
     for lasso in candidates:
         if gba_accepts_lasso(j1, lasso) != gba_accepts_lasso(j2, lasso):
             return context, lasso
-    direct = buchi_equiv(join_bar_flat(b1, context), join_bar_flat(b2, context))
+    direct = buchi_equiv(j1, j2)
     if not direct.equal and direct.witness is not None:
         return context, direct.witness
     return None

@@ -20,14 +20,27 @@ amounts to pairing component edges with compatible labels.
 
 from __future__ import annotations
 
-from .automata import Bar, Gba, Ltsr, Machine, _canonical_family, base_of, degeneralize
+from .automata import (
+    Bar,
+    Gba,
+    Ltsr,
+    Machine,
+    _canonical_family,
+    _component,
+    base_of,
+    degeneralize,
+)
 from .errors import DataSetMismatchError, TsrError
 from .records import Record, comp, union
 
 
 def product_state(left: str, right: str) -> str:
-    """Deterministic token for a pair of component states."""
-    return f"({left},{right})"
+    """Deterministic token for a pair of component states.
+
+    Distinct pairs get distinct tokens, whatever commas or parentheses the
+    component names hold (see ``automata._component``).
+    """
+    return f"({_component(left)},{_component(right)})"
 
 
 def _joined_base(base1: Ltsr, base2: Ltsr) -> Ltsr:
@@ -36,21 +49,22 @@ def _joined_base(base1: Ltsr, base2: Ltsr) -> Ltsr:
             f"join requires one shared data set, got {sorted(base1.data)} and {sorted(base2.data)}"
         )
     n1, n2 = base1.names, base2.names
+    pair = {(s1, s2): product_state(s1, s2) for s1 in base1.states for s2 in base2.states}
     transitions = set()
     for (p1, r1, q1) in base1.transitions:
         if not r1.domain & n2:
             for s2 in base2.states:
-                transitions.add((product_state(p1, s2), r1, product_state(q1, s2)))
+                transitions.add((pair[p1, s2], r1, pair[q1, s2]))
     for (p2, r2, q2) in base2.transitions:
         if not r2.domain & n1:
             for s1 in base1.states:
-                transitions.add((product_state(s1, p2), r2, product_state(s1, q2)))
+                transitions.add((pair[s1, p2], r2, pair[s1, q2]))
     for (p1, r1, q1) in base1.transitions:
         for (p2, r2, q2) in base2.transitions:
             if comp(r1, n1, r2, n2):
-                transitions.add((product_state(p1, p2), union(r1, r2), product_state(q1, q2)))
-    states = frozenset(product_state(s1, s2) for s1 in base1.states for s2 in base2.states)
-    initial = frozenset(product_state(s1, s2) for s1 in base1.initial for s2 in base2.initial)
+                transitions.add((pair[p1, p2], union(r1, r2), pair[q1, q2]))
+    states = frozenset(pair.values())
+    initial = frozenset(pair[s1, s2] for s1 in base1.initial for s2 in base2.initial)
     return Ltsr(states, n1 | n2, base1.data, frozenset(transitions), initial)
 
 

@@ -25,14 +25,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .automata import (
     Bar,
+    Gba,
     Ltsr,
     Machine,
     Verdict,
     _adjacency,
+    _canonical_family,
+    _component,
     _step_any,
     accepts_finite,
     accepts_lasso,
@@ -74,61 +77,6 @@ class LassoWitness:
 
 # ---------------------------------------------------------------------------
 # Finite-word languages
-
-
-@dataclass
-class Dfa:
-    """Deterministic view of a machine's finite-word language.
-
-    States are canonical tokens for subsets of the source machine's states;
-    the transition map is total over the declared alphabet (the empty subset
-    acts as the explicit dead state).
-    """
-
-    states: frozenset
-    alphabet: tuple
-    transitions: dict
-    initial: str
-    accepting: frozenset
-
-
-def _subset_token(states: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(states)) + "}"
-
-
-def determinize(b: Machine) -> Dfa:
-    base = base_of(b)
-    letters = tuple(sorted(enumerate_alphabet(base.names, base.data)))
-    targets = finite_targets(b)
-    start = frozenset(base.initial)
-    subsets = {start}
-    transitions = {}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for r in letters:
-            nxt = _step_any(base, current, r)
-            transitions[(_subset_token(current), r)] = _subset_token(nxt)
-            if nxt not in subsets:
-                subsets.add(nxt)
-                queue.append(nxt)
-    return Dfa(
-        states=frozenset(_subset_token(s) for s in subsets),
-        alphabet=letters,
-        transitions=transitions,
-        initial=_subset_token(start),
-        accepting=frozenset(_subset_token(s) for s in subsets if s & targets),
-    )
-
-
-def dfa_accepts(d: Dfa, w: FiniteWord) -> bool:
-    state = d.initial
-    for r in w.symbols:
-        key = (state, r)
-        if key not in d.transitions:
-            return False
-        state = d.transitions[key]
-    return state in d.accepting
 
 
 def _union_letters(x1: Machine, x2: Machine) -> Tuple[frozenset, List[Record]]:
@@ -188,12 +136,13 @@ def shortest_accept_difference(x1: Machine, x2: Machine) -> Optional[FiniteWord]
     return _pair_search(x1, x2, lambda a1, a2: a1 and not a2)
 
 
-def _reachable_bar(b: Bar) -> Bar:
-    """Restrict a Buchi automaton to states reachable from its initial set.
+def _reachable(b: Union[Bar, Gba]) -> Union[Bar, Gba]:
+    """Restrict a (generalized) Buchi automaton to states reachable from its initial set.
 
     Language-preserving, and essential before profile construction: joins
-    carry every state pair and degeneralization copies whole state spaces, so
-    distinct behaviour on dead states would otherwise multiply the monoid.
+    carry every state pair, so distinct behaviour on dead states would
+    otherwise multiply the monoid.  A ``Gba`` has every family member
+    restricted.
     """
     base = base_of(b)
     adj: dict = {}
@@ -211,31 +160,37 @@ def _reachable_bar(b: Bar) -> Bar:
         return b
     states = frozenset(seen)
     kept = frozenset(t for t in base.transitions if t[0] in seen)
-    return Bar(
-        Ltsr(states, base.names, base.data, kept, base.initial),
-        b.final & states,
-    )
+    reachable = Ltsr(states, base.names, base.data, kept, base.initial)
+    if isinstance(b, Gba):
+        return Gba(reachable, _canonical_family(m & states for m in b.final_family))
+    return Bar(reachable, b.final & states)
 
 
 # ---------------------------------------------------------------------------
 # Transition profiles
 
-# A profile of an n-state machine is a pair (R, F) of ints, each an n-by-n
-# bit matrix packed row by row: bit p*n + q of R says some path drives p to q
-# over the word, and the same bit of F says some such path also visits a
-# final state (endpoints included).  F is always a submask of R.  Composition
-# is relational join with best-flag semantics:
-#   (A*B).R[p] = OR of B.R[i] over the i in A.R[p],
-#   (A*B).F[p] = OR of B.F[i] over the i in A.R[p], and of B.R[i] over the
-#                i in A.F[p].
+# A profile of an n-state machine with final sets F_0 .. F_{k-1} is a pair
+# (R, F) of ints.  R is an n-by-n bit matrix packed row by row: bit p*n + q
+# says some path drives p to q over the word.  F packs one such matrix per
+# final set, member j's at offset j*n*n: its bit p*n + q says some path from
+# p to q also visits F_j (endpoints included).  Each member's matrix is a
+# submask of R.  A Buchi automaton has k = 1, so F is one n-by-n matrix; a
+# generalized one has one member per family set, and an empty family counts
+# as one member holding every state.  Composition is relational join with
+# best-flag semantics, member by member:
+#   (A*B).R[p]   = OR of B.R[i] over the i in A.R[p],
+#   (A*B).F_j[p] = OR of B.F_j[i] over the i in A.R[p], and of B.R[i] over
+#                  the i in A.F_j[p].
 # Column i of A, shifted down to the lowest bit of each row, is
-# (A >> i) & COL, where COL has bit p*n set for every p.  Multiplying that
-# column by row i of B (an int below 2**n) copies the row into every selected
-# row of the product at once and cannot carry, because the selected bits lie
-# n apart.  So a product costs one multiply per non-zero row of B.
+# (A >> i) & COL, where COL has bit p*n set for every p; for F the mask is
+# FCOL, COL repeated at every member offset.  Row i of B's F packs row i of
+# every member at stride n*n.  Multiplying a column by a row copies the row
+# into every selected row of the product at once and cannot carry: the
+# selected bits of a column lie n apart, and the members of a row n*n apart.
+# So a product costs one multiply per non-zero row of B, whatever k is.
 
 Profile = Tuple[int, int]
-Rows = Tuple[Tuple[int, int, int], ...]  # (i, R row i, F row i), non-zero rows only
+Rows = Tuple[Tuple[int, int, int], ...]  # (i, R row i, F rows i), non-zero R rows only
 
 
 def _mult_columns(cols, rows: Rows) -> Profile:
@@ -253,15 +208,15 @@ def _mult_columns(cols, rows: Rows) -> Profile:
     return (r, f)
 
 
-def _rows(b: Profile, n: int) -> Rows:
-    """Row i of R and of F, for each i whose R row is not empty."""
+def _rows(b: Profile, n: int, frow: int) -> Rows:
+    """Row i of R and of every F member, for each i whose R row is not empty."""
     br, bf = b
     full = (1 << n) - 1
     out = []
     for i in range(n):
         r = (br >> (i * n)) & full
         if r:
-            out.append((i, r, (bf >> (i * n)) & full))
+            out.append((i, r, (bf >> (i * n)) & frow))
     return tuple(out)
 
 
@@ -277,21 +232,24 @@ def _step_mask(rows: Rows, mask: int) -> int:
 @dataclass
 class _ProfileSpace:
     n: int
+    members: int           # bit j*n*n set for every final-set member j
     col: int               # bit p*n set for every state p
+    fcol: int              # col at every member offset
+    frow: int              # the low n bits at every member offset
     unit: Profile
     letters: dict          # Record -> Profile
     letter_rows: dict      # Record -> Rows of that profile
     initial_mask: int
 
     def columns(self, a: Profile):
-        """Column i of R and of F, each shifted down to bit p*n of row p."""
+        """Column i of R and of every F member, each shifted down to bit p*n of row p."""
         ar, af = a
-        col = self.col
+        col, fcol = self.col, self.fcol
         span = range(self.n)
-        return [(ar >> i) & col for i in span], [(af >> i) & col for i in span]
+        return [(ar >> i) & col for i in span], [(af >> i) & fcol for i in span]
 
     def mult(self, a: Profile, b: Profile) -> Profile:
-        return _mult_columns(self.columns(a), _rows(b, self.n))
+        return _mult_columns(self.columns(a), _rows(b, self.n, self.frow))
 
     def successors(self, a: Profile, letters) -> list:
         """a*r for each letter r, cutting a's columns only once."""
@@ -302,14 +260,19 @@ class _ProfileSpace:
         """States from which reading the idempotent rho forever can accept.
 
         These are the states p that rho drives to some q which rho can take
-        back to itself through a final state.  A linked pair (sigma, rho)
-        accepts exactly when sigma drives some initial state into this set.
+        back to itself through every final set: q has the diagonal bit of
+        every member.  Those loops may take different paths; running them
+        one after another is still a run over rho's word repeated, because
+        rho is idempotent.  A linked pair (sigma, rho) accepts exactly when
+        sigma drives some initial state into this set.
         """
         n = self.n
         r, f = rho
+        members = self.members
         diag = 0
         for q in range(n):
-            if (f >> (q * n + q)) & 1:
+            bits = members << (q * n + q)
+            if f & bits == bits:
                 diag |= 1 << q
         out = 0
         if diag:
@@ -319,24 +282,36 @@ class _ProfileSpace:
         return out
 
 
-def _profile_space(b: Bar, letters: Iterable[Record]) -> _ProfileSpace:
+def _final_sets(b: Union[Bar, Gba]) -> tuple:
+    """The final sets a profile tracks, one per member of its F."""
+    if isinstance(b, Bar):
+        return (b.final,)
+    return b.final_family or (b.base.states,)
+
+
+def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpace:
     base = base_of(b)
     order = tuple(sorted(base.states))
     index = {q: i for i, q in enumerate(order)}
-    final = b.final if isinstance(b, Bar) else frozenset(base.states)
     n = len(order)
+    nn = n * n
     adj = _adjacency(base)
-    fmask = 0
-    for p in range(n):
-        if order[p] in final:
-            fmask |= 1 << p
+    fmasks = []
+    for final in _final_sets(b):
+        fmask = 0
+        for p in range(n):
+            if order[p] in final:
+                fmask |= 1 << p
+        fmasks.append(fmask)
+    members = sum(1 << (j * nn) for j in range(len(fmasks)))
     col = 0
     unit_r = unit_f = 0
     for p in range(n):
         col |= 1 << (p * n)
         unit_r |= 1 << (p * n + p)
-        if (fmask >> p) & 1:
-            unit_f |= 1 << (p * n + p)
+        for j, fmask in enumerate(fmasks):
+            if (fmask >> p) & 1:
+                unit_f |= 1 << (j * nn + p * n + p)
     letter_profiles = {}
     for r in letters:
         lr = lf = 0
@@ -345,17 +320,22 @@ def _profile_space(b: Bar, letters: Iterable[Record]) -> _ProfileSpace:
             for dst in adj.get((order[p], r), frozenset()):
                 mask |= 1 << index[dst]
             lr |= mask << (p * n)
-            lf |= (mask if (fmask >> p) & 1 else mask & fmask) << (p * n)
+            for j, fmask in enumerate(fmasks):
+                lf |= (mask if (fmask >> p) & 1 else mask & fmask) << (j * nn + p * n)
         letter_profiles[r] = (lr, lf)
     initial_mask = 0
     for q in base.initial:
         initial_mask |= 1 << index[q]
+    frow = ((1 << n) - 1) * members
     return _ProfileSpace(
         n,
+        members,
         col,
+        col * members,
+        frow,
         (unit_r, unit_f),
         letter_profiles,
-        {r: _rows(x, n) for r, x in letter_profiles.items()},
+        {r: _rows(x, n, frow) for r, x in letter_profiles.items()},
         initial_mask,
     )
 
@@ -416,8 +396,10 @@ def _reach_pairs(spaces, letters):
     return pairs
 
 
-def buchi_equiv(b1: Bar, b2: Bar, monoid_limit: int = DEFAULT_MONOID_LIMIT) -> Verdict:
-    """Decide equality of lasso (omega) languages of two Buchi automata.
+def buchi_equiv(
+    b1: Union[Bar, Gba], b2: Union[Bar, Gba], monoid_limit: int = DEFAULT_MONOID_LIMIT
+) -> Verdict:
+    """Decide equality of lasso (omega) languages of two (generalized) Buchi automata.
 
     Every ultimately periodic word is classified by a linked profile pair
     (prefix profile sigma, idempotent period profile rho with sigma*rho =
@@ -429,11 +411,17 @@ def buchi_equiv(b1: Bar, b2: Bar, monoid_limit: int = DEFAULT_MONOID_LIMIT) -> V
     subset-construction states instead of whole monoid elements.  On
     inequality the witness lasso is rebuilt from shortest realizing words and
     is accepted by exactly one machine.
+
+    Each side may be a ``Bar`` or a ``Gba``, so joins are compared as they
+    are, never degeneralized.  A ``Gba``'s profiles carry one packed final
+    matrix per family member, and an idempotent period accepts from a state
+    exactly when it leads to a state whose diagonal bit is set in every
+    member (the AND of the member diagonals).
     """
-    if not isinstance(b1, Bar) or not isinstance(b2, Bar):
-        raise TsrError("buchi_equiv compares two Buchi automata")
-    b1 = _reachable_bar(b1)
-    b2 = _reachable_bar(b2)
+    if not isinstance(b1, (Bar, Gba)) or not isinstance(b2, (Bar, Gba)):
+        raise TsrError("buchi_equiv compares two Buchi or generalized Buchi automata")
+    b1 = _reachable(b1)
+    b2 = _reachable(b2)
     names, letters = _union_letters(b1, b2)
     spaces = (_profile_space(b1, letters), _profile_space(b2, letters))
     elements, nonempty = _joint_closure(spaces, letters, monoid_limit)
@@ -516,7 +504,7 @@ def buchi_complement(
     """
     if not isinstance(b, Bar):
         raise TsrError("buchi_complement takes a Buchi automaton")
-    b = _reachable_bar(b)
+    b = _reachable(b)
     base = base_of(b)
     if len(base.states) > max_states:
         raise SizeBoundError(
@@ -535,7 +523,7 @@ def buchi_complement(
 
     # rhos[id of sigma]: the ids of the periods rho such that (sigma, rho) is
     # a linked, non-accepting pair.
-    reach = [_step_mask(_rows(x, space.n), space.initial_mask) for x in order]
+    reach = [_step_mask(_rows(x, space.n, space.frow), space.initial_mask) for x in order]
     columns = [space.columns(x) for x in order]
     rhos = {}
     for e in nonempty:
@@ -543,7 +531,7 @@ def buchi_complement(
             continue
         rho = e[0]
         entries = space.loop_entries(rho)
-        rows = _rows(rho, space.n)
+        rows = _rows(rho, space.n, space.frow)
         for sigma_id, sigma in enumerate(order):
             if reach[sigma_id] & entries or _mult_columns(columns[sigma_id], rows) != sigma:
                 continue
@@ -614,8 +602,13 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
             "intersection requires identical alphabets (same names and data)"
         )
 
-    def name(q1, q2, copy):
-        return f"({q1},{q2},{copy})"
+    right = [(q2, _component(q2)) for q2 in base2.states]
+    name = {}
+    for q1 in base1.states:
+        left = _component(q1)
+        for q2, c2 in right:
+            for copy in (1, 2):
+                name[q1, q2, copy] = f"({left},{c2},{copy})"
 
     by_label = {}
     for (p2, r2, q2) in base2.transitions:
@@ -630,15 +623,10 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
                     nxt = 1
                 else:
                     nxt = copy
-                transitions.add((name(p1, p2, copy), r1, name(q1, q2, nxt)))
-    states = frozenset(
-        name(q1, q2, copy)
-        for q1 in base1.states
-        for q2 in base2.states
-        for copy in (1, 2)
-    )
-    initial = frozenset(name(q1, q2, 1) for q1 in base1.initial for q2 in base2.initial)
-    final = frozenset(name(f1, q2, 1) for f1 in b1.final for q2 in base2.states)
+                transitions.add((name[p1, p2, copy], r1, name[q1, q2, nxt]))
+    states = frozenset(name.values())
+    initial = frozenset(name[q1, q2, 1] for q1 in base1.initial for q2 in base2.initial)
+    final = frozenset(name[f1, q2, 1] for f1 in b1.final for q2 in base2.states)
     return Bar(Ltsr(states, base1.names, base1.data, frozenset(transitions), initial), final)
 
 
@@ -750,7 +738,6 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
 
 def _productive_parts(base: Ltsr):
     """Productive states (those starting some infinite run) and their edges."""
-    adj = _adjacency(base)
     out = {}
     for (src, r, dst) in base.transitions:
         out.setdefault(src, []).append((r, dst))

@@ -5,11 +5,13 @@ straight from the definitions, by exhaustive enumeration where possible, so
 they share no shortcuts with the library code they check.
 """
 
+from collections import deque
+from dataclasses import dataclass
 from itertools import product
 
-from tsr.automata import Bar, Gba, Ltsr, base_of
+from tsr.automata import Bar, Gba, Ltsr, base_of, finite_targets
 from tsr.join import product_state
-from tsr.records import TAU, FiniteWord, Record, restrict
+from tsr.records import TAU, FiniteWord, Record, enumerate_alphabet, restrict
 
 
 def rec(assignments=None, **kw):
@@ -56,6 +58,62 @@ def naive_reach(m, start, symbols):
             dst for src, label, dst in base.transitions if src in current and label == r
         }
     return frozenset(current)
+
+
+@dataclass
+class Dfa:
+    """Deterministic view of a machine's finite-word language.
+
+    States are canonical tokens for subsets of the source machine's states;
+    the transition map is total over the declared alphabet (the empty subset
+    acts as the explicit dead state).
+    """
+
+    states: frozenset
+    alphabet: tuple
+    transitions: dict
+    initial: str
+    accepting: frozenset
+
+
+def _subset_token(states) -> str:
+    return "{" + ",".join(sorted(states)) + "}"
+
+
+def determinize(b) -> Dfa:
+    """Subset construction over the machine's whole alphabet."""
+    base = base_of(b)
+    letters = tuple(sorted(enumerate_alphabet(base.names, base.data)))
+    targets = finite_targets(b)
+    start = frozenset(base.initial)
+    subsets = {start}
+    transitions = {}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for r in letters:
+            nxt = naive_reach(b, current, (r,))
+            transitions[(_subset_token(current), r)] = _subset_token(nxt)
+            if nxt not in subsets:
+                subsets.add(nxt)
+                queue.append(nxt)
+    return Dfa(
+        states=frozenset(_subset_token(s) for s in subsets),
+        alphabet=letters,
+        transitions=transitions,
+        initial=_subset_token(start),
+        accepting=frozenset(_subset_token(s) for s in subsets if s & targets),
+    )
+
+
+def dfa_accepts(d: Dfa, w) -> bool:
+    state = d.initial
+    for r in w.symbols:
+        key = (state, r)
+        if key not in d.transitions:
+            return False
+        state = d.transitions[key]
+    return state in d.accepting
 
 
 def naive_join_edges(base1, base2):
@@ -131,16 +189,22 @@ def walk_words(letters, max_len, root, extend):
 def naive_profile_compose(a, b):
     """Relational composition of two profiles given as sets of state pairs.
 
-    A profile is (reach, fin): reach holds the pairs (p, q) that the word can
-    drive p to q, fin the pairs for which some such path visits a final
-    state.  The product reads ``a`` then ``b``.
+    A profile is (reach, fins): reach holds the pairs (p, q) that the word
+    can drive p to q, and fins holds one set per final set F_j, the pairs
+    for which some such path visits F_j.  The product reads ``a`` then
+    ``b``; any number of final sets, none included, is allowed.
     """
-    reach_a, fin_a = a
-    reach_b, fin_b = b
-    reach = {(p, q) for (p, i) in reach_a for (j, q) in reach_b if i == j}
-    fin = {(p, q) for (p, i) in fin_a for (j, q) in reach_b if i == j}
-    fin |= {(p, q) for (p, i) in reach_a for (j, q) in fin_b if i == j}
-    return (frozenset(reach), frozenset(fin))
+    reach_a, fins_a = a
+    reach_b, fins_b = b
+
+    def compose(x, y):
+        return frozenset((p, q) for (p, i) in x for (j, q) in y if i == j)
+
+    fins = tuple(
+        compose(fin_a, reach_b) | compose(reach_a, fin_b)
+        for fin_a, fin_b in zip(fins_a, fins_b)
+    )
+    return (compose(reach_a, reach_b), fins)
 
 
 def states_reaching_accepting_cycles(m):

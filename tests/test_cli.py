@@ -71,6 +71,24 @@ def test_join_bars_and_flatten(parity_files, tmp_path, capsys):
     assert "final" in flat and "final_family" not in flat
 
 
+def test_join_of_comma_named_states(tmp_path, capsys):
+    left = bar(["x", "x,y"], ["A"], ["0"], [("x", A, "x,y")], ["x"], ["x,y"])
+    right = bar(["z", "y,z"], ["B"], ["0"], [("z", rec(B="0"), "y,z")], ["z"], ["y,z"])
+    lp = write_machine(tmp_path, "l.json", left)
+    rp = write_machine(tmp_path, "r.json", right)
+    out_path = str(tmp_path / "joined.json")
+    assert main(["join", lp, rp, "-o", out_path]) == 0
+    joined = json.loads(open(out_path, encoding="utf-8").read())
+    assert len(joined["states"]) == 4
+    assert main(["validate", out_path]) == 0
+    assert "4 states" in capsys.readouterr().out
+    only_a = write_json(tmp_path, "a.json", [{"A": "0"}])
+    assert main(["member", "--word", only_a, out_path]) == 1
+    assert capsys.readouterr().out.strip() == "false"
+    both = write_json(tmp_path, "ab.json", [{"A": "0"}, {"B": "0"}])
+    assert main(["member", "--word", both, out_path]) == 0
+
+
 def test_join_lts(tmp_path, capsys):
     m = lts(["s0"], ["A"], ["0"], [("s0", A, "s0")], ["s0"])
     path = write_machine(tmp_path, "m.json", m)

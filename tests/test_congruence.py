@@ -173,6 +173,19 @@ def test_fuzz_injects_the_counterexample_for_the_lasso_relation():
     assert failure.witness is not None
 
 
+def test_fuzz_b_decides_the_trial_the_flattened_joins_refused():
+    # Trial 10 of seed 3 has a joint monoid of about 9,000 elements on the
+    # generalized joins; degeneralized first, it passed the 20,000 bound.
+    report = fuzz_congruence("b", GenParams(seed=3), 16)
+    assert report.vacuous == 0
+    assert (report.passed, report.failed) == (15, 1)
+    (failure,) = report.failures
+    w = failure.witness
+    assert len(w.period) == 1
+    j1, j2 = join(failure.left, failure.context), join(failure.right, failure.context)
+    assert gba_accepts_lasso(j1, w) != gba_accepts_lasso(j2, w)
+
+
 def test_fuzz_congruence_holds_on_small_runs():
     for rel in ("ft", "f", "it"):
         report = fuzz_congruence(rel, GenParams(seed=7), 25)

@@ -1,11 +1,11 @@
 """The join composition: rules, structure, and known compositions."""
 
-from dataclasses import replace
-
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import bar, lts, naive_join_edges, rec, rename_machine
-from tsr.automata import Gba, base_of, gba_accepts_lasso, validate
+from tsr.automata import Gba, accepts_finite, base_of, gba_accepts_lasso, validate
 from tsr.congruence import GenParams, random_machine
 from tsr.errors import DataSetMismatchError, TsrError
 from tsr.join import (
@@ -16,7 +16,8 @@ from tsr.join import (
     join_lts,
     product_state,
 )
-from tsr.records import TAU, Lasso, Record
+from tsr.languages import buchi_intersect
+from tsr.records import TAU, FiniteWord, Lasso, Record
 
 A = rec(A="0")
 F = rec(zz0="0")
@@ -141,6 +142,51 @@ def test_join_bar_flat_is_a_buchi_automaton_with_the_same_lasso_language():
         Lasso.of([F], [A, F], names=g.names),
     ]:
         assert accepts_lasso(flat, lasso) == gba_accepts_lasso(g, lasso)
+
+
+def comma_named_pair():
+    """Component names whose naive pairings collide: ("x,y", "z") and ("x", "y,z")."""
+    left = bar(["x", "x,y"], ["A"], ["0"], [("x", A, "x,y")], ["x"], ["x,y"])
+    right = bar(
+        ["z", "y,z"], ["B"], ["0"], [("z", rec(B="0"), "y,z")], ["z"], ["y,z"]
+    )
+    return left, right
+
+
+def test_join_keeps_pairs_of_comma_names_apart():
+    left, right = comma_named_pair()
+    g = join(left, right)
+    assert len(g.states) == 4
+    assert validate(g) == []
+    # After A only the left side has reached its final state.
+    assert not accepts_finite(g, FiniteWord((A,), g.names))
+    assert accepts_finite(g, FiniteWord((A, rec(B="0")), g.names))
+
+
+def test_product_names_of_plain_and_joined_states_are_unchanged():
+    assert product_state("q0", "c0") == "(q0,c0)"
+    assert product_state("(q0,c0)", "((s1,s2),t)") == "((q0,c0),((s1,s2),t))"
+    assert product_state("x,y", "z") == "(x\\,y,z)"
+    assert product_state("a)", "(b") == "(a\\),\\(b)"
+
+
+adversarial_names = st.lists(
+    st.text(alphabet="a,()\\", min_size=1, max_size=3), min_size=1, max_size=5, unique=True
+)
+
+
+@given(adversarial_names, adversarial_names)
+def test_composite_state_names_never_collide(names1, names2):
+    pairs = {product_state(a, b): (a, b) for a in names1 for b in names2}
+    assert len(pairs) == len(names1) * len(names2)
+    m1 = bar(names1, ["A"], ["0"], [(q, A, q) for q in names1], names1, names1)
+    m2 = bar(names2, ["A"], ["0"], [(q, A, names2[0]) for q in names2], names2, names2)
+    g = join(m1, m2)
+    assert len(g.states) == len(names1) * len(names2)
+    assert len(g.transitions) == len(names1) * len(names2)
+    both = buchi_intersect(m1, m2)
+    assert len(both.states) == 2 * len(names1) * len(names2)
+    assert len(both.transitions) == 2 * len(names1) * len(names2)
 
 
 def test_fresh_name():

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     bar,
+    determinize,
+    dfa_accepts,
+    gba,
     lassos_up_to,
     lts,
     naive_profile_compose,
@@ -18,14 +21,16 @@ from helpers import (
 from tsr.automata import (
     accepts_finite,
     accepts_lasso,
+    degeneralize,
+    gba_accepts_lasso,
     lts_to_bar,
     reach,
     validate,
     with_idle_loops,
 )
-from tsr.congruence import GenParams, random_machine
+from tsr.congruence import GenParams, language_preserving_mutate, random_machine
 from tsr.errors import AlphabetMismatchError, DataSetMismatchError, SizeBoundError
-from tsr.join import join_lts
+from tsr.join import join, join_lts
 from tsr.languages import (
     LassoWitness,
     accepting_loop_states,
@@ -36,8 +41,6 @@ from tsr.languages import (
     componentwise_accepts_finite,
     componentwise_lasso_traceable,
     componentwise_traceable,
-    determinize,
-    dfa_accepts,
     finite_equiv,
     infinite_traceable_equiv,
     shortest_accept_difference,
@@ -154,38 +157,109 @@ def test_buchi_complement_is_exact_on_small_machines():
 
 @st.composite
 def profile_triples(draw):
-    """A machine size, a final set, and three profiles over it.
+    """A machine with k = 0-3 final sets, and three profiles over it.
 
-    Profiles of real words put a pair in ``fin`` whenever an endpoint is
-    final, so the drawn ones do too; that is what makes the unit a unit.
+    The machine is a Bar when k = 1 and the coin says so, else a Gba; a Gba
+    with an empty family tracks one member holding every state.  Profiles of
+    real words put a pair in member j's set whenever an endpoint lies in
+    F_j, so the drawn ones do too; that is what makes the unit a unit.
     """
     n = draw(st.integers(1, 9))
-    final = draw(st.frozensets(st.integers(0, n - 1)))
+    k = draw(st.integers(0, 3))
+    states = [f"s{p}" for p in range(n)]
+    family = [draw(st.frozensets(st.sampled_from(states))) for _ in range(k)]
+    if k == 1 and draw(st.booleans()):
+        machine = bar(states, ["A"], ["0"], [], states[:1], family[0])
+        members = [machine.final]
+    else:
+        machine = gba(states, ["A"], ["0"], [], states[:1], family)
+        members = list(machine.final_family) or [frozenset(states)]
+    finals = [frozenset(states.index(q) for q in m) for m in members]
     pairs = [(p, q) for p in range(n) for q in range(n)]
     triple = []
     for _ in range(3):
         reach = draw(st.frozensets(st.sampled_from(pairs)))
-        fin = draw(st.frozensets(st.sampled_from(sorted(reach)))) if reach else frozenset()
-        fin |= {(p, q) for (p, q) in reach if p in final or q in final}
-        triple.append((reach, frozenset(fin)))
-    return n, final, triple
+        fins = []
+        for final in finals:
+            fin = draw(st.frozensets(st.sampled_from(sorted(reach)))) if reach else frozenset()
+            fins.append(fin | {(p, q) for (p, q) in reach if p in final or q in final})
+        triple.append((reach, tuple(fins)))
+    return n, machine, finals, triple
 
 
 def _pack(n, profile):
-    return tuple(sum(1 << (p * n + q) for (p, q) in pairs) for pairs in profile)
+    """Member j's pairs at offset j*n*n, as the packed layout has them."""
+    reach, fins = profile
+
+    def bits(pairs):
+        return sum(1 << (p * n + q) for (p, q) in pairs)
+
+    return bits(reach), sum(bits(fin) << (j * n * n) for j, fin in enumerate(fins))
 
 
 @given(profile_triples())
 def test_packed_profile_product_is_relational_composition(case):
-    n, final, (a, b, c) = case
-    states = [f"s{p}" for p in range(n)]
-    machine = bar(states, ["A"], ["0"], [], states[:1], [states[p] for p in final])
+    n, machine, finals, (a, b, c) = case
     space = _profile_space(machine, [])
     pa, pb, pc = (_pack(n, x) for x in (a, b, c))
     assert space.mult(pa, pb) == _pack(n, naive_profile_compose(a, b))
     assert space.mult(space.mult(pa, pb), pc) == space.mult(pa, space.mult(pb, pc))
     assert space.mult(pa, space.unit) == pa
     assert space.mult(space.unit, pa) == pa
+    assert space.unit == _pack(
+        n, ({(p, p) for p in range(n)}, tuple({(p, p) for p in f} for f in finals))
+    )
+
+
+@given(profile_triples())
+def test_loop_entries_need_every_members_diagonal(case):
+    n, machine, _, profiles = case
+    space = _profile_space(machine, [])
+    for reach, fins in profiles:
+        loops = {q for q in range(n) if all((q, q) in fin for fin in fins)}
+        entries = {p for (p, q) in reach if q in loops}
+        assert space.loop_entries(_pack(n, (reach, fins))) == sum(1 << p for p in entries)
+
+
+@st.composite
+def join_pairs(draw):
+    """Two small random automata and a context: a's mate b is either a
+    verified b-equivalent mutation or an unrelated automaton."""
+    params = GenParams(max_states=2, seed=draw(st.integers(0, 10**6)))
+    a = random_machine(params, "bar")
+    if draw(st.booleans()):
+        b = language_preserving_mutate(a, draw(st.integers(0, 10**6)), "b")
+    else:
+        b = random_machine(replace(params, seed=params.seed + 1), "bar")
+    names = draw(st.sampled_from([{"cx0"}, {"A", "B"}, {"A", "cx0"}]))
+    c = random_machine(
+        replace(params, seed=draw(st.integers(0, 10**6)), name_pool=frozenset(names)), "bar"
+    )
+    return join(a, c), join(b, c)
+
+
+@given(join_pairs())
+def test_buchi_equiv_on_joins_matches_the_flattened_joins(pair):
+    g1, g2 = pair
+    verdict = buchi_equiv(g1, g2)
+    flat1, flat2 = degeneralize(g1), degeneralize(g2)
+    assert verdict.equal == buchi_equiv(flat1, flat2).equal
+    if not verdict.equal:
+        w = verdict.witness
+        assert gba_accepts_lasso(g1, w) != gba_accepts_lasso(g2, w)
+        assert accepts_lasso(flat1, w) != accepts_lasso(flat2, w)
+
+
+def test_buchi_equiv_empty_family_accepts_every_infinite_run():
+    edges = [("s0", A, "s1"), ("s1", A, "s1")]
+    anything = gba(["s0", "s1"], ["A"], ["0"], edges, ["s0"], [])
+    all_final = bar(["s0", "s1"], ["A"], ["0"], edges, ["s0"], ["s0", "s1"])
+    assert buchi_equiv(anything, all_final).equal
+    once = gba(["s0", "s1"], ["A"], ["0"], edges, ["s0"], [["s0"]])
+    verdict = buchi_equiv(anything, once)
+    assert not verdict.equal
+    assert gba_accepts_lasso(anything, verdict.witness)
+    assert not gba_accepts_lasso(once, verdict.witness)
 
 
 def test_buchi_complement_keeps_only_live_states():
@@ -308,7 +382,6 @@ def test_componentwise_accepts_finite_on_an_idle_pair():
     b2 = with_idle_loops(
         bar(["c0"], ["zz0"], ["0"], [("c0", F, "c0")], ["c0"], ["c0"])
     )
-    from tsr.join import join
 
     g = join(b1, b2)
     union_names = b1.names | b2.names
