@@ -271,53 +271,159 @@ def lts_to_bar(m: Ltsr) -> Bar:
     return Bar(m, m.states)
 
 
-def strongly_connected_components(nodes, succ) -> list:
-    """Iterative Tarjan SCC over an explicit node list and successor function."""
-    index = {}
-    low = {}
-    on_stack = set()
+@lru_cache(maxsize=512)
+def _indexed(base: Ltsr) -> tuple:
+    """The machine on dense state ids, as ``(order, index, succ)``.
+
+    ``order`` lists the states sorted, ``index`` maps a state to its position
+    there, and ``succ[letter][i]`` lists the ids reached from state ``i`` on
+    that letter (letters that label no transition are absent).
+    """
+    order = sorted(base.states)
+    index = {q: i for i, q in enumerate(order)}
+    succ: dict = {}
+    for src, label, dst in base.transitions:
+        rows = succ.get(label)
+        if rows is None:
+            rows = succ[label] = [[] for _ in order]
+        rows[index[src]].append(index[dst])
+    return order, index, succ
+
+
+def _sccs(succ) -> list:
+    """Tarjan's strongly connected components of the graph on ``0..len(succ)-1``.
+
+    ``succ[v]`` lists the successors of node ``v``.  Roots are taken in id
+    order and successors in list order; components come out in reverse
+    topological order, each listing its members in the order they leave the
+    stack.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack = []
     sccs = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
+                if index[child] < 0:
+                    index[child] = low[child] = counter
+                    counter += 1
                     stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ(child))))
-                    advanced = True
+                    on_stack[child] = True
+                    work.append((child, iter(succ[child])))
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(scc)
+                if on_stack[child] and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        scc.append(member)
+                        if member == node:
+                            break
+                    sccs.append(scc)
     return sccs
+
+
+def _cyclic(scc, succ) -> bool:
+    """Whether a component holds a cycle: two members, or one with a self-loop."""
+    return len(scc) > 1 or scc[0] in succ[scc[0]]
+
+
+def _reached(succ, roots) -> list:
+    """Per node of ``_sccs``'s graph, whether it is reachable from ``roots``."""
+    seen = [False] * len(succ)
+    for v in roots:
+        seen[v] = True
+    frontier = list(roots)
+    while frontier:
+        for child in succ[frontier.pop()]:
+            if not seen[child]:
+                seen[child] = True
+                frontier.append(child)
+    return seen
+
+
+def _live_ids(succ, accepting) -> list:
+    """Per node of ``_sccs``'s graph, whether a cycle through a node with
+    ``accepting[v]`` set is reachable from it.
+
+    Such cycles lie exactly in the components that hold a cycle and an
+    accepting member; the live nodes are their members and every node that
+    can reach one.
+    """
+    cycles = [
+        v
+        for scc in _sccs(succ)
+        if _cyclic(scc, succ) and any(accepting[v] for v in scc)
+        for v in scc
+    ]
+    preds = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for child in row:
+            preds[child].append(v)
+    return _reached(preds, cycles)
+
+
+def _positions_product(base: Ltsr, syms, loop_start: int) -> list:
+    """Successor rows of the machine x word-position graph, on dense ids.
+
+    Node ``i*n + q`` is state ``q`` of ``_indexed(base)`` about to read
+    ``syms[i]``; after the last symbol the position goes back to
+    ``loop_start``.
+    """
+    order, _, succ = _indexed(base)
+    n = len(order)
+    rows = []
+    for i, r in enumerate(syms):
+        shift = (i + 1 if i + 1 < len(syms) else loop_start) * n
+        letter_rows = succ.get(r)
+        if letter_rows is None:
+            rows.extend([()] * n)
+        elif shift:
+            rows.extend([d + shift for d in row] for row in letter_rows)
+        else:
+            rows.extend(letter_rows)
+    return rows
+
+
+def strongly_connected_components(nodes, succ) -> list:
+    """Tarjan's SCCs over an explicit node list and a successor function.
+
+    Roots are taken in ``nodes`` order; nodes reached outside the list join
+    the search too.  Components come out in reverse topological order.
+    """
+    order = list(dict.fromkeys(nodes))
+    ids = {node: i for i, node in enumerate(order)}
+    rows = []
+    for node in order:  # grows while it is read: successors outside ``nodes``
+        row = []
+        for child in succ(node):
+            i = ids.get(child)
+            if i is None:
+                i = ids[child] = len(order)
+                order.append(child)
+            row.append(i)
+        rows.append(row)
+    return [[order[i] for i in scc] for scc in _sccs(rows)]
 
 
 def _lasso_cycles(m: Machine, l: Lasso):
@@ -329,32 +435,12 @@ def _lasso_cycles(m: Machine, l: Lasso):
     SCC (a single node counts only with a self-loop).
     """
     base = base_of(m)
-    adj = _adjacency(base)
-    syms = l.prefix + l.period
-    total = len(syms)
-    loop_start = len(l.prefix)
-
-    def successors(node):
-        q, i = node
-        nxt = i + 1 if i + 1 < total else loop_start
-        for target in adj.get((q, syms[i]), frozenset()):
-            yield (target, nxt)
-
-    start = [(q, 0) for q in sorted(base.initial)]
-    seen = set(start)
-    frontier = list(start)
-    while frontier:
-        node = frontier.pop()
-        for child in successors(node):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-
-    ordered = sorted(seen)
-    for scc in strongly_connected_components(ordered, lambda n: (c for c in successors(n) if c in seen)):
-        members = set(scc)
-        if len(scc) > 1 or any(c in members for c in successors(scc[0])):
-            yield frozenset(q for q, _ in scc)
+    order, index, _ = _indexed(base)
+    rows = _positions_product(base, l.prefix + l.period, len(l.prefix))
+    seen = _reached(rows, [index[q] for q in base.initial])
+    for scc in _sccs(rows):
+        if seen[scc[0]] and _cyclic(scc, rows):
+            yield frozenset(order[v % len(order)] for v in scc)
 
 
 def accepts_lasso(b: Bar, l: Lasso) -> bool:
@@ -439,10 +525,16 @@ def degeneralize(g: Gba) -> Bar:
 
     states = frozenset(cname(q, i) for q in base.states for i in range(1, k + 1))
     transitions = set()
+    # The cycle search below runs on ids: node (i-1)*n + index[q] is (q, i).
+    order = list(base.states)
+    index = {q: v for v, q in enumerate(order)}
+    n = len(order)
+    rows = [[] for _ in range(n * k)]
     for src, label, dst in base.transitions:
         for i in range(1, k + 1):
             j = (i % k) + 1 if src in family[i - 1] else i
             transitions.add((cname(src, i), label, cname(dst, j)))
+            rows[(i - 1) * n + index[src]].append((j - 1) * n + index[dst])
     initial = frozenset(cname(q, 1) for q in base.initial)
 
     core = frozenset(base.states)
@@ -450,28 +542,10 @@ def degeneralize(g: Gba) -> Bar:
         core = core & member
     final = {cname(q, i) for q in core for i in range(1, k + 1)}
 
-    adj: dict = {}
-    for src, label, dst in transitions:
-        adj.setdefault(src, set()).add(dst)
-    seen = set(initial)
-    frontier = list(initial)
-    while frontier:
-        node = frontier.pop()
-        for child in adj.get(node, ()):  # noqa: B905
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    reachable = sorted(seen)
-    for scc in strongly_connected_components(
-        reachable, lambda n: (c for c in adj.get(n, ()) if c in seen)
-    ):
-        members = set(scc)
-        cyclic = len(scc) > 1 or any(c in members for c in adj.get(scc[0], ()))
-        if not cyclic:
-            continue
-        for q in family[0]:
-            if cname(q, 1) in members:
-                final.add(cname(q, 1))
+    seen = _reached(rows, [index[q] for q in base.initial])
+    for scc in _sccs(rows):
+        if seen[scc[0]] and _cyclic(scc, rows):
+            final.update(cname(order[v], 1) for v in scc if v < n and order[v] in family[0])
 
     if not final:
         # Nothing accepts, but a Buchi automaton needs a non-empty final set;

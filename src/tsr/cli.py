@@ -33,10 +33,11 @@ from .congruence import (
     buchi_counterexample,
     distinguish_by_context,
     fuzz_congruence,
+    relation_equiv,
 )
 from .errors import TsrError
 from .join import join, join_bar_flat, join_lts
-from .languages import buchi_equiv, finite_equiv, infinite_traceable_equiv
+from .languages import finite_equiv
 from .records import ALPHABET_LIMIT_ENV
 from .serialize import (
     dumps_canonical,
@@ -125,13 +126,7 @@ def cmd_equiv(args) -> int:
     if rel in ("f", "b") and not (isinstance(m1, Bar) and isinstance(m2, Bar)):
         print(f"error: relation {rel} compares Buchi automata", file=sys.stderr)
         return 2
-    if rel == "ft":
-        verdict = finite_equiv(base_of(m1), base_of(m2))
-    elif rel == "f":
-        verdict = finite_equiv(m1, m2)
-    elif rel == "b":
-        verdict = buchi_equiv(m1, m2)
-    else:
+    if rel == "it":
         for path, m in ((args.left, m1), (args.right, m2)):
             if trap_states(m):
                 print(
@@ -139,7 +134,7 @@ def cmd_equiv(args) -> int:
                     "congruence claim does not cover it, comparing anyway",
                     file=sys.stderr,
                 )
-        verdict = infinite_traceable_equiv(base_of(m1), base_of(m2))
+    verdict = relation_equiv(rel, m1, m2)
     sys.stdout.write(dumps_canonical(verdict_to_json(verdict)))
     return 0 if verdict.equal else 1
 
@@ -203,12 +198,11 @@ def cmd_fuzz(args) -> int:
 def cmd_counterexample(args) -> int:
     instance = buchi_counterexample()
     left, right, context = instance.left, instance.right, instance.context
-    premise_b = buchi_equiv(left, right)
     premise_f = finite_equiv(left, right)
     j1, j2 = join(left, context), join(right, context)
     w = instance.witness
     checks = [
-        f"lasso languages of left and right equal: {premise_b.equal}",
+        f"lasso languages of left and right equal: {instance.premise_holds}",
         f"finite-word languages of left and right equal: {premise_f.equal}",
         f"joined machines lasso-equal: {instance.conclusion_holds}",
         f"join(left, context) accepts witness: {gba_accepts_lasso(j1, w)}",

@@ -138,7 +138,8 @@ def random_machine(params: GenParams, kind: str = "bar") -> Machine:
     return Bar(base, frozenset(final))
 
 
-def _relation_equiv(rel: str, a: Machine, b: Machine) -> Verdict:
+def relation_equiv(rel: str, a: Machine, b: Machine) -> Verdict:
+    """Decide ``a ~ b`` for one of the relations ``ft``, ``f``, ``it``, ``b``."""
     if rel == "ft":
         return finite_equiv(base_of(a), base_of(b))
     if rel == "f":
@@ -302,10 +303,10 @@ def language_preserving_mutate(m: Machine, seed, relation: str = "f") -> Machine
             candidate = _shift_final_along_cycle(m, rng)
         if candidate is None:
             continue
-        if _relation_equiv(relation, m, candidate).equal:
+        if relation_equiv(relation, m, candidate).equal:
             return candidate
     fallback = _rename_states(m, rng)
-    if not _relation_equiv(relation, m, fallback).equal:
+    if not relation_equiv(relation, m, fallback).equal:
         raise TsrError(
             "renaming was judged non-equivalent; the decision procedure is broken"
         )
@@ -332,7 +333,7 @@ def check_instance(rel: str, a: Machine, b: Machine, c: Machine) -> CongruenceIn
                 )
     if rel in ("f", "b") and not (isinstance(a, Bar) and isinstance(b, Bar) and isinstance(c, Bar)):
         raise TsrError(f"relation {rel!r} applies to Buchi automata")
-    premise = _relation_equiv(rel, a, b)
+    premise = relation_equiv(rel, a, b)
     if rel == "ft":
         j1, j2 = join_lts(a, c), join_lts(b, c)
         conclusion = finite_equiv(j1, j2)

@@ -36,13 +36,17 @@ from .automata import (
     _adjacency,
     _canonical_family,
     _component,
+    _cyclic,
+    _indexed,
+    _live_ids,
+    _positions_product,
+    _sccs,
     _step_any,
     accepts_finite,
     accepts_lasso,
     base_of,
     finite_targets,
     lts_to_bar,
-    strongly_connected_components,
     traceable,
 )
 from .errors import (
@@ -448,34 +452,6 @@ def buchi_equiv(
     return Verdict(True)
 
 
-def _live_states(nodes, succ, accepting) -> set:
-    """The nodes from which some cycle through an accepting node is reachable.
-
-    Such cycles lie exactly in the strongly connected components that have an
-    accepting member and an edge inside them; the live nodes are those
-    components' members and every node that can reach one.
-    """
-    live = set()
-    for scc in strongly_connected_components(nodes, succ):
-        members = set(scc)
-        if any(accepting(q) for q in scc) and (
-            len(scc) > 1 or any(c in members for c in succ(scc[0]))
-        ):
-            live |= members
-    preds = {}
-    for node in nodes:
-        for child in succ(node):
-            preds.setdefault(child, []).append(node)
-    frontier = list(live)
-    while frontier:
-        node = frontier.pop()
-        for p in preds.get(node, ()):
-            if p not in live:
-                live.add(p)
-                frontier.append(p)
-    return live
-
-
 def buchi_complement(
     b: Bar,
     max_states: int = DEFAULT_COMPLEMENT_STATE_LIMIT,
@@ -560,21 +536,22 @@ def buchi_complement(
         else:
             yield from start_block(state[1])
 
-    initial = ("r", 0)
-    out = {}
-    seen = {initial}
-    frontier = [initial]
-    while frontier:
-        state = frontier.pop()
-        out[state] = list(edges(state))
-        for _, dst in out[state]:
-            if dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    live = _live_states(
-        list(out), lambda q: (d for _, d in out[q]), lambda q: q[0] == "c"
-    )
-    live.add(initial)
+    # Explored states get ids in the order they are found; the initial reader
+    # is id 0 and is always kept.
+    found = [("r", 0)]
+    ids_of = {found[0]: 0}
+    rows = []
+    for state in found:  # grows while it is read
+        row = []
+        for r, dst in edges(state):
+            j = ids_of.get(dst)
+            if j is None:
+                j = ids_of[dst] = len(found)
+                found.append(dst)
+            row.append((r, j))
+        rows.append(row)
+    live = _live_ids([[j for _, j in row] for row in rows], [q[0] == "c" for q in found])
+    live[0] = True
 
     def name(state):
         if state[0] == "r":
@@ -583,19 +560,24 @@ def buchi_complement(
             return f"b{state[1]}_{state[2]}"
         return f"c{state[1]}"
 
-    states = frozenset(name(q) for q in live)
+    names = [name(q) if keep else None for q, keep in zip(found, live)]
+    states = frozenset(q for q in names if q is not None)
     transitions = frozenset(
-        (name(q), r, name(d)) for q in live for r, d in out[q] if d in live
+        (names[i], r, names[j])
+        for i, row in enumerate(rows) if live[i]
+        for r, j in row if live[j]
     )
-    final = frozenset(name(q) for q in live if q[0] == "c")
+    final = frozenset(names[i] for i, q in enumerate(found) if live[i] and q[0] == "c")
     if not final:
         states = states | {"never"}
         final = frozenset({"never"})
-    return Bar(Ltsr(states, base.names, base.data, transitions, frozenset({name(initial)})), final)
+    return Bar(Ltsr(states, base.names, base.data, transitions, frozenset({names[0]})), final)
 
 
 def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
     """Standard two-copy intersection of Buchi automata over one alphabet."""
+    if not (isinstance(b1, Bar) and isinstance(b2, Bar)):
+        raise TsrError("buchi_intersect takes two Buchi automata")
     base1, base2 = base_of(b1), base_of(b2)
     if base1.names != base2.names or base1.data != base2.data:
         raise AlphabetMismatchError(
@@ -637,6 +619,8 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
     cycle; the returned lasso follows a shortest path to such a state and a
     shortest cycle back to it.
     """
+    if not isinstance(b, Bar):
+        raise TsrError("buchi_empty takes a Buchi automaton")
     base = base_of(b)
     out = {}
     for (src, r, dst) in base.transitions:
@@ -657,21 +641,18 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
                 parents[dst] = (q, r)
                 queue.append(dst)
 
-    sccs = strongly_connected_components(
-        order, lambda q: (d for _, d in out.get(q, ()) if d in seen)
-    )
-    cyclic = set()
-    for scc in sccs:
-        members = set(scc)
-        if len(scc) > 1 or any(d in members for _, d in out.get(scc[0], ())):
-            cyclic |= members
-    scc_of = {}
-    for scc in sccs:
-        for q in scc:
-            scc_of[q] = id(scc)
+    ids = {q: i for i, q in enumerate(order)}
+    rows = [[ids[d] for _, d in out.get(q, ())] for q in order]
+    cyclic = [False] * len(order)
+    scc_of = [0] * len(order)
+    for c, scc in enumerate(_sccs(rows)):
+        loops = _cyclic(scc, rows)
+        for v in scc:
+            scc_of[v] = c
+            cyclic[v] = loops
 
     for f in sorted(b.final):
-        if f not in seen or f not in cyclic:
+        if f not in seen or not cyclic[ids[f]]:
             continue
         prefix = []
         node = f
@@ -681,13 +662,14 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
             node = prev
         prefix.reverse()
         # Shortest cycle through f inside its own strongly connected component.
+        home = scc_of[ids[f]]
         period = None
         back = {f: None}
         bfs = deque([f])
         while bfs and period is None:
             q = bfs.popleft()
             for (r, dst) in out.get(q, ()):
-                if dst not in seen or scc_of.get(dst) != scc_of[f]:
+                if scc_of[ids[dst]] != home:
                     continue
                 if dst == f:
                     labels = [r]
@@ -716,21 +698,15 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
     accepting_loop_states(b, v); batching many prefixes against one period
     this way avoids rebuilding the same product graph per lasso.
     """
+    if not isinstance(b, Bar):
+        raise TsrError("accepting_loop_states takes a Buchi automaton")
     if not period:
         raise TsrError("period must be non-empty")
     base = base_of(b)
-    adj = _adjacency(base)
-    k = len(period)
-    nodes = [(q, i) for q in sorted(base.states) for i in range(k)]
-
-    def successors(node):
-        q, i = node
-        nxt = (i + 1) % k
-        for dst in adj.get((q, period[i]), frozenset()):
-            yield (dst, nxt)
-
-    good = _live_states(nodes, successors, lambda node: node[0] in b.final)
-    return frozenset(q for (q, i) in good if i == 0)
+    order = _indexed(base)[0]
+    final = [q in b.final for q in order]
+    live = _live_ids(_positions_product(base, period, 0), final * len(period))
+    return frozenset(q for q, keep in zip(order, live) if keep)
 
 
 # ---------------------------------------------------------------------------
@@ -738,28 +714,13 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
 
 def _productive_parts(base: Ltsr):
     """Productive states (those starting some infinite run) and their edges."""
-    out = {}
+    order = list(base.states)
+    index = {q: i for i, q in enumerate(order)}
+    rows = [[] for _ in order]
     for (src, r, dst) in base.transitions:
-        out.setdefault(src, []).append((r, dst))
-    nodes = sorted(base.states)
-    cyclic = set()
-    for scc in strongly_connected_components(
-        nodes, lambda q: (d for _, d in out.get(q, ()))
-    ):
-        members = set(scc)
-        if len(scc) > 1 or any(d in members for _, d in out.get(scc[0], ())):
-            cyclic |= members
-    preds = {}
-    for (src, r, dst) in base.transitions:
-        preds.setdefault(dst, []).append(src)
-    productive = set(cyclic)
-    frontier = list(cyclic)
-    while frontier:
-        node = frontier.pop()
-        for p in preds.get(node, ()):
-            if p not in productive:
-                productive.add(p)
-                frontier.append(p)
+        rows[index[src]].append(index[dst])
+    live = _live_ids(rows, [True] * len(order))
+    productive = {q for q, keep in zip(order, live) if keep}
     pruned = {}
     for (src, r, dst) in base.transitions:
         if src in productive and dst in productive:

@@ -1,6 +1,8 @@
 """Machines: stepping, validation, acceptance, degeneralization."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import bar, gba, lassos_up_to, lts, rec, words_up_to
 from tsr.automata import (
@@ -23,6 +25,7 @@ from tsr.automata import (
     with_idle_loops,
     without_invisible_edges,
 )
+from tsr.automata import _live_ids
 from tsr.errors import InvalidRecordError
 from tsr.records import TAU, FiniteWord, Lasso, Record
 
@@ -195,6 +198,62 @@ def test_strongly_connected_components():
     assert sorted(tuple(sorted(s)) for s in sccs) == [("a", "b"), ("c",)]
     loop = {"x": ["x"]}
     assert [list(s) for s in strongly_connected_components(["x"], lambda n: loop[n])] == [["x"]]
+
+
+@st.composite
+def digraphs(draw):
+    """A digraph on 0-12 listed nodes plus up to 3 nodes outside the list.
+
+    Returns the listed nodes (shuffled, perhaps with a repeat) and the
+    successor lists of every node; self-loops and edges to the outside
+    nodes occur.
+    """
+    n = draw(st.integers(0, 12))
+    total = n + draw(st.integers(0, 3))
+    succ = [draw(st.lists(st.integers(0, total - 1), max_size=3)) for _ in range(total)]
+    nodes = draw(st.permutations(range(n)))
+    if nodes and draw(st.booleans()):
+        nodes = nodes + [nodes[0]]
+    return nodes, succ
+
+
+def _reachable_from(succ, v) -> set:
+    """Nodes reachable from ``v`` in one step or more."""
+    seen = set()
+    frontier = list(succ[v])
+    while frontier:
+        w = frontier.pop()
+        if w not in seen:
+            seen.add(w)
+            frontier.extend(succ[w])
+    return seen
+
+
+@given(digraphs())
+def test_sccs_are_the_mutual_reachability_classes_in_reverse_topological_order(graph):
+    nodes, succ = graph
+    sccs = strongly_connected_components(nodes, lambda v: succ[v])
+    reach_of = {v: _reachable_from(succ, v) | {v} for v in range(len(succ))}
+    found = [v for scc in sccs for v in scc]
+    assert len(found) == len(set(found))
+    assert set(found) == set().union(*(reach_of[v] for v in nodes))
+    position = {}
+    for i, scc in enumerate(sccs):
+        for v in scc:
+            assert set(scc) == {w for w in reach_of[v] if v in reach_of[w]}
+            position[v] = i
+    for v in found:
+        for w in succ[v]:
+            assert position[w] <= position[v]
+
+
+@given(digraphs(), st.data())
+def test_live_ids_are_the_nodes_reaching_an_accepting_cycle(graph, data):
+    _, succ = graph
+    accepting = data.draw(st.lists(st.booleans(), min_size=len(succ), max_size=len(succ)))
+    on_cycle = {a for a in range(len(succ)) if accepting[a] and a in _reachable_from(succ, a)}
+    expected = [bool(({v} | _reachable_from(succ, v)) & on_cycle) for v in range(len(succ))]
+    assert _live_ids(succ, accepting) == expected
 
 
 def test_degeneralize_single_member_family():

@@ -13,7 +13,7 @@ from tsr.congruence import (
     RELATIONS,
     CongruenceInstance,
     GenParams,
-    _relation_equiv,
+    relation_equiv,
     buchi_counterexample,
     check_instance,
     distinguish_by_context,
@@ -71,7 +71,7 @@ def test_language_preserving_mutate_is_verified_per_relation():
                 GenParams(seed=seed, trapless=(rel == "it")), kind
             )
             mutated = language_preserving_mutate(m, seed, rel)
-            assert _relation_equiv(rel, m, mutated).equal
+            assert relation_equiv(rel, m, mutated).equal
 
 
 def test_parity_bars_facts():

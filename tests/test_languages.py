@@ -1,6 +1,8 @@
 """Finite, lasso, and infinite-trace language decisions."""
 
+import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -28,8 +30,8 @@ from tsr.automata import (
     validate,
     with_idle_loops,
 )
-from tsr.congruence import GenParams, language_preserving_mutate, random_machine
-from tsr.errors import AlphabetMismatchError, DataSetMismatchError, SizeBoundError
+from tsr.congruence import GenParams, language_preserving_mutate, parity_bars, random_machine
+from tsr.errors import AlphabetMismatchError, DataSetMismatchError, SizeBoundError, TsrError
 from tsr.join import join, join_lts
 from tsr.languages import (
     LassoWitness,
@@ -46,8 +48,10 @@ from tsr.languages import (
     shortest_accept_difference,
 )
 from tsr.languages import _profile_space
-from tsr.records import TAU, FiniteWord, Lasso
+from tsr.records import TAU, FiniteWord, Lasso, enumerate_alphabet
+from tsr.serialize import dumps_canonical, machine_to_json
 
+GOLDEN = Path(__file__).parent / "golden"
 A = rec(A="0")
 F = rec(zz0="0")
 
@@ -270,8 +274,40 @@ def test_buchi_complement_keeps_only_live_states():
         assert comp.base.states - live <= comp.base.initial | {"never"}
 
 
+def complement_path_digest(seeds=range(12)) -> str:
+    """sha256 of every complement-path output on C9's family machines.
+
+    Covers each machine's complement as canonical JSON, the repr of
+    ``buchi_empty`` on the machine and on its intersection with the
+    complement, and the sorted ``accepting_loop_states`` of both machines for
+    every period of up to two letters.
+    """
+    names, data = frozenset({"A"}), frozenset({"0", "1"})
+    params = GenParams(max_states=5, name_pool=names, data_pool=data)
+    letters = enumerate_alphabet(names, data)
+    periods = [per for per in words_up_to(letters, 2) if per]
+    digest = hashlib.sha256()
+    for seed in seeds:
+        b = random_machine(replace(params, seed=seed), "bar")
+        c = buchi_complement(b)
+        lines = [
+            dumps_canonical(machine_to_json(c)),
+            repr(buchi_empty(b)),
+            repr(buchi_empty(buchi_intersect(b, c))),
+        ]
+        lines += [repr(sorted(accepting_loop_states(m, per))) for m in (b, c) for per in periods]
+        digest.update("\n".join(lines).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_complement_path_outputs_are_pinned():
+    # Recorded before the complement path moved onto the int SCC kernel.
+    expected = (GOLDEN / "complement.sha256").read_text(encoding="utf-8").strip()
+    assert complement_path_digest() == expected
+
+
 def test_buchi_intersect():
-    both = buchi_intersect(parity_left(), parity_right())
+    both =buchi_intersect(parity_left(), parity_right())
     for pre, per in lassos_up_to([TAU, A], 2, 2):
         l = Lasso.of(pre, per, names={"A"})
         expected = accepts_lasso(parity_left(), l) and accepts_lasso(parity_right(), l)
@@ -301,6 +337,19 @@ def test_accepting_loop_states():
     assert accepting_loop_states(left, (A,)) == {"q0", "q1"}
     assert accepting_loop_states(left, (TAU,)) == frozenset()
     assert accepting_loop_states(left, (A, A)) == {"q0", "q1"}
+
+
+def test_buchi_helpers_refuse_machines_without_one_final_set():
+    left, _ = parity_bars()
+    for machine in (join(left, left), left.base):
+        with pytest.raises(TsrError):
+            accepting_loop_states(machine, (A,))
+        with pytest.raises(TsrError):
+            buchi_empty(machine)
+        with pytest.raises(TsrError):
+            buchi_intersect(machine, left)
+        with pytest.raises(TsrError):
+            buchi_intersect(left, machine)
 
 
 def test_accepting_loop_states_matches_lasso_acceptance():
