@@ -190,25 +190,21 @@ def _adjacency(base: Ltsr) -> dict:
     return {k: frozenset(v) for k, v in adj.items()}
 
 
+def _step_any(adj: dict, current, r: Record) -> frozenset:
+    """One step over an ``_adjacency`` table; a record outside the alphabet
+    simply matches no edge."""
+    out = set()
+    for q in current:
+        out |= adj.get((q, r), frozenset())
+    return frozenset(out)
+
+
 def step(m: Machine, current: Iterable[str], r: Record) -> frozenset:
     """One strict transition step; the record must lie in the machine's alphabet."""
     base = base_of(m)
     if not r.domain <= base.names:
         raise InvalidRecordError(f"record {r} is outside the machine's name set")
-    adj = _adjacency(base)
-    out = set()
-    for q in current:
-        out |= adj.get((q, r), frozenset())
-    return frozenset(out)
-
-
-def _step_any(base: Ltsr, current: frozenset, r: Record) -> frozenset:
-    # Lenient stepping: a record outside the alphabet simply matches no edge.
-    adj = _adjacency(base)
-    out = set()
-    for q in current:
-        out |= adj.get((q, r), frozenset())
-    return frozenset(out)
+    return _step_any(_adjacency(base), current, r)
 
 
 def reach(m: Machine, from_states: Iterable[str], w: FiniteWord) -> frozenset:
@@ -219,12 +215,12 @@ def reach(m: Machine, from_states: Iterable[str], w: FiniteWord) -> frozenset:
     convention is what lets machines with different name sets be compared over
     their union alphabet.
     """
-    base = base_of(m)
+    adj = _adjacency(base_of(m))
     current = frozenset(from_states)
     for r in w.symbols:
         if not current:
             return current
-        current = _step_any(base, current, r)
+        current = _step_any(adj, current, r)
     return current
 
 
@@ -233,21 +229,35 @@ def traceable(m: Machine, w: FiniteWord) -> bool:
     return bool(reach(m, base.initial, w))
 
 
-def finite_targets(m: Machine) -> frozenset:
-    """The state set whose reachability defines finite acceptance.
+def _final_sets(m: Machine) -> tuple:
+    """The final sets of a machine of any kind.
 
-    Ltsr: every state (finite acceptance is traceability).  Bar: the final
-    set.  Gba: the intersection of the family (all states when the family is
-    empty, matching the convention that an empty family constrains nothing).
+    An infinite run accepts when it visits every set infinitely often, and a
+    finite word when it can end in all of them at once.  A Bar has its one
+    final set and a Gba its family; an Ltsr, and a Gba whose family is empty,
+    have one set holding every state, so they constrain nothing.
     """
     if isinstance(m, Bar):
-        return m.final
+        return (m.final,)
+    if isinstance(m, Gba) and m.final_family:
+        return m.final_family
+    return (base_of(m).states,)
+
+
+def _rebuilt(m: Machine, base: Ltsr, acc=lambda final: final) -> Machine:
+    """A machine of ``m``'s kind on ``base``, each final set mapped by ``acc``."""
+    if isinstance(m, Bar):
+        return Bar(base, acc(m.final))
     if isinstance(m, Gba):
-        targets = base_of(m).states
-        for member in m.final_family:
-            targets = targets & member
-        return frozenset(targets)
-    return m.states
+        return Gba(base, _canonical_family(acc(member) for member in m.final_family))
+    return base
+
+
+def finite_targets(m: Machine) -> frozenset:
+    """The state set whose reachability defines finite acceptance: the
+    intersection of the final sets (every state of an Ltsr, since finite
+    acceptance is traceability there)."""
+    return frozenset.intersection(*_final_sets(m))
 
 
 def accepts_finite(m: Machine, w: FiniteWord) -> bool:
@@ -443,21 +453,20 @@ def _lasso_cycles(m: Machine, l: Lasso):
             yield frozenset(order[v % len(order)] for v in scc)
 
 
-def accepts_lasso(b: Bar, l: Lasso) -> bool:
-    """Buchi acceptance of an ultimately periodic word.
+def accepts_lasso(m: Machine, l: Lasso) -> bool:
+    """Acceptance of an ultimately periodic word by a machine of any kind.
 
+    Some infinite run over the lasso must visit every final set infinitely
+    often, so a plain system accepts every lasso it has an infinite run on.
     Decided on the finite product graph rather than by following runs, because
     with nondeterminism an accepting run may have to make different choices on
     different passes through the period.
     """
-    return any(states & b.final for states in _lasso_cycles(b, l))
+    finals = _final_sets(m)
+    return any(all(states & f for f in finals) for states in _lasso_cycles(m, l))
 
 
-def gba_accepts_lasso(g: Gba, l: Lasso) -> bool:
-    for states in _lasso_cycles(g, l):
-        if all(states & member for member in g.final_family):
-            return True
-    return False
+gba_accepts_lasso = accepts_lasso
 
 
 _ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
@@ -487,15 +496,6 @@ def _component(name: str) -> str:
         if not depth:
             return name
     return name.translate(_ESCAPES)
-
-
-def _fresh_state(taken, stem: str) -> str:
-    candidate = stem
-    n = 0
-    while candidate in taken:
-        candidate = f"{stem}{n}"
-        n += 1
-    return candidate
 
 
 def degeneralize(g: Gba) -> Bar:
@@ -549,10 +549,11 @@ def degeneralize(g: Gba) -> Bar:
 
     if not final:
         # Nothing accepts, but a Buchi automaton needs a non-empty final set;
-        # an unreachable padding state changes neither language.
-        pad = _fresh_state(states, "(pad,0)")
-        states = states | {pad}
-        final = {pad}
+        # an unreachable padding state changes neither language.  The name is
+        # always free: every other state is (q,i) with i >= 1, and i holds no
+        # comma, so none reads as (pad,0).
+        states = states | {"(pad,0)"}
+        final = {"(pad,0)"}
 
     return Bar(
         Ltsr(frozenset(states), base.names, base.data, frozenset(transitions), initial),
@@ -564,12 +565,7 @@ def without_invisible_edges(m: Machine) -> Machine:
     """Drop every transition labelled with the invisible record."""
     base = base_of(m)
     kept = frozenset(t for t in base.transitions if not t[1].is_invisible)
-    new_base = Ltsr(base.states, base.names, base.data, kept, base.initial)
-    if isinstance(m, Bar):
-        return Bar(new_base, m.final)
-    if isinstance(m, Gba):
-        return Gba(new_base, m.final_family)
-    return new_base
+    return _rebuilt(m, Ltsr(base.states, base.names, base.data, kept, base.initial))
 
 
 def with_idle_loops(m: Machine) -> Machine:
@@ -585,9 +581,4 @@ def with_idle_loops(m: Machine) -> Machine:
 
     kept = {t for t in base.transitions if not t[1].is_invisible}
     kept |= {(q, TAU, q) for q in base.states}
-    new_base = Ltsr(base.states, base.names, base.data, frozenset(kept), base.initial)
-    if isinstance(m, Bar):
-        return Bar(new_base, m.final)
-    if isinstance(m, Gba):
-        return Gba(new_base, m.final_family)
-    return new_base
+    return _rebuilt(m, Ltsr(base.states, base.names, base.data, frozenset(kept), base.initial))

@@ -16,14 +16,10 @@ import sys
 
 from .automata import (
     Bar,
-    Gba,
     Ltsr,
     accepts_finite,
     accepts_lasso,
     base_of,
-    gba_accepts_lasso,
-    lts_to_bar,
-    traceable,
     trap_states,
     validate,
 )
@@ -59,14 +55,6 @@ EPILOG = (
 )
 
 
-def _kind_name(m) -> str:
-    if isinstance(m, Bar):
-        return "Bar"
-    if isinstance(m, Gba):
-        return "Gba"
-    return "Ltsr"
-
-
 def _load_valid(path: str):
     m = load_machine(path)
     violations = validate(m)
@@ -98,7 +86,7 @@ def cmd_validate(args) -> int:
     n = len(base.states)
     plural = "state" if n == 1 else "states"
     suffix = ", trapless" if not trap_states(m) else ""
-    print(f"valid {_kind_name(m)}, {n} {plural}{suffix}")
+    print(f"valid {type(m).__name__}, {n} {plural}{suffix}")
     return 0
 
 
@@ -154,19 +142,11 @@ def cmd_member(args) -> int:
     if args.word:
         word = word_from_json(load_json(args.word), base.names)
         _check_in_alphabet(word.symbols, base, "word")
-        if isinstance(m, Ltsr):
-            ok = traceable(m, word)
-        else:
-            ok = accepts_finite(m, word)
+        ok = accepts_finite(m, word)
     else:
         lasso = lasso_from_json(load_json(args.lasso), base.names)
         _check_in_alphabet(lasso.prefix + lasso.period, base, "lasso")
-        if isinstance(m, Gba):
-            ok = gba_accepts_lasso(m, lasso)
-        elif isinstance(m, Bar):
-            ok = accepts_lasso(m, lasso)
-        else:
-            ok = accepts_lasso(lts_to_bar(m), lasso)
+        ok = accepts_lasso(m, lasso)
     print("true" if ok else "false")
     return 0 if ok else 1
 
@@ -205,8 +185,8 @@ def cmd_counterexample(args) -> int:
         f"lasso languages of left and right equal: {instance.premise_holds}",
         f"finite-word languages of left and right equal: {premise_f.equal}",
         f"joined machines lasso-equal: {instance.conclusion_holds}",
-        f"join(left, context) accepts witness: {gba_accepts_lasso(j1, w)}",
-        f"join(right, context) accepts witness: {gba_accepts_lasso(j2, w)}",
+        f"join(left, context) accepts witness: {accepts_lasso(j1, w)}",
+        f"join(right, context) accepts witness: {accepts_lasso(j2, w)}",
     ]
     payload = {
         "relation": instance.relation,

@@ -32,12 +32,13 @@ from .automata import (
     Ltsr,
     Machine,
     Verdict,
+    _rebuilt,
+    accepts_lasso,
     base_of,
-    gba_accepts_lasso,
     trap_states,
 )
 from .errors import SizeBoundError, TrapStateError, TsrError
-from .join import distinguishing_context, join, join_lts
+from .join import distinguishing_context, fresh_name, join, join_lts
 from .languages import (
     buchi_equiv,
     finite_equiv,
@@ -164,9 +165,7 @@ def _rename_states(m: Machine, rng: random.Random) -> Machine:
         frozenset((mapping[s], r, mapping[d]) for (s, r, d) in base.transitions),
         frozenset(mapping[q] for q in base.initial),
     )
-    if isinstance(m, Bar):
-        return Bar(new_base, frozenset(mapping[q] for q in m.final))
-    return new_base
+    return _rebuilt(m, new_base, lambda final: frozenset(mapping[q] for q in final))
 
 
 def _duplicate_state(m: Machine, rng: random.Random) -> Machine:
@@ -175,11 +174,7 @@ def _duplicate_state(m: Machine, rng: random.Random) -> Machine:
     # exactly, so every language is preserved.
     base = base_of(m)
     victim = rng.choice(sorted(base.states))
-    twin = "dup0"
-    k = 0
-    while twin in base.states:
-        k += 1
-        twin = f"dup{k}"
+    twin = fresh_name(base.states, "dup")
     transitions = set()
     for (src, r, dst) in sorted(base.transitions):
         keep_target = dst
@@ -199,21 +194,12 @@ def _duplicate_state(m: Machine, rng: random.Random) -> Machine:
         frozenset(transitions),
         frozenset(initial),
     )
-    if isinstance(m, Bar):
-        final = set(m.final)
-        if victim in final:
-            final.add(twin)
-        return Bar(new_base, frozenset(final))
-    return new_base
+    return _rebuilt(m, new_base, lambda final: final | {twin} if victim in final else final)
 
 
 def _add_unreachable(m: Machine, rng: random.Random) -> Machine:
     base = base_of(m)
-    extra = "u0"
-    k = 0
-    while extra in base.states:
-        k += 1
-        extra = f"u{k}"
+    extra = fresh_name(base.states, "u")
     letters = sorted(enumerate_alphabet(base.names, base.data))
     new_base = Ltsr(
         base.states | {extra},
@@ -222,9 +208,7 @@ def _add_unreachable(m: Machine, rng: random.Random) -> Machine:
         base.transitions | {(extra, rng.choice(letters), extra)},
         base.initial,
     )
-    if isinstance(m, Bar):
-        return Bar(new_base, m.final)
-    return new_base
+    return _rebuilt(m, new_base)
 
 
 def _shift_final_along_cycle(m: Bar, rng: random.Random) -> Optional[Bar]:
@@ -397,7 +381,7 @@ def buchi_counterexample() -> CongruenceInstance:
         (loop_letter,),
         left.names | right.names | context.names,
     )
-    if gba_accepts_lasso(j1, witness) == gba_accepts_lasso(j2, witness):
+    if accepts_lasso(j1, witness) == accepts_lasso(j2, witness):
         raise TsrError("counterexample witness failed re-verification; bug")
     return CongruenceInstance(
         relation="b",
@@ -442,7 +426,7 @@ def distinguish_by_context(b1: Bar, b2: Bar) -> Optional[Tuple[Bar, Lasso]]:
             Lasso(tuple(buc.witness.prefix), tuple(buc.witness.period), names)
         )
     for lasso in candidates:
-        if gba_accepts_lasso(j1, lasso) != gba_accepts_lasso(j2, lasso):
+        if accepts_lasso(j1, lasso) != accepts_lasso(j2, lasso):
             return context, lasso
     direct = buchi_equiv(j1, j2)
     if not direct.equal and direct.witness is not None:

@@ -34,19 +34,19 @@ from .automata import (
     Machine,
     Verdict,
     _adjacency,
-    _canonical_family,
     _component,
     _cyclic,
+    _final_sets,
     _indexed,
     _live_ids,
     _positions_product,
+    _rebuilt,
     _sccs,
     _step_any,
     accepts_finite,
     accepts_lasso,
     base_of,
     finite_targets,
-    lts_to_bar,
     traceable,
 )
 from .errors import (
@@ -94,31 +94,45 @@ def _union_letters(x1: Machine, x2: Machine) -> Tuple[frozenset, List[Record]]:
     return names, sorted(enumerate_alphabet(names, base1.data))
 
 
-def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
-    """Breadth-first search over the product of subset constructions.
+def _subset_pairs(step, side1, side2, start, letters):
+    """Breadth-first search over the product of two subset constructions.
 
-    ``stop`` maps a pair of acceptance flags to True when the current word
-    should be reported.  Pairs are explored over the union alphabet, shortest
-    words first, letters in canonical order, so the first hit is a shortest
-    witness and is deterministic.
+    ``step(side, current, r)`` moves one side's state set (a frozenset or a
+    bit mask) on the letter ``r``.  Yields every joint pair reachable from
+    ``start`` once, with a shortest word reaching it, in the order the pairs
+    are found; letters are tried in the order given, so the first pair with
+    a property carries a shortest, deterministic word.  The pair whose sides
+    are both empty is yielded but not expanded: it only steps to itself.
     """
-    base1, base2 = base_of(x1), base_of(x2)
-    names, letters = _union_letters(x1, x2)
-    t1, t2 = finite_targets(x1), finite_targets(x2)
-    start = (frozenset(base1.initial), frozenset(base2.initial))
+    yield start, ()
     seen = {start}
     queue = deque([(start, ())])
     while queue:
         (s1, s2), word = queue.popleft()
-        if stop(bool(s1 & t1), bool(s2 & t2)):
-            return FiniteWord(tuple(word), names)
-        if not s1 and not s2:
+        if not (s1 or s2):
             continue
         for r in letters:
-            pair = (_step_any(base1, s1, r), _step_any(base2, s2, r))
+            pair = (step(side1, s1, r), step(side2, s2, r))
             if pair not in seen:
                 seen.add(pair)
-                queue.append((pair, word + (r,)))
+                found = (pair, word + (r,))
+                yield found
+                queue.append(found)
+
+
+def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
+    """The first word of ``_subset_pairs`` over the union alphabet at which
+    ``stop``, given the pair of acceptance flags, returns True: a shortest
+    witness."""
+    base1, base2 = base_of(x1), base_of(x2)
+    names, letters = _union_letters(x1, x2)
+    t1, t2 = finite_targets(x1), finite_targets(x2)
+    pairs = _subset_pairs(
+        _step_any, _adjacency(base1), _adjacency(base2), (base1.initial, base2.initial), letters
+    )
+    for (s1, s2), word in pairs:
+        if stop(bool(s1 & t1), bool(s2 & t2)):
+            return FiniteWord(word, names)
     return None
 
 
@@ -165,9 +179,7 @@ def _reachable(b: Union[Bar, Gba]) -> Union[Bar, Gba]:
     states = frozenset(seen)
     kept = frozenset(t for t in base.transitions if t[0] in seen)
     reachable = Ltsr(states, base.names, base.data, kept, base.initial)
-    if isinstance(b, Gba):
-        return Gba(reachable, _canonical_family(m & states for m in b.final_family))
-    return Bar(reachable, b.final & states)
+    return _rebuilt(b, reachable, lambda final: final & states)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +298,6 @@ class _ProfileSpace:
         return out
 
 
-def _final_sets(b: Union[Bar, Gba]) -> tuple:
-    """The final sets a profile tracks, one per member of its F."""
-    if isinstance(b, Bar):
-        return (b.final,)
-    return b.final_family or (b.base.states,)
-
-
 def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpace:
     base = base_of(b)
     order = tuple(sorted(base.states))
@@ -301,7 +306,7 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
     nn = n * n
     adj = _adjacency(base)
     fmasks = []
-    for final in _final_sets(b):
+    for final in _final_sets(b):  # one per member of a profile's F
         fmask = 0
         for p in range(n):
             if order[p] in final:
@@ -381,25 +386,6 @@ def _word_sort_key(word):
     return (len(word), word)
 
 
-def _reach_pairs(spaces, letters):
-    """All joint subset-construction states, with a shortest word for each."""
-    start = tuple(s.initial_mask for s in spaces)
-    pairs = {start: ()}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        word = pairs[current]
-        for r in letters:
-            nxt = tuple(
-                _step_mask(s.letter_rows[r], current[i])
-                for i, s in enumerate(spaces)
-            )
-            if nxt not in pairs:
-                pairs[nxt] = word + (r,)
-                queue.append(nxt)
-    return pairs
-
-
 def buchi_equiv(
     b1: Union[Bar, Gba], b2: Union[Bar, Gba], monoid_limit: int = DEFAULT_MONOID_LIMIT
 ) -> Verdict:
@@ -440,8 +426,15 @@ def buchi_equiv(
     ):
         periods.setdefault(tuple(s.loop_entries(x) for s, x in zip(spaces, e)), e)
 
+    space1, space2 = spaces
     pairs = sorted(
-        _reach_pairs(spaces, letters).items(),
+        _subset_pairs(
+            lambda letter_rows, mask, r: _step_mask(letter_rows[r], mask),
+            space1.letter_rows,
+            space2.letter_rows,
+            (space1.initial_mask, space2.initial_mask),
+            letters,
+        ),
         key=lambda item: _word_sort_key(item[1]),
     )
     for (entries1, entries2), rho in periods.items():
@@ -712,50 +705,35 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Infinite traceability
 
-def _productive_parts(base: Ltsr):
-    """Productive states (those starting some infinite run) and their edges."""
+def _productive(base: Ltsr) -> Ltsr:
+    """The machine cut down to its productive states, those starting some
+    infinite run."""
     order = list(base.states)
     index = {q: i for i, q in enumerate(order)}
     rows = [[] for _ in order]
     for (src, r, dst) in base.transitions:
         rows[index[src]].append(index[dst])
     live = _live_ids(rows, [True] * len(order))
-    productive = {q for q, keep in zip(order, live) if keep}
-    pruned = {}
-    for (src, r, dst) in base.transitions:
-        if src in productive and dst in productive:
-            pruned.setdefault((src, r), set()).add(dst)
-    pruned = {k: frozenset(v) for k, v in pruned.items()}
-    outgoing = {}
-    for (src, r), dsts in pruned.items():
-        for dst in sorted(dsts):
-            outgoing.setdefault(src, []).append((r, dst))
-    for src in outgoing:
-        outgoing[src].sort()
-    return frozenset(productive), pruned, outgoing
+    if all(live):
+        return base
+    kept = frozenset(q for q, keep in zip(order, live) if keep)
+    edges = frozenset(t for t in base.transitions if t[0] in kept and t[2] in kept)
+    return Ltsr(kept, base.names, base.data, edges, base.initial & kept)
 
 
-def _pruned_step(pruned, current, r):
-    nxt = set()
-    for q in current:
-        nxt |= pruned.get((q, r), frozenset())
-    return frozenset(nxt)
-
-
-def _extend_to_lasso(prefix_word, states, outgoing, names) -> Lasso:
-    """Continue from a productive state until a state repeats; peel the cycle."""
+def _extend_to_lasso(prefix_word, states, productive: Ltsr, names) -> Lasso:
+    """Continue from a productive state, along the least (letter, target)
+    edge each time, until a state repeats; peel the cycle."""
     q = min(states)
     visited = {q: 0}
-    path = [q]
     labels = []
     while True:
-        r, dst = outgoing[q][0]
+        r, dst = min((r, dst) for src, r, dst in productive.transitions if src == q)
         labels.append(r)
         if dst in visited:
             i = visited[dst]
-            return Lasso(tuple(prefix_word) + tuple(labels[:i]), tuple(labels[i:]), names)
-        visited[dst] = len(path)
-        path.append(dst)
+            return Lasso(prefix_word + tuple(labels[:i]), tuple(labels[i:]), names)
+        visited[dst] = len(labels)
         q = dst
 
 
@@ -769,36 +747,19 @@ def infinite_traceable_equiv(m1: Machine, m2: Machine) -> Verdict:
     pruned machines reaches a pair where one side is dead and the other
     alive, and any infinite continuation of the live side is a witness.
     """
-    base1, base2 = base_of(m1), base_of(m2)
     names, letters = _union_letters(m1, m2)
-    p1, pruned1, out1 = _productive_parts(base1)
-    p2, pruned2, out2 = _productive_parts(base2)
-    start = (frozenset(base1.initial) & p1, frozenset(base2.initial) & p2)
-    if bool(start[0]) != bool(start[1]):
-        alive = (start[0], out1) if start[0] else (start[1], out2)
-        return Verdict(False, _extend_to_lasso((), alive[0], alive[1], names))
-    if not start[0]:
-        return Verdict(True)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (s1, s2), word = queue.popleft()
-        for r in letters:
-            n1 = _pruned_step(pruned1, s1, r)
-            n2 = _pruned_step(pruned2, s2, r)
-            if bool(n1) != bool(n2):
-                alive = (n1, out1) if n1 else (n2, out2)
-                return Verdict(False, _extend_to_lasso(word + (r,), alive[0], alive[1], names))
-            if not n1:
-                continue
-            pair = (n1, n2)
-            if pair not in seen:
-                if len(seen) >= PAIR_SEARCH_LIMIT:
-                    raise SizeBoundError(
-                        "infinite-trace comparison exceeded the pair search limit"
-                    )
-                seen.add(pair)
-                queue.append((pair, word + (r,)))
+    p1, p2 = _productive(base_of(m1)), _productive(base_of(m2))
+    pairs = _subset_pairs(
+        _step_any, _adjacency(p1), _adjacency(p2), (p1.initial, p2.initial), letters
+    )
+    live = 0  # pairs with both sides alive; the all-dead pair is not counted
+    for (s1, s2), word in pairs:
+        if bool(s1) != bool(s2):
+            return Verdict(False, _extend_to_lasso(word, s1 or s2, p1 if s1 else p2, names))
+        if s1:
+            live += 1
+            if live > PAIR_SEARCH_LIMIT:
+                raise SizeBoundError("infinite-trace comparison exceeded the pair search limit")
     return Verdict(True)
 
 
@@ -832,7 +793,7 @@ def componentwise_lasso_traceable(l: Lasso, m1: Machine, m2: Machine) -> bool:
         if isinstance(part, FiniteWord):
             ok = traceable(m, part)
         else:
-            ok = accepts_lasso(lts_to_bar(base), part)
+            ok = accepts_lasso(base, part)
         if not ok:
             return False
     return True

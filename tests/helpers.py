@@ -231,6 +231,42 @@ def states_reaching_accepting_cycles(m):
     return {q for q in m.base.states if reachable([q]) & on_cycle}
 
 
+
+def naive_lasso_accepts(m, family, lasso):
+    """Whether some run over ``lasso`` visits every set of ``family``
+    infinitely often.
+
+    Plain searches on the machine x lasso-position graph, written straight
+    from the definition: the run reaches a node on a cycle, and the nodes
+    that node can reach and be reached back from meet every set.
+    """
+    base = base_of(m)
+    syms = lasso.prefix + lasso.period
+
+    def succ(node):
+        q, i = node
+        nxt = i + 1 if i + 1 < len(syms) else len(lasso.prefix)
+        return {(d, nxt) for s, r, d in base.transitions if s == q and r == syms[i]}
+
+    def reachable(sources):
+        seen = set(sources)
+        frontier = list(sources)
+        while frontier:
+            for child in succ(frontier.pop()):
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+        return seen
+
+    for v in reachable({(q, 0) for q in base.initial}):
+        ahead = reachable(succ(v))
+        if v not in ahead:
+            continue
+        cycle = {u for u in ahead if v in reachable({u})}
+        if all(any(q in f for q, _ in cycle) for f in family):
+            return True
+    return False
+
 A0 = rec(A="0")
 B0 = rec(B="0")
 TAU_ = TAU

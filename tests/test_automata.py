@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bar, gba, lassos_up_to, lts, rec, words_up_to
+from helpers import bar, gba, lassos_up_to, lts, naive_lasso_accepts, rec, words_up_to
 from tsr.automata import (
     Bar,
     Gba,
@@ -145,6 +145,41 @@ def test_gba_empty_family_accepts_any_infinite_run():
     g = gba(["q0"], ["A"], ["0"], [("q0", A, "q0")], ["q0"], [])
     assert gba_accepts_lasso(g, Lasso.of([], [A], names={"A"}))
     assert not gba_accepts_lasso(g, Lasso.of([], [TAU], names={"A"}))
+
+
+@st.composite
+def lasso_cases(draw):
+    """A system on 1-4 states over port A, a final set, a family of 0-3 final
+    sets, and a lasso over TAU and A whose prefix may hold a foreign letter."""
+    n = draw(st.integers(1, 4))
+    states = [f"q{i}" for i in range(n)]
+    state = st.sampled_from(states)
+    nonempty = st.sets(state, min_size=1)
+    edges = draw(st.sets(st.tuples(state, st.sampled_from([TAU, A]), state), max_size=10))
+    base = lts(states, ["A"], ["0"], edges, draw(nonempty))
+    final = draw(nonempty)
+    family = [draw(nonempty) for _ in range(draw(st.integers(0, 3)))]
+    prefix = draw(st.lists(st.sampled_from([TAU, A, rec(B="0")]), max_size=2))
+    period = draw(st.lists(st.sampled_from([TAU, A]), min_size=1, max_size=3))
+    return base, final, family, Lasso.of(prefix, period, names={"A", "B"})
+
+
+@given(lasso_cases())
+def test_accepts_lasso_takes_every_machine_kind(case):
+    # A plain system accepts as its all-final Buchi view does; a Gba needs a
+    # cycle through every family member, and an empty family accepts every
+    # infinite run.
+    base, final, family, l = case
+    expected = {
+        base: accepts_lasso(lts_to_bar(base), l),
+        Bar(base, frozenset(final)): naive_lasso_accepts(base, [final], l),
+        Gba.make(base.states, ["A"], ["0"], base.transitions, base.initial, family):
+            naive_lasso_accepts(base, family, l),
+    }
+    assert expected[base] == naive_lasso_accepts(base, [base.states], l)
+    for m, accepted in expected.items():
+        assert accepts_lasso(m, l) == accepted
+        assert gba_accepts_lasso(m, l) == accepted
 
 
 def test_trap_states_and_idle_loops():

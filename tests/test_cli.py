@@ -234,6 +234,21 @@ GOLDEN_CASES = [("counterexample", ["counterexample"], 0)] + [
         (["distinguish"], distinguish_code),
     )
 ]
+# validate and member on a joined machine (a Gba: the parity automaton
+# accepting odd lengths joined with a private-letter context) and on a plain
+# system with a trap state; each member command gets one word or lasso file.
+GOLDEN_CASES += [
+    (f"{machine}.{name}", argv + [f"{machine}.json"], code)
+    for machine, codes in (("joined", (0, 1, 0)), ("plain", (0, 0, 1)))
+    for (name, argv), code in zip(
+        (
+            ("validate", ["validate"]),
+            ("member_word", ["member", "--word", f"{machine}_word.json"]),
+            ("member_lasso", ["member", "--lasso", f"{machine}_lasso.json"]),
+        ),
+        codes,
+    )
+]
 
 
 @pytest.mark.parametrize("name,argv,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])

@@ -5,6 +5,7 @@ import pytest
 from helpers import bar, lts, rec
 from tsr.automata import (
     Bar,
+    Gba,
     gba_accepts_lasso,
     trap_states,
     validate,
@@ -207,3 +208,13 @@ def test_fuzz_rejects_bad_arguments():
         fuzz_congruence("x", GenParams(), 1)
     with pytest.raises(TsrError):
         fuzz_congruence("ft", GenParams(), -1)
+
+
+@pytest.mark.parametrize("relation", ["f", "b"])
+def test_mutating_a_join_keeps_its_final_family(relation):
+    joined = join(*parity_bars())
+    for seed in range(4):
+        mate = language_preserving_mutate(joined, seed, relation)
+        assert isinstance(mate, Gba)
+        assert len(mate.final_family) == len(joined.final_family)
+        assert relation_equiv(relation, joined, mate).equal

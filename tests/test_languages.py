@@ -21,8 +21,10 @@ from helpers import (
     words_up_to,
 )
 from tsr.automata import (
+    Bar,
     accepts_finite,
     accepts_lasso,
+    base_of,
     degeneralize,
     gba_accepts_lasso,
     lts_to_bar,
@@ -30,7 +32,13 @@ from tsr.automata import (
     validate,
     with_idle_loops,
 )
-from tsr.congruence import GenParams, language_preserving_mutate, parity_bars, random_machine
+from tsr.congruence import (
+    RELATIONS,
+    GenParams,
+    language_preserving_mutate,
+    parity_bars,
+    random_machine,
+)
 from tsr.errors import AlphabetMismatchError, DataSetMismatchError, SizeBoundError, TsrError
 from tsr.join import join, join_lts
 from tsr.languages import (
@@ -49,7 +57,7 @@ from tsr.languages import (
 )
 from tsr.languages import _profile_space
 from tsr.records import TAU, FiniteWord, Lasso, enumerate_alphabet
-from tsr.serialize import dumps_canonical, machine_to_json
+from tsr.serialize import dumps_canonical, machine_to_json, verdict_to_json, witness_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 A = rec(A="0")
@@ -304,6 +312,61 @@ def test_complement_path_outputs_are_pinned():
     # Recorded before the complement path moved onto the int SCC kernel.
     expected = (GOLDEN / "complement.sha256").read_text(encoding="utf-8").strip()
     assert complement_path_digest() == expected
+
+
+def decision_digest(seeds=range(90)) -> str:
+    """sha256 of the decision procedures' outputs on seeded random pairs.
+
+    Each seed draws two machines of up to four states over data {0}, the
+    first over ports {A, B} and the second over {A}, {A, B} or {A, C}; a seed
+    makes both Buchi automata, both plain systems, or one of each.  Covered,
+    as canonical JSON: ``finite_equiv`` on the machines and on their bases,
+    ``infinite_traceable_equiv``, ``buchi_equiv`` (on two Buchi automata),
+    ``shortest_accept_difference`` both ways, and the mate that
+    ``language_preserving_mutate`` gives the first machine under every
+    relation that applies to it.  The decisions run on the drawn pair and on
+    the first machine against its ``it`` mate, which is equal in most
+    relations, so the searches also run to exhaustion.
+    """
+    data = frozenset({"0"})
+    pools = (frozenset({"A"}), frozenset({"A", "B"}), frozenset({"A", "C"}))
+    kinds = (("bar", "bar"), ("lts", "lts"), ("bar", "lts"))
+    digest = hashlib.sha256()
+    for seed in seeds:
+        kind1, kind2 = kinds[seed % 3]
+        params = GenParams(max_states=4, name_pool=frozenset({"A", "B"}), data_pool=data)
+        m1 = random_machine(replace(params, seed=seed), kind1)
+        m2 = random_machine(
+            replace(params, seed=seed + 1000, name_pool=pools[seed // 3 % 3]), kind2
+        )
+        lines = []
+        mates = {}
+        for rel in RELATIONS:
+            if rel == "b" and kind1 != "bar":
+                continue
+            mates[rel] = language_preserving_mutate(m1, seed, rel)
+            lines.append(dumps_canonical(machine_to_json(mates[rel])))
+        for x1, x2 in ((m1, m2), (m1, mates["it"])):
+            verdicts = [
+                finite_equiv(x1, x2),
+                finite_equiv(base_of(x1), base_of(x2)),
+                infinite_traceable_equiv(x1, x2),
+            ]
+            if isinstance(x1, Bar) and isinstance(x2, Bar):
+                verdicts.append(buchi_equiv(x1, x2))
+            lines += [dumps_canonical(verdict_to_json(v)) for v in verdicts]
+            lines += [
+                dumps_canonical(witness_to_json(shortest_accept_difference(y1, y2)))
+                for y1, y2 in ((x1, x2), (x2, x1))
+            ]
+        digest.update("\n".join(lines).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_decision_outputs_are_pinned():
+    # Recorded before the subset-pair searches were merged into one.
+    expected = (GOLDEN / "decisions.sha256").read_text(encoding="utf-8").strip()
+    assert decision_digest() == expected
 
 
 def test_buchi_intersect():
