@@ -26,8 +26,6 @@ from typing import Iterable, Optional, Union
 from .errors import InvalidRecordError
 from .records import FiniteWord, Lasso, Record, check_token
 
-Transition = tuple  # (state, Record, state)
-
 
 @dataclass(frozen=True)
 class Ltsr:
@@ -272,32 +270,27 @@ def trap_states(m: Machine) -> frozenset:
     return frozenset(base.states - alive)
 
 
-def lts_to_bar(m: Ltsr) -> Bar:
-    """View a transition system as a Buchi automaton with every state final.
-
-    Finite acceptance then coincides with traceability and infinite acceptance
-    with the existence of an infinite run.
-    """
-    return Bar(m, m.states)
-
-
 @lru_cache(maxsize=512)
 def _indexed(base: Ltsr) -> tuple:
-    """The machine on dense state ids, as ``(order, index, succ)``.
+    """The machine on dense state ids, as ``(order, index, succ, moves)``.
 
     ``order`` lists the states sorted, ``index`` maps a state to its position
     there, and ``succ[letter][i]`` lists the ids reached from state ``i`` on
-    that letter (letters that label no transition are absent).
+    that letter (letters that label no transition are absent).  ``moves[i]``
+    lists the ids reached from state ``i`` on any letter.
     """
     order = sorted(base.states)
     index = {q: i for i, q in enumerate(order)}
     succ: dict = {}
+    moves = [[] for _ in order]
     for src, label, dst in base.transitions:
+        i, j = index[src], index[dst]
         rows = succ.get(label)
         if rows is None:
             rows = succ[label] = [[] for _ in order]
-        rows[index[src]].append(index[dst])
-    return order, index, succ
+        rows[i].append(j)
+        moves[i].append(j)
+    return order, index, succ, moves
 
 
 def _sccs(succ) -> list:
@@ -372,20 +365,19 @@ def _reached(succ, roots) -> list:
     return seen
 
 
-def _live_ids(succ, accepting) -> list:
-    """Per node of ``_sccs``'s graph, whether a cycle through a node with
-    ``accepting[v]`` set is reachable from it.
+def _live_ids(succ, *accepting) -> list:
+    """Per node of ``_sccs``'s graph, whether a cycle through a node of every
+    ``accepting`` list is reachable from it (node ``v`` belongs to a list when
+    the list's ``v``-th entry is set).
 
-    Such cycles lie exactly in the components that hold a cycle and an
-    accepting member; the live nodes are their members and every node that
-    can reach one.
+    Such cycles lie exactly in the components that hold a cycle and a member
+    of every list; the live nodes are their members and every node that can
+    reach one.
     """
-    cycles = [
-        v
-        for scc in _sccs(succ)
-        if _cyclic(scc, succ) and any(accepting[v] for v in scc)
-        for v in scc
-    ]
+    components = [scc for scc in _sccs(succ) if _cyclic(scc, succ)]
+    for acc in accepting:
+        components = [scc for scc in components if any(map(acc.__getitem__, scc))]
+    cycles = [v for scc in components for v in scc]
     preds = [[] for _ in succ]
     for v, row in enumerate(succ):
         for child in row:
@@ -400,7 +392,7 @@ def _positions_product(base: Ltsr, syms, loop_start: int) -> list:
     ``syms[i]``; after the last symbol the position goes back to
     ``loop_start``.
     """
-    order, _, succ = _indexed(base)
+    order, _, succ, _ = _indexed(base)
     n = len(order)
     rows = []
     for i, r in enumerate(syms):
@@ -436,21 +428,19 @@ def strongly_connected_components(nodes, succ) -> list:
     return [[order[i] for i in scc] for scc in _sccs(rows)]
 
 
-def _lasso_cycles(m: Machine, l: Lasso):
-    """Strongly connected node sets of the machine x lasso-position product.
+def _loop_ids(m: Machine, period) -> list:
+    """Per ``_indexed`` id, whether reading ``period`` forever from that state
+    can accept: some run over it visits every final set infinitely often.
 
-    Positions walk the prefix once and then loop through the period, so every
-    cycle of the product corresponds to an infinite run over the lasso and
-    vice versa.  Yields the machine-state set of every reachable non-trivial
-    SCC (a single node counts only with a self-loop).
+    Decided on the finite product of the machine with the period's positions
+    rather than by following runs, because with nondeterminism an accepting
+    run may have to make different choices on different passes through the
+    period.
     """
     base = base_of(m)
-    order, index, _ = _indexed(base)
-    rows = _positions_product(base, l.prefix + l.period, len(l.prefix))
-    seen = _reached(rows, [index[q] for q in base.initial])
-    for scc in _sccs(rows):
-        if seen[scc[0]] and _cyclic(scc, rows):
-            yield frozenset(order[v % len(order)] for v in scc)
+    order = _indexed(base)[0]
+    accepting = ([q in f for q in order] * len(period) for f in _final_sets(m))
+    return _live_ids(_positions_product(base, period, 0), *accepting)[: len(order)]
 
 
 def accepts_lasso(m: Machine, l: Lasso) -> bool:
@@ -458,12 +448,21 @@ def accepts_lasso(m: Machine, l: Lasso) -> bool:
 
     Some infinite run over the lasso must visit every final set infinitely
     often, so a plain system accepts every lasso it has an infinite run on.
-    Decided on the finite product graph rather than by following runs, because
-    with nondeterminism an accepting run may have to make different choices on
-    different passes through the period.
+    The prefix is read like a finite word; the lasso is accepted when it
+    leads to a state from which reading the period forever can accept.
     """
-    finals = _final_sets(m)
-    return any(all(states & f for f in finals) for states in _lasso_cycles(m, l))
+    base = base_of(m)
+    _, index, succ, _ = _indexed(base)
+    current = {index[q] for q in base.initial}
+    for r in l.prefix:
+        rows = succ.get(r)
+        if rows is None:
+            return False
+        current = {j for i in current for j in rows[i]}
+        if not current:
+            return False
+    loop = _loop_ids(m, l.period)
+    return any(loop[i] for i in current)
 
 
 gba_accepts_lasso = accepts_lasso

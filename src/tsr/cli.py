@@ -37,6 +37,7 @@ from .languages import finite_equiv
 from .records import ALPHABET_LIMIT_ENV
 from .serialize import (
     dumps_canonical,
+    instance_to_json,
     lasso_from_json,
     lasso_to_json,
     load_json,
@@ -44,7 +45,6 @@ from .serialize import (
     machine_to_json,
     report_to_json,
     verdict_to_json,
-    witness_to_json,
     word_from_json,
 )
 
@@ -177,9 +177,8 @@ def cmd_fuzz(args) -> int:
 
 def cmd_counterexample(args) -> int:
     instance = buchi_counterexample()
-    left, right, context = instance.left, instance.right, instance.context
-    premise_f = finite_equiv(left, right)
-    j1, j2 = join(left, context), join(right, context)
+    premise_f = finite_equiv(instance.left, instance.right)
+    j1, j2 = instance.joins
     w = instance.witness
     checks = [
         f"lasso languages of left and right equal: {instance.premise_holds}",
@@ -188,16 +187,7 @@ def cmd_counterexample(args) -> int:
         f"join(left, context) accepts witness: {accepts_lasso(j1, w)}",
         f"join(right, context) accepts witness: {accepts_lasso(j2, w)}",
     ]
-    payload = {
-        "relation": instance.relation,
-        "left": machine_to_json(left),
-        "right": machine_to_json(right),
-        "context": machine_to_json(context),
-        "premise_holds": instance.premise_holds,
-        "conclusion_holds": instance.conclusion_holds,
-        "witness": witness_to_json(w),
-        "checks": checks,
-    }
+    payload = {**instance_to_json(instance), "checks": checks}
     sys.stdout.write(dumps_canonical(payload))
     return 0
 

@@ -84,7 +84,9 @@ class CongruenceInstance:
 
     ``witness`` is present exactly when the premise held but the conclusion
     failed; it is then a word or lasso on which exactly one of the two joins
-    accepts, re-checkable against the joined machines.
+    accepts, re-checkable against the joined machines.  ``joins`` holds those
+    two joins, the left machine's first; an instance built by hand may leave
+    it empty.
     """
 
     relation: str
@@ -94,6 +96,7 @@ class CongruenceInstance:
     premise_holds: bool
     conclusion_holds: bool
     witness: Optional[Union[FiniteWord, Lasso]] = None
+    joins: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -249,14 +252,10 @@ def _shift_final_along_cycle(m: Bar, rng: random.Random) -> Optional[Bar]:
             break
     if not cycle:
         return None
-    shifted = set(m.final)
-    on_cycle = [q for q in cycle]
-    for i, q in enumerate(on_cycle):
+    shifted = set(m.final).difference(cycle)
+    for q, nxt in zip(cycle, cycle[1:] + cycle[:1]):
         if q in m.final:
-            shifted.discard(q)
-    for i, q in enumerate(on_cycle):
-        if q in m.final:
-            shifted.add(on_cycle[(i + 1) % len(on_cycle)])
+            shifted.add(nxt)
     if not shifted or frozenset(shifted) == m.final:
         return None
     return Bar(m.base, frozenset(shifted))
@@ -318,20 +317,12 @@ def check_instance(rel: str, a: Machine, b: Machine, c: Machine) -> CongruenceIn
     if rel in ("f", "b") and not (isinstance(a, Bar) and isinstance(b, Bar) and isinstance(c, Bar)):
         raise TsrError(f"relation {rel!r} applies to Buchi automata")
     premise = relation_equiv(rel, a, b)
-    if rel == "ft":
-        j1, j2 = join_lts(a, c), join_lts(b, c)
-        conclusion = finite_equiv(j1, j2)
-    elif rel == "it":
-        j1, j2 = join_lts(a, c), join_lts(b, c)
-        conclusion = infinite_traceable_equiv(j1, j2)
-    elif rel == "f":
-        # The joined acceptors are generalized; their finite-word language is
-        # reaching the intersection of the family, which finite_equiv reads
-        # off directly. Flattening first would perturb the finite language.
-        conclusion = finite_equiv(join(a, c), join(b, c))
-    else:
-        # buchi_equiv tracks every member of the joins' final families.
-        conclusion = buchi_equiv(join(a, c), join(b, c))
+    # Joined acceptors stay generalized: finite_equiv reads their finite
+    # language off the intersection of the family and buchi_equiv tracks
+    # every member. Flattening first would perturb the finite language.
+    compose = join_lts if rel in ("ft", "it") else join
+    joins = (compose(a, c), compose(b, c))
+    conclusion = relation_equiv(rel, *joins)
     witness = conclusion.witness if premise.equal and not conclusion.equal else None
     return CongruenceInstance(
         relation=rel,
@@ -341,6 +332,7 @@ def check_instance(rel: str, a: Machine, b: Machine, c: Machine) -> CongruenceIn
         premise_holds=premise.equal,
         conclusion_holds=conclusion.equal,
         witness=witness,
+        joins=joins,
     )
 
 
@@ -391,6 +383,7 @@ def buchi_counterexample() -> CongruenceInstance:
         premise_holds=premise.equal,
         conclusion_holds=conclusion.equal,
         witness=witness,
+        joins=(j1, j2),
     )
 
 
@@ -483,9 +476,7 @@ def fuzz_congruence(rel: str, params: GenParams, trials: int) -> FuzzReport:
             vacuous += 1
             continue
         if rel == "it":
-            for j in (join_lts(a, c), join_lts(b, c)):
-                if trap_states(j):
-                    join_traps += 1
+            join_traps += sum(1 for j in instance.joins if trap_states(j))
         if not instance.premise_holds:
             vacuous += 1
         elif instance.conclusion_holds:

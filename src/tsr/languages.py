@@ -39,7 +39,8 @@ from .automata import (
     _final_sets,
     _indexed,
     _live_ids,
-    _positions_product,
+    _loop_ids,
+    _reached,
     _rebuilt,
     _sccs,
     _step_any,
@@ -163,21 +164,12 @@ def _reachable(b: Union[Bar, Gba]) -> Union[Bar, Gba]:
     restricted.
     """
     base = base_of(b)
-    adj: dict = {}
-    for src, _, dst in base.transitions:
-        adj.setdefault(src, set()).add(dst)
-    seen = set(base.initial)
-    frontier = list(base.initial)
-    while frontier:
-        node = frontier.pop()
-        for child in adj.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    if len(seen) == len(base.states):
+    order, index, _, moves = _indexed(base)
+    seen = _reached(moves, [index[q] for q in base.initial])
+    if all(seen):
         return b
-    states = frozenset(seen)
-    kept = frozenset(t for t in base.transitions if t[0] in seen)
+    states = frozenset(q for q, keep in zip(order, seen) if keep)
+    kept = frozenset(t for t in base.transitions if t[0] in states)
     reachable = Ltsr(states, base.names, base.data, kept, base.initial)
     return _rebuilt(b, reachable, lambda final: final & states)
 
@@ -300,11 +292,9 @@ class _ProfileSpace:
 
 def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpace:
     base = base_of(b)
-    order = tuple(sorted(base.states))
-    index = {q: i for i, q in enumerate(order)}
+    order, index, succ, _ = _indexed(base)
     n = len(order)
     nn = n * n
-    adj = _adjacency(base)
     fmasks = []
     for final in _final_sets(b):  # one per member of a profile's F
         fmask = 0
@@ -324,10 +314,10 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
     letter_profiles = {}
     for r in letters:
         lr = lf = 0
-        for p in range(n):
+        for p, row in enumerate(succ.get(r, ())):
             mask = 0
-            for dst in adj.get((order[p], r), frozenset()):
-                mask |= 1 << index[dst]
+            for dst in row:
+                mask |= 1 << dst
             lr |= mask << (p * n)
             for j, fmask in enumerate(fmasks):
                 lf |= (mask if (fmask >> p) & 1 else mask & fmask) << (j * nn + p * n)
@@ -695,11 +685,8 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
         raise TsrError("accepting_loop_states takes a Buchi automaton")
     if not period:
         raise TsrError("period must be non-empty")
-    base = base_of(b)
-    order = _indexed(base)[0]
-    final = [q in b.final for q in order]
-    live = _live_ids(_positions_product(base, period, 0), final * len(period))
-    return frozenset(q for q, keep in zip(order, live) if keep)
+    order = _indexed(base_of(b))[0]
+    return frozenset(q for q, keep in zip(order, _loop_ids(b, period)) if keep)
 
 
 # ---------------------------------------------------------------------------

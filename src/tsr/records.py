@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import AlphabetLimitError, IncompatibleRecordsError, InvalidRecordError
 
-NameSet = frozenset
 # Port names and data values are plain string tokens: non-empty, no whitespace.
 
 DEFAULT_ALPHABET_LIMIT = 64

@@ -30,6 +30,15 @@ def gba(states, names, data, transitions, initial, family):
     return Gba.make(states, names, data, transitions, initial, family)
 
 
+def lts_to_bar(m):
+    """View a transition system as a Buchi automaton with every state final.
+
+    Finite acceptance then coincides with traceability and infinite acceptance
+    with the existence of an infinite run.
+    """
+    return Bar(m, m.states)
+
+
 def words_up_to(letters, max_len):
     """Every finite word over ``letters`` of length at most ``max_len``."""
     out = [()]

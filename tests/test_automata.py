@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bar, gba, lassos_up_to, lts, naive_lasso_accepts, rec, words_up_to
+from helpers import (
+    bar,
+    gba,
+    lassos_up_to,
+    lts,
+    lts_to_bar,
+    naive_lasso_accepts,
+    rec,
+    words_up_to,
+)
 from tsr.automata import (
     Bar,
     Gba,
@@ -15,7 +24,6 @@ from tsr.automata import (
     degeneralize,
     finite_targets,
     gba_accepts_lasso,
-    lts_to_bar,
     reach,
     step,
     strongly_connected_components,
@@ -284,11 +292,21 @@ def test_sccs_are_the_mutual_reachability_classes_in_reverse_topological_order(g
 
 @given(digraphs(), st.data())
 def test_live_ids_are_the_nodes_reaching_an_accepting_cycle(graph, data):
+    # A node is live when it reaches a node on a cycle whose component meets
+    # every accepting list.
     _, succ = graph
-    accepting = data.draw(st.lists(st.booleans(), min_size=len(succ), max_size=len(succ)))
-    on_cycle = {a for a in range(len(succ)) if accepting[a] and a in _reachable_from(succ, a)}
-    expected = [bool(({v} | _reachable_from(succ, v)) & on_cycle) for v in range(len(succ))]
-    assert _live_ids(succ, accepting) == expected
+    n = len(succ)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    accepting = data.draw(st.lists(flags, min_size=1, max_size=3))
+    reach_of = [_reachable_from(succ, v) for v in range(n)]
+    on_cycle = set()
+    for a in range(n):
+        if a in reach_of[a]:
+            component = {w for w in reach_of[a] if a in reach_of[w]}
+            if all(any(acc[w] for w in component) for acc in accepting):
+                on_cycle.add(a)
+    expected = [bool(({v} | reach_of[v]) & on_cycle) for v in range(n)]
+    assert _live_ids(succ, *accepting) == expected
 
 
 def test_degeneralize_single_member_family():

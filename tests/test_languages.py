@@ -15,6 +15,7 @@ from helpers import (
     gba,
     lassos_up_to,
     lts,
+    lts_to_bar,
     naive_profile_compose,
     rec,
     states_reaching_accepting_cycles,
@@ -27,7 +28,6 @@ from tsr.automata import (
     base_of,
     degeneralize,
     gba_accepts_lasso,
-    lts_to_bar,
     reach,
     validate,
     with_idle_loops,
