@@ -180,46 +180,25 @@ def validate(m: Machine) -> list:
     return out
 
 
-@lru_cache(maxsize=512)
-def _adjacency(base: Ltsr) -> dict:
-    adj: dict = {}
-    for src, label, dst in base.transitions:
-        adj.setdefault((src, label), set()).add(dst)
-    return {k: frozenset(v) for k, v in adj.items()}
-
-
-def _step_any(adj: dict, current, r: Record) -> frozenset:
-    """One step over an ``_adjacency`` table; a record outside the alphabet
-    simply matches no edge."""
-    out = set()
-    for q in current:
-        out |= adj.get((q, r), frozenset())
-    return frozenset(out)
-
-
-def step(m: Machine, current: Iterable[str], r: Record) -> frozenset:
-    """One strict transition step; the record must lie in the machine's alphabet."""
-    base = base_of(m)
-    if not r.domain <= base.names:
-        raise InvalidRecordError(f"record {r} is outside the machine's name set")
-    return _step_any(_adjacency(base), current, r)
-
-
 def reach(m: Machine, from_states: Iterable[str], w: FiniteWord) -> frozenset:
     """States reachable from ``from_states`` by reading ``w`` symbol by symbol.
 
     A symbol outside the machine's alphabet matches no transition, so words
     over a larger name set are handled uniformly: they simply die here.  That
     convention is what lets machines with different name sets be compared over
-    their union alphabet.
+    their union alphabet.  The empty word gives ``from_states`` back as they
+    are; a longer one drops the start states the machine lacks.
     """
-    adj = _adjacency(base_of(m))
     current = frozenset(from_states)
+    if not w.symbols:
+        return current
+    base = base_of(m)
+    order, index, _, _ = _indexed(base)
+    masks = _masks(base)
+    mask = _state_mask(index, current)
     for r in w.symbols:
-        if not current:
-            return current
-        current = _step_any(adj, current, r)
-    return current
+        mask = _step(masks, mask, r)
+    return frozenset(order[i] for i in _ids(mask))
 
 
 def traceable(m: Machine, w: FiniteWord) -> bool:
@@ -291,6 +270,42 @@ def _indexed(base: Ltsr) -> tuple:
         rows[i].append(j)
         moves[i].append(j)
     return order, index, succ, moves
+
+
+@lru_cache(maxsize=512)
+def _masks(base: Ltsr) -> dict:
+    """Per letter, ``_indexed``'s successor rows as bit masks of ids.
+
+    Built apart from ``_indexed`` so that only machines whose state sets are
+    stepped pay for it; complements are only searched for cycles.
+    """
+    return {r: [sum(1 << j for j in row) for row in rows] for r, rows in _indexed(base)[2].items()}
+
+
+def _state_mask(index: dict, states) -> int:
+    """The indexed states among ``states``, as a bit mask of their ids."""
+    return sum(1 << index[q] for q in states if q in index)
+
+
+def _ids(mask: int):
+    """The ids in a bit mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _step(masks: dict, mask: int, r) -> int:
+    """The ids reached on the letter ``r`` from the ids in ``mask``, over a
+    ``_masks`` table; a letter that labels no transition reaches nothing."""
+    rows = masks.get(r)
+    out = 0
+    if rows is not None:
+        while mask:  # _ids inlined: this loop is the finite-word searches' hot path
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
+    return out
 
 
 def _sccs(succ) -> list:
@@ -452,17 +467,14 @@ def accepts_lasso(m: Machine, l: Lasso) -> bool:
     leads to a state from which reading the period forever can accept.
     """
     base = base_of(m)
-    _, index, succ, _ = _indexed(base)
-    current = {index[q] for q in base.initial}
+    masks = _masks(base)
+    current = _state_mask(_indexed(base)[1], base.initial)
     for r in l.prefix:
-        rows = succ.get(r)
-        if rows is None:
-            return False
-        current = {j for i in current for j in rows[i]}
+        current = _step(masks, current, r)
         if not current:
             return False
     loop = _loop_ids(m, l.period)
-    return any(loop[i] for i in current)
+    return any(loop[i] for i in _ids(current))
 
 
 gba_accepts_lasso = accepts_lasso

@@ -48,6 +48,8 @@ from .languages import (
 from .records import FiniteWord, Lasso, Record, enumerate_alphabet
 
 RELATIONS = ("ft", "it", "f", "b")
+TRANSITION_DENSITY = 0.3  # chance of each (state, letter, state) edge
+FINAL_DENSITY = 0.5  # chance that a state is final
 
 
 @dataclass(frozen=True)
@@ -62,18 +64,12 @@ class GenParams:
     max_states: int = 3
     name_pool: frozenset = frozenset({"A", "B"})
     data_pool: frozenset = frozenset({"0"})
-    transition_density: float = 0.3
-    final_density: float = 0.5
     trapless: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if self.max_states < 1:
             raise TsrError("max_states must be at least 1")
-        if not (0.0 <= self.transition_density <= 1.0):
-            raise TsrError("transition_density must lie in [0, 1]")
-        if not (0.0 <= self.final_density <= 1.0):
-            raise TsrError("final_density must lie in [0, 1]")
         if not self.name_pool or not self.data_pool:
             raise TsrError("name and data pools must be non-empty")
 
@@ -122,7 +118,7 @@ def random_machine(params: GenParams, kind: str = "bar") -> Machine:
     for src in states:
         for r in letters:
             for dst in states:
-                if rng.random() < params.transition_density:
+                if rng.random() < TRANSITION_DENSITY:
                     transitions.add((src, r, dst))
     initial = {states[0]}
     for q in states[1:]:
@@ -136,7 +132,7 @@ def random_machine(params: GenParams, kind: str = "bar") -> Machine:
     base = Ltsr.make(states, params.name_pool, params.data_pool, transitions, initial)
     if kind == "lts":
         return base
-    final = {q for q in states if rng.random() < params.final_density}
+    final = {q for q in states if rng.random() < FINAL_DENSITY}
     if not final:
         final = {rng.choice(states)}
     return Bar(base, frozenset(final))

@@ -33,17 +33,19 @@ from .automata import (
     Ltsr,
     Machine,
     Verdict,
-    _adjacency,
     _component,
     _cyclic,
     _final_sets,
+    _ids,
     _indexed,
     _live_ids,
     _loop_ids,
+    _masks,
     _reached,
     _rebuilt,
     _sccs,
-    _step_any,
+    _state_mask,
+    _step,
     accepts_finite,
     accepts_lasso,
     base_of,
@@ -69,6 +71,7 @@ from .records import (
 
 DEFAULT_COMPLEMENT_STATE_LIMIT = 8
 DEFAULT_MONOID_LIMIT = 20000
+COMPLEMENT_MONOID_LIMIT = 4000
 PAIR_SEARCH_LIMIT = 500000
 
 
@@ -95,15 +98,15 @@ def _union_letters(x1: Machine, x2: Machine) -> Tuple[frozenset, List[Record]]:
     return names, sorted(enumerate_alphabet(names, base1.data))
 
 
-def _subset_pairs(step, side1, side2, start, letters):
+def _subset_pairs(masks1, masks2, start, letters):
     """Breadth-first search over the product of two subset constructions.
 
-    ``step(side, current, r)`` moves one side's state set (a frozenset or a
-    bit mask) on the letter ``r``.  Yields every joint pair reachable from
-    ``start`` once, with a shortest word reaching it, in the order the pairs
-    are found; letters are tried in the order given, so the first pair with
-    a property carries a shortest, deterministic word.  The pair whose sides
-    are both empty is yielded but not expanded: it only steps to itself.
+    Each side is a bit mask of ids stepped over its own ``_masks`` table.
+    Yields every joint pair reachable from ``start`` once, with a shortest
+    word reaching it, in the order the pairs are found; letters are tried in
+    the order given, so the first pair with a property carries a shortest,
+    deterministic word.  The pair whose sides are both empty is yielded but
+    not expanded: it only steps to itself.
     """
     yield start, ()
     seen = {start}
@@ -113,7 +116,7 @@ def _subset_pairs(step, side1, side2, start, letters):
         if not (s1 or s2):
             continue
         for r in letters:
-            pair = (step(side1, s1, r), step(side2, s2, r))
+            pair = (_step(masks1, s1, r), _step(masks2, s2, r))
             if pair not in seen:
                 seen.add(pair)
                 found = (pair, word + (r,))
@@ -127,11 +130,10 @@ def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
     witness."""
     base1, base2 = base_of(x1), base_of(x2)
     names, letters = _union_letters(x1, x2)
-    t1, t2 = finite_targets(x1), finite_targets(x2)
-    pairs = _subset_pairs(
-        _step_any, _adjacency(base1), _adjacency(base2), (base1.initial, base2.initial), letters
-    )
-    for (s1, s2), word in pairs:
+    index1, index2 = _indexed(base1)[1], _indexed(base2)[1]
+    t1, t2 = _state_mask(index1, finite_targets(x1)), _state_mask(index2, finite_targets(x2))
+    start = (_state_mask(index1, base1.initial), _state_mask(index2, base2.initial))
+    for (s1, s2), word in _subset_pairs(_masks(base1), _masks(base2), start, letters):
         if stop(bool(s1 & t1), bool(s2 & t2)):
             return FiniteWord(word, names)
     return None
@@ -228,15 +230,6 @@ def _rows(b: Profile, n: int, frow: int) -> Rows:
     return tuple(out)
 
 
-def _step_mask(rows: Rows, mask: int) -> int:
-    """The states reachable in one profile step from the set ``mask``."""
-    out = 0
-    for i, br, _ in rows:
-        if (mask >> i) & 1:
-            out |= br
-    return out
-
-
 @dataclass
 class _ProfileSpace:
     n: int
@@ -292,16 +285,10 @@ class _ProfileSpace:
 
 def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpace:
     base = base_of(b)
-    order, index, succ, _ = _indexed(base)
+    order, index, _, _ = _indexed(base)
     n = len(order)
     nn = n * n
-    fmasks = []
-    for final in _final_sets(b):  # one per member of a profile's F
-        fmask = 0
-        for p in range(n):
-            if order[p] in final:
-                fmask |= 1 << p
-        fmasks.append(fmask)
+    fmasks = [_state_mask(index, final) for final in _final_sets(b)]  # one per member of F
     members = sum(1 << (j * nn) for j in range(len(fmasks)))
     col = 0
     unit_r = unit_f = 0
@@ -311,20 +298,15 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
         for j, fmask in enumerate(fmasks):
             if (fmask >> p) & 1:
                 unit_f |= 1 << (j * nn + p * n + p)
+    masks = _masks(base)
     letter_profiles = {}
     for r in letters:
         lr = lf = 0
-        for p, row in enumerate(succ.get(r, ())):
-            mask = 0
-            for dst in row:
-                mask |= 1 << dst
+        for p, mask in enumerate(masks.get(r, ())):
             lr |= mask << (p * n)
             for j, fmask in enumerate(fmasks):
                 lf |= (mask if (fmask >> p) & 1 else mask & fmask) << (j * nn + p * n)
         letter_profiles[r] = (lr, lf)
-    initial_mask = 0
-    for q in base.initial:
-        initial_mask |= 1 << index[q]
     frow = ((1 << n) - 1) * members
     return _ProfileSpace(
         n,
@@ -335,7 +317,7 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
         (unit_r, unit_f),
         letter_profiles,
         {r: _rows(x, n, frow) for r, x in letter_profiles.items()},
-        initial_mask,
+        _state_mask(index, base.initial),
     )
 
 
@@ -416,15 +398,9 @@ def buchi_equiv(
     ):
         periods.setdefault(tuple(s.loop_entries(x) for s, x in zip(spaces, e)), e)
 
-    space1, space2 = spaces
+    start = (spaces[0].initial_mask, spaces[1].initial_mask)
     pairs = sorted(
-        _subset_pairs(
-            lambda letter_rows, mask, r: _step_mask(letter_rows[r], mask),
-            space1.letter_rows,
-            space2.letter_rows,
-            (space1.initial_mask, space2.initial_mask),
-            letters,
-        ),
+        _subset_pairs(_masks(base_of(b1)), _masks(base_of(b2)), start, letters),
         key=lambda item: _word_sort_key(item[1]),
     )
     for (entries1, entries2), rho in periods.items():
@@ -435,11 +411,7 @@ def buchi_equiv(
     return Verdict(True)
 
 
-def buchi_complement(
-    b: Bar,
-    max_states: int = DEFAULT_COMPLEMENT_STATE_LIMIT,
-    monoid_limit: int = 4000,
-) -> Bar:
+def buchi_complement(b: Bar) -> Bar:
     """Complement a Buchi automaton over its own alphabet.
 
     The complement accepts an infinite word exactly when the input does not.
@@ -465,13 +437,14 @@ def buchi_complement(
         raise TsrError("buchi_complement takes a Buchi automaton")
     b = _reachable(b)
     base = base_of(b)
-    if len(base.states) > max_states:
+    if len(base.states) > DEFAULT_COMPLEMENT_STATE_LIMIT:
         raise SizeBoundError(
-            f"complementation is limited to {max_states} states, got {len(base.states)}"
+            f"complementation is limited to {DEFAULT_COMPLEMENT_STATE_LIMIT} states, "
+            f"got {len(base.states)}"
         )
     letters = sorted(enumerate_alphabet(base.names, base.data))
     space = _profile_space(b, letters)
-    elements, nonempty = _joint_closure((space,), letters, monoid_limit)
+    elements, nonempty = _joint_closure((space,), letters, COMPLEMENT_MONOID_LIMIT)
 
     # Work on single profiles indexed by element id; ids follow the closure
     # order, so id 0 is the unit.
@@ -480,9 +453,16 @@ def buchi_complement(
     succ = [[ids[y] for y in space.successors(x, letters)] for x in order]
     first = [ids[space.letters[r]] for r in letters]
 
+    # reach[id of sigma]: the states sigma drives the initial states to, found
+    # by stepping along the closure, which reaches every element from the unit.
     # rhos[id of sigma]: the ids of the periods rho such that (sigma, rho) is
     # a linked, non-accepting pair.
-    reach = [_step_mask(_rows(x, space.n, space.frow), space.initial_mask) for x in order]
+    masks = _masks(base)
+    reach = {0: space.initial_mask}
+    for x, row in enumerate(succ):
+        for r, y in zip(letters, row):
+            if y not in reach:
+                reach[y] = _step(masks, reach[x], r)
     columns = [space.columns(x) for x in order]
     rhos = {}
     for e in nonempty:
@@ -692,31 +672,29 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Infinite traceability
 
-def _productive(base: Ltsr) -> Ltsr:
-    """The machine cut down to its productive states, those starting some
-    infinite run."""
-    order = list(base.states)
-    index = {q: i for i, q in enumerate(order)}
-    rows = [[] for _ in order]
-    for (src, r, dst) in base.transitions:
-        rows[index[src]].append(index[dst])
-    live = _live_ids(rows, [True] * len(order))
-    if all(live):
-        return base
-    kept = frozenset(q for q, keep in zip(order, live) if keep)
-    edges = frozenset(t for t in base.transitions if t[0] in kept and t[2] in kept)
-    return Ltsr(kept, base.names, base.data, edges, base.initial & kept)
+def _productive(m: Machine) -> tuple:
+    """``_masks`` cut down to the productive states, those starting some
+    infinite run, and the productive initial states as a mask."""
+    base = base_of(m)
+    _, index, _, moves = _indexed(base)
+    keep = sum(1 << i for i, live in enumerate(_live_ids(moves, [True] * len(moves))) if live)
+    masks = {r: [row & keep for row in rows] for r, rows in _masks(base).items()}
+    return masks, _state_mask(index, base.initial) & keep
 
 
-def _extend_to_lasso(prefix_word, states, productive: Ltsr, names) -> Lasso:
-    """Continue from a productive state, along the least (letter, target)
-    edge each time, until a state repeats; peel the cycle."""
-    q = min(states)
+def _extend_to_lasso(prefix_word, mask, masks, names) -> Lasso:
+    """Continue from the lowest id in ``mask``, along the least letter and
+    then the lowest id it reaches, until a state repeats; peel the cycle.
+    Ids follow the sorted state names, so this is the least (letter, name)
+    edge each time."""
+    letters = sorted(masks)
+    q = next(_ids(mask))
     visited = {q: 0}
     labels = []
     while True:
-        r, dst = min((r, dst) for src, r, dst in productive.transitions if src == q)
+        r = next(r for r in letters if masks[r][q])
         labels.append(r)
+        dst = next(_ids(masks[r][q]))
         if dst in visited:
             i = visited[dst]
             return Lasso(prefix_word + tuple(labels[:i]), tuple(labels[i:]), names)
@@ -735,14 +713,12 @@ def infinite_traceable_equiv(m1: Machine, m2: Machine) -> Verdict:
     alive, and any infinite continuation of the live side is a witness.
     """
     names, letters = _union_letters(m1, m2)
-    p1, p2 = _productive(base_of(m1)), _productive(base_of(m2))
-    pairs = _subset_pairs(
-        _step_any, _adjacency(p1), _adjacency(p2), (p1.initial, p2.initial), letters
-    )
+    (masks1, start1), (masks2, start2) = _productive(m1), _productive(m2)
     live = 0  # pairs with both sides alive; the all-dead pair is not counted
-    for (s1, s2), word in pairs:
+    for (s1, s2), word in _subset_pairs(masks1, masks2, (start1, start2), letters):
         if bool(s1) != bool(s2):
-            return Verdict(False, _extend_to_lasso(word, s1 or s2, p1 if s1 else p2, names))
+            lasso = _extend_to_lasso(word, s1 or s2, masks1 if s1 else masks2, names)
+            return Verdict(False, lasso)
         if s1:
             live += 1
             if live > PAIR_SEARCH_LIMIT:

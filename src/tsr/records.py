@@ -139,7 +139,7 @@ def alphabet_limit() -> int:
         raise AlphabetLimitError(f"{ALPHABET_LIMIT_ENV} must be an integer, got {raw!r}")
 
 
-def enumerate_alphabet(names: Iterable[str], data: Iterable[str], limit: Optional[int] = None):
+def enumerate_alphabet(names: Iterable[str], data: Iterable[str]):
     """All records over ``names`` and ``data``, sorted canonically.
 
     The alphabet has (|data|+1) ** |names| letters; enumeration refuses above
@@ -150,7 +150,7 @@ def enumerate_alphabet(names: Iterable[str], data: Iterable[str], limit: Optiona
     ds = sorted(frozenset(data))
     if not ds:
         return [TAU]
-    cap = alphabet_limit() if limit is None else limit
+    cap = alphabet_limit()
     count = (len(ds) + 1) ** len(ns)
     if count > cap:
         raise AlphabetLimitError(

@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from tsr.automata import Bar, Gba, Ltsr, base_of, finite_targets
+from tsr.automata import Bar, Gba, Ltsr, base_of, finite_targets, reach
 from tsr.join import product_state
 from tsr.records import TAU, FiniteWord, Record, enumerate_alphabet, restrict
 
@@ -56,6 +56,11 @@ def lassos_up_to(letters, max_prefix, max_period):
             if per:
                 out.append((pre, per))
     return out
+
+
+def step(m, current, r):
+    """The states ``current`` moves to on the one letter ``r``, by ``reach``."""
+    return reach(m, current, FiniteWord((r,), r.domain))
 
 
 def naive_reach(m, start, symbols):

@@ -9,14 +9,13 @@ import itertools
 import time
 
 from conftest import record_acceptance
-from helpers import lassos_up_to, lts_to_bar, walk_words, words_up_to
+from helpers import lassos_up_to, lts_to_bar, step, walk_words, words_up_to
 from tsr.automata import (
     accepts_finite,
     accepts_lasso,
     finite_targets,
     gba_accepts_lasso,
     reach,
-    step,
     traceable,
     validate,
     with_idle_loops,

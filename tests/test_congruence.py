@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import bar, lts, rec
+from helpers import lts, rec
 from tsr.automata import (
     Bar,
     Gba,
@@ -25,7 +25,7 @@ from tsr.congruence import (
 )
 from tsr.errors import TrapStateError, TsrError
 from tsr.join import join
-from tsr.records import Lasso, Record
+from tsr.records import Lasso
 from tsr.serialize import report_to_json
 
 A = rec(A="0")
@@ -34,10 +34,6 @@ A = rec(A="0")
 def test_gen_params_validation():
     with pytest.raises(TsrError):
         GenParams(max_states=0)
-    with pytest.raises(TsrError):
-        GenParams(transition_density=1.5)
-    with pytest.raises(TsrError):
-        GenParams(final_density=-0.1)
     with pytest.raises(TsrError):
         GenParams(name_pool=frozenset())
     with pytest.raises(TsrError):

@@ -17,12 +17,14 @@ from helpers import (
     lts,
     lts_to_bar,
     naive_profile_compose,
+    naive_reach,
     rec,
     states_reaching_accepting_cycles,
     words_up_to,
 )
 from tsr.automata import (
     Bar,
+    Ltsr,
     accepts_finite,
     accepts_lasso,
     base_of,
@@ -282,6 +284,19 @@ def test_buchi_complement_keeps_only_live_states():
         assert comp.base.states - live <= comp.base.initial | {"never"}
 
 
+def test_buchi_complement_state_guard_counts_reachable_states():
+    def ring(n, *unreachable):
+        states = [f"q{i}" for i in range(n)]
+        edges = [(q, A, states[(i + 1) % n]) for i, q in enumerate(states)]
+        return bar(states + list(unreachable), ["A"], ["0"], edges, ["q0"], ["q0"])
+
+    with pytest.raises(SizeBoundError, match="limited to 8 states, got 9"):
+        buchi_complement(ring(9))
+    comp = buchi_complement(ring(8, "island"))
+    assert not accepts_lasso(comp, Lasso((), (A,), frozenset({"A"})))
+    assert accepts_lasso(comp, Lasso((), (TAU,), frozenset({"A"})))
+
+
 def complement_path_digest(seeds=range(12)) -> str:
     """sha256 of every complement-path output on C9's family machines.
 
@@ -429,6 +444,61 @@ def test_accepting_loop_states_matches_lasso_acceptance():
                 & accepting_loop_states(b, tuple(per))
             )
             assert loop_ok == accepts_lasso(b, l)
+
+
+@st.composite
+def dead_end_pairs(draw, kind="lts"):
+    """A small random machine and the same machine with unproductive states
+    added: ``a0`` and ``u0`` lead only into the trap ``u1``, so both have the
+    same infinite runs.  ``a0`` sorts before the machine's own states and
+    ``u0``, ``u1`` after them."""
+    names = draw(st.sampled_from([frozenset({"A"}), frozenset({"A", "B"})]))
+    seed = draw(st.integers(0, 10**6))
+    m = random_machine(GenParams(max_states=3, name_pool=names, seed=seed), kind)
+    base = base_of(m)
+    letters = sorted(enumerate_alphabet(base.names, base.data))
+    dead = st.sampled_from(["a0", "u0"])
+    into = st.tuples(st.sampled_from(sorted(base.states)), st.sampled_from(letters), dead)
+    tailed = Ltsr.make(
+        base.states | {"a0", "u0", "u1"},
+        base.names,
+        base.data,
+        base.transitions
+        | set(draw(st.lists(into, min_size=1, max_size=3)))
+        | {("a0", letters[0], "u1"), ("u0", letters[-1], "u1")},
+        base.initial | draw(st.sets(dead)),
+    )
+    return m, (tailed if kind == "lts" else Bar(tailed, m.final))
+
+
+@given(dead_end_pairs(), st.data())
+def test_reach_matches_the_naive_walk(pair, data):
+    m = pair[1]
+    foreign = [rec(Z="0"), rec(A="9")]  # a port and a value the machine lacks
+    letters = sorted(enumerate_alphabet(m.names, m.data)) + foreign
+    start = data.draw(st.sets(st.sampled_from(sorted(m.states) + ["ghost"])))
+    symbols = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=4)))
+    word = FiniteWord(symbols, m.names | {"Z"})
+    assert reach(m, start, word) == naive_reach(m, start, symbols)
+
+
+@given(dead_end_pairs(), dead_end_pairs(), st.booleans())
+def test_infinite_traces_are_the_buchi_language_with_every_state_final(p, q, mates):
+    m1, m2 = (p[1], p[0]) if mates else (p[1], q[1])
+    verdict = infinite_traceable_equiv(m1, m2)
+    b1, b2 = lts_to_bar(m1), lts_to_bar(m2)
+    assert verdict.equal == buchi_equiv(b1, b2).equal
+    assert verdict.equal or not mates
+    if not verdict.equal:
+        assert accepts_lasso(b1, verdict.witness) != accepts_lasso(b2, verdict.witness)
+
+
+@given(dead_end_pairs(), dead_end_pairs("bar"))
+def test_finite_equiv_witnesses_separate_the_machines(p, q):
+    for x, y in (p, q, (p[1], q[1])):
+        verdict = finite_equiv(x, y)
+        if not verdict.equal:
+            assert accepts_finite(x, verdict.witness) != accepts_finite(y, verdict.witness)
 
 
 def test_infinite_traceable_equiv_equal():

@@ -1,9 +1,11 @@
-"""Source layout: every module-level private name of the library is used."""
+"""Source layout: every module-level private name of the library is used,
+and no module of the library or the tests imports a name it never reads."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tsr"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tsr"
 
 
 def _defined(stmt) -> list:
@@ -47,6 +49,27 @@ def unreferenced_private_names(src: Path) -> list:
     return out
 
 
+def unused_imports(paths) -> list:
+    """The names each file imports but never reads.  A name listed in
+    ``__all__`` counts as read; ``from __future__`` imports are skipped."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.setdefault((alias.asname or alias.name).split(".")[0], node.lineno)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if "__all__" in _defined(stmt):
+                read |= {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+        out += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    return out
+
+
 def test_every_private_module_name_is_referenced():
     assert unreferenced_private_names(SRC) == []
 
@@ -60,3 +83,19 @@ def test_a_leftover_helper_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _leftover\n")
     assert unreferenced_private_names(tmp_path) == ["a.py:5 _leftover"]
+
+
+def test_every_import_is_read():
+    assert unused_imports(sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))) == []
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from json import dumps, loads as parse\n"
+        "from .b import exported\n\n"
+        "__all__ = [\"exported\"]\n\n\n"
+        "def f():\n    return parse(os.path.sep)\n"
+    )
+    assert unused_imports([tmp_path / "a.py"]) == ["a.py:3 dumps"]

@@ -146,7 +146,6 @@ def test_alphabet_limit_guard(monkeypatch):
     names = [f"n{i}" for i in range(7)]
     with pytest.raises(AlphabetLimitError):
         enumerate_alphabet(names, ["0"])
-    assert len(enumerate_alphabet(names, ["0"], limit=128)) == 128
     monkeypatch.setenv(ALPHABET_LIMIT_ENV, "128")
     assert len(enumerate_alphabet(names, ["0"])) == 128
     monkeypatch.setenv(ALPHABET_LIMIT_ENV, "not-a-number")
