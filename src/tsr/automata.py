@@ -193,17 +193,25 @@ def reach(m: Machine, from_states: Iterable[str], w: FiniteWord) -> frozenset:
     if not w.symbols:
         return current
     base = base_of(m)
-    order, index, _, _ = _indexed(base)
+    order = _indexed(base)[0]
+    return frozenset(order[i] for i in _ids(_read(base, current, w.symbols)))
+
+
+def _read(base: Ltsr, states, symbols) -> int:
+    """The ids reached from the named ``states`` by reading ``symbols``, as a
+    bit mask stepped over ``_masks``; states the machine lacks are dropped."""
     masks = _masks(base)
-    mask = _state_mask(index, current)
-    for r in w.symbols:
+    mask = _state_mask(_indexed(base)[1], states)
+    for r in symbols:
+        if not mask:
+            break
         mask = _step(masks, mask, r)
-    return frozenset(order[i] for i in _ids(mask))
+    return mask
 
 
 def traceable(m: Machine, w: FiniteWord) -> bool:
     base = base_of(m)
-    return bool(reach(m, base.initial, w))
+    return bool(_read(base, base.initial, w.symbols))
 
 
 def _final_sets(m: Machine) -> tuple:
@@ -237,9 +245,15 @@ def finite_targets(m: Machine) -> frozenset:
     return frozenset.intersection(*_final_sets(m))
 
 
+@lru_cache(maxsize=512)
+def _targets_mask(m: Machine) -> int:
+    """``finite_targets`` as a bit mask of ``_indexed`` ids."""
+    return _state_mask(_indexed(base_of(m))[1], finite_targets(m))
+
+
 def accepts_finite(m: Machine, w: FiniteWord) -> bool:
     base = base_of(m)
-    return bool(reach(m, base.initial, w) & finite_targets(m))
+    return bool(_read(base, base.initial, w.symbols) & _targets_mask(m))
 
 
 def trap_states(m: Machine) -> frozenset:
@@ -467,12 +481,9 @@ def accepts_lasso(m: Machine, l: Lasso) -> bool:
     leads to a state from which reading the period forever can accept.
     """
     base = base_of(m)
-    masks = _masks(base)
-    current = _state_mask(_indexed(base)[1], base.initial)
-    for r in l.prefix:
-        current = _step(masks, current, r)
-        if not current:
-            return False
+    current = _read(base, base.initial, l.prefix)
+    if not current:
+        return False
     loop = _loop_ids(m, l.period)
     return any(loop[i] for i in _ids(current))
 

@@ -13,7 +13,11 @@ and every omega-regular inequality is exposed by a pair (prefix profile,
 idempotent period profile).  That gives an exact equivalence check and a
 complementation construction that never ranks runs: the complement guesses a
 split of the input into a prefix and an infinite sequence of blocks whose
-profiles multiply out to a non-accepting idempotent pair.
+profiles multiply out to a non-accepting idempotent pair.  The equivalence
+check first tries direct simulation in both directions, which settles most
+equal pairs without building any monoid; otherwise it scans the monoid as it
+is built and stops at the first idempotent class on which the machines
+disagree.
 
 Machines with different name sets are compared over the union alphabet.  A
 record outside one machine's name set matches no transition of that machine,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .automata import (
@@ -324,38 +329,91 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
 def _joint_closure(spaces, letters, limit):
     """BFS closure of the joint profile monoid, shortest words first.
 
-    Returns (elements, nonempty): element -> shortest realizing word, and the
-    same restricted to non-empty words (the unit may only be realized by the
-    empty word; period profiles must come from the non-empty table).
+    Yields each element that a non-empty word realizes once, with its
+    shortest such word, in shortlex order of those words; every element but
+    the unit is among them, and period profiles must come from them (the
+    unit may only be realized by the empty word).  Raises ``SizeBoundError``
+    once the monoid, unit included, would pass ``limit`` elements, so a
+    caller that stops early may decide before the bound trips.
     """
     unit = tuple(s.unit for s in spaces)
-    elements = {unit: ()}
-    nonempty = {}
-    queue = deque([unit])
+    seen = {unit}
+    unit_found = False
+    queue = deque([(unit, ())])
     while queue:
-        elem = queue.popleft()
-        word = elements[elem]
+        elem, word = queue.popleft()
         steps = zip(*(s.successors(e, letters) for s, e in zip(spaces, elem)))
         for r, nxt in zip(letters, steps):
-            if nxt not in nonempty:
-                nonempty[nxt] = word + (r,)
-            if nxt not in elements:
-                if len(elements) >= limit:
+            if nxt not in seen:
+                if len(seen) >= limit:
                     raise SizeBoundError(
                         f"profile monoid exceeded {limit} elements; "
                         "reduce machine size or raise the bound"
                     )
-                elements[nxt] = word + (r,)
-                queue.append(nxt)
-    return elements, nonempty
+                seen.add(nxt)
+                queue.append((nxt, word + (r,)))
+                yield nxt, word + (r,)
+            elif not unit_found and nxt == unit:
+                unit_found = True
+                yield nxt, word + (r,)
 
 
 def _idempotent(spaces, e) -> bool:
     return all(s.mult(x, x) == x for s, x in zip(spaces, e))
 
 
-def _word_sort_key(word):
-    return (len(word), word)
+def _simulated(a: Union[Bar, Gba], b: Union[Bar, Gba]) -> bool:
+    """Whether ``b`` directly simulates ``a`` from every initial state of
+    ``a``, which proves that ``b`` accepts every lasso ``a`` accepts (Dill,
+    Hu and Wong-Toi, CAV 1991).
+
+    A state q of ``b`` simulates a state p of ``a`` when q lies in each
+    final set of ``b`` whose stand-in among ``a``'s final sets holds p, and
+    every move of p is matched by a move of q on the same letter to a state
+    that simulates p's target.  Every map from ``b``'s final sets j to
+    stand-ins i(j) among ``a``'s is tried: a run of ``a`` that visits each
+    of its sets infinitely often is then shadowed by a run of ``b`` that
+    meets set j whenever ``a``'s run meets set i(j).  Per map, ``sim[p]`` is
+    the bit mask of the ids of ``b`` that simulate p, refined from that
+    acceptance seed to the greatest fixpoint.
+    """
+    base_a, base_b = base_of(a), base_of(b)
+    index_a, index_b = _indexed(base_a)[1], _indexed(base_b)[1]
+    masks_b = _masks(base_b)
+    # moves[p]: per letter p moves on, b's successor rows and p's targets.
+    stuck = [0] * len(index_b)
+    moves = [
+        [(masks_b.get(r, stuck), row[p]) for r, row in _masks(base_a).items() if row[p]]
+        for p in range(len(index_a))
+    ]
+    finals_a = [_state_mask(index_a, f) for f in _final_sets(a)]
+    finals_b = [_state_mask(index_b, f) for f in _final_sets(b)]
+    starts_a = list(_ids(_state_mask(index_a, base_a.initial)))
+    start_b = _state_mask(index_b, base_b.initial)
+    every_b = (1 << len(index_b)) - 1
+    for stand_in in product(range(len(finals_a)), repeat=len(finals_b)):
+        sim = []
+        for p in range(len(index_a)):
+            allowed = every_b
+            for j, i in enumerate(stand_in):
+                if finals_a[i] >> p & 1:
+                    allowed &= finals_b[j]
+            sim.append(allowed)
+        changed = True
+        while changed:
+            changed = False
+            for p, row in enumerate(moves):
+                keep = sim[p]
+                for rows_b, targets in row:
+                    for t in _ids(targets):
+                        target = sim[t]
+                        keep = sum(1 << q for q in _ids(keep) if rows_b[q] & target)
+                if keep != sim[p]:
+                    sim[p] = keep
+                    changed = True
+        if all(sim[p] & start_b for p in starts_a):
+            return True
+    return False
 
 
 def buchi_equiv(
@@ -363,16 +421,26 @@ def buchi_equiv(
 ) -> Verdict:
     """Decide equality of lasso (omega) languages of two (generalized) Buchi automata.
 
-    Every ultimately periodic word is classified by a linked profile pair
-    (prefix profile sigma, idempotent period profile rho with sigma*rho =
-    sigma), and two machines agree on all infinite words exactly when every
-    linked pair of the joint monoid is accepting for both or neither.  Every
-    linked pair has the shape (m*rho, rho), and whether (m*rho, rho) accepts
-    depends on m only through the states reachable from the initial sets
-    under a word realizing m, so the scan pairs period idempotents with joint
-    subset-construction states instead of whole monoid elements.  On
-    inequality the witness lasso is rebuilt from shortest realizing words and
-    is accepted by exactly one machine.
+    Each side is first trimmed to its reachable states.  When each side
+    directly simulates the other (see ``_simulated``), the languages are
+    equal and no monoid is built, so the call cannot refuse; this settles
+    most comparisons of a machine with a language-preserving mate.
+
+    Otherwise every ultimately periodic word is classified by a linked
+    profile pair (prefix profile sigma, idempotent period profile rho with
+    sigma*rho = sigma), and two machines agree on all infinite words exactly
+    when every linked pair of the joint monoid is accepting for both or
+    neither.  Every linked pair has the shape (m*rho, rho), and whether
+    (m*rho, rho) accepts depends on m only through the states reachable from
+    the initial sets under a word realizing m, so the scan pairs period
+    idempotents with joint subset-construction states instead of whole
+    monoid elements.  It runs while the monoid is built: idempotents are
+    met in shortlex order of their shortest words, each new class of them
+    is scanned against every prefix state pair at once, and the first
+    disagreement ends the call, so unequal machines can be told apart
+    before the closure would pass ``monoid_limit``.  The witness lasso is
+    built from shortest realizing words and is accepted by exactly one
+    machine.
 
     Each side may be a ``Bar`` or a ``Gba``, so joins are compared as they
     are, never degeneralized.  A ``Gba``'s profiles carry one packed final
@@ -385,29 +453,28 @@ def buchi_equiv(
     b1 = _reachable(b1)
     b2 = _reachable(b2)
     names, letters = _union_letters(b1, b2)
+    if _simulated(b1, b2) and _simulated(b2, b1):
+        return Verdict(True)
     spaces = (_profile_space(b1, letters), _profile_space(b2, letters))
-    elements, nonempty = _joint_closure(spaces, letters, monoid_limit)
+    start = (spaces[0].initial_mask, spaces[1].initial_mask)
+    pairs = list(_subset_pairs(_masks(base_of(b1)), _masks(base_of(b2)), start, letters))
 
     # A period matters only through the states from which reading it forever
     # accepts, so one idempotent per such pair of state sets is scanned: the
-    # one with the shortest word.
-    periods = {}
-    for e in sorted(
-        (e for e in nonempty if _idempotent(spaces, e)),
-        key=lambda e: _word_sort_key(nonempty[e]),
-    ):
-        periods.setdefault(tuple(s.loop_entries(x) for s, x in zip(spaces, e)), e)
-
-    start = (spaces[0].initial_mask, spaces[1].initial_mask)
-    pairs = sorted(
-        _subset_pairs(_masks(base_of(b1)), _masks(base_of(b2)), start, letters),
-        key=lambda item: _word_sort_key(item[1]),
-    )
-    for (entries1, entries2), rho in periods.items():
+    # one with the shortest word, which the closure meets first.  The pairs
+    # come in shortlex order of their words too, so the witness is the least
+    # prefix for the least period class on which the machines disagree.
+    classes = set()
+    for e, period in _joint_closure(spaces, letters, monoid_limit):
+        if not _idempotent(spaces, e):
+            continue
+        entries1, entries2 = (s.loop_entries(x) for s, x in zip(spaces, e))
+        if (entries1, entries2) in classes:
+            continue
+        classes.add((entries1, entries2))
         for (mask1, mask2), word in pairs:
             if bool(mask1 & entries1) != bool(mask2 & entries2):
-                witness = Lasso(tuple(word), tuple(nonempty[rho]), names)
-                return Verdict(False, witness)
+                return Verdict(False, Lasso(tuple(word), tuple(period), names))
     return Verdict(True)
 
 
@@ -444,11 +511,11 @@ def buchi_complement(b: Bar) -> Bar:
         )
     letters = sorted(enumerate_alphabet(base.names, base.data))
     space = _profile_space(b, letters)
-    elements, nonempty = _joint_closure((space,), letters, COMPLEMENT_MONOID_LIMIT)
+    nonempty = dict(_joint_closure((space,), letters, COMPLEMENT_MONOID_LIMIT))
 
     # Work on single profiles indexed by element id; ids follow the closure
-    # order, so id 0 is the unit.
-    order = [e[0] for e in elements]
+    # order after the unit, which is id 0.
+    order = [space.unit] + [e[0] for e in nonempty if e[0] != space.unit]
     ids = {x: i for i, x in enumerate(order)}
     succ = [[ids[y] for y in space.successors(x, letters)] for x in order]
     first = [ids[space.letters[r]] for r in letters]

@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from tsr.automata import Bar, Gba, Ltsr, base_of, finite_targets, reach
+from tsr.automata import Bar, Gba, Ltsr, _canonical_family, base_of, finite_targets, reach
 from tsr.join import product_state
 from tsr.records import TAU, FiniteWord, Record, enumerate_alphabet, restrict
 
@@ -175,8 +175,8 @@ def rename_machine(m, mapping):
     if isinstance(m, Bar):
         return Bar(new_base, frozenset(mapping[q] for q in m.final))
     if isinstance(m, Gba):
-        family = tuple(frozenset(mapping[q] for q in member) for member in m.final_family)
-        return Gba(new_base, family)
+        family = (frozenset(mapping[q] for q in member) for member in m.final_family)
+        return Gba(new_base, _canonical_family(family))
     return new_base
 
 

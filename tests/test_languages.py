@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -19,6 +19,7 @@ from helpers import (
     naive_profile_compose,
     naive_reach,
     rec,
+    rename_machine,
     states_reaching_accepting_cycles,
     words_up_to,
 )
@@ -31,12 +32,14 @@ from tsr.automata import (
     degeneralize,
     gba_accepts_lasso,
     reach,
+    traceable,
     validate,
     with_idle_loops,
 )
 from tsr.congruence import (
     RELATIONS,
     GenParams,
+    buchi_counterexample,
     language_preserving_mutate,
     parity_bars,
     random_machine,
@@ -57,7 +60,7 @@ from tsr.languages import (
     infinite_traceable_equiv,
     shortest_accept_difference,
 )
-from tsr.languages import _profile_space
+from tsr.languages import _profile_space, _simulated
 from tsr.records import TAU, FiniteWord, Lasso, enumerate_alphabet
 from tsr.serialize import dumps_canonical, machine_to_json, verdict_to_json, witness_to_json
 
@@ -276,6 +279,109 @@ def test_buchi_equiv_empty_family_accepts_every_infinite_run():
     assert not gba_accepts_lasso(once, verdict.witness)
 
 
+@st.composite
+def small_bar_pairs(draw):
+    """Two random automata over one alphabet with at most 4 states, in
+    either order: the second is unrelated to the first, or the first with
+    transitions and final states added, so that it accepts at least as much."""
+    params = GenParams(
+        max_states=4,
+        name_pool=frozenset({"A"}),
+        data_pool=frozenset({"0", "1"}),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    a = random_machine(params, "bar")
+    if draw(st.booleans()):
+        b = random_machine(replace(params, seed=params.seed + 1), "bar")
+    else:
+        states = st.sampled_from(sorted(a.states))
+        letters = st.sampled_from(sorted(enumerate_alphabet(a.names, a.data)))
+        extra = draw(st.lists(st.tuples(states, letters, states), max_size=3))
+        final = draw(st.sets(states))
+        edges = a.transitions | set(extra)
+        b = Bar.make(a.states, a.names, a.data, edges, a.initial, a.final | final)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def included(a, b) -> bool:
+    """Whether every lasso ``a`` accepts is accepted by ``b``, by emptiness of
+    ``a`` intersected with the complement of ``b``."""
+    return buchi_empty(buchi_intersect(a, buchi_complement(b))) is None
+
+
+@given(small_bar_pairs())
+def test_simulation_proves_inclusion_and_equiv_is_inclusion_both_ways(pair):
+    x, y = pair
+    inclusions = [included(a, b) for a, b in ((x, y), (y, x))]
+    assert _simulated(x, y) <= inclusions[0]
+    assert _simulated(y, x) <= inclusions[1]
+    assert buchi_equiv(x, y).equal == all(inclusions)
+
+
+@given(join_pairs())
+def test_simulation_on_joins_agrees_with_the_flattened_joins(pair):
+    g1, g2 = pair
+    assume(len(g1.final_family) == len(g2.final_family) == 2)
+    if _simulated(g1, g2) and _simulated(g2, g1):
+        assert buchi_equiv(degeneralize(g1), degeneralize(g2)).equal
+
+
+def test_simulation_on_joins_maps_every_final_set():
+    # The counterexample's joins have the same moves and differ only in
+    # their final sets, so simulation must not settle them.
+    j1, j2 = buchi_counterexample().joins
+    assert len(j1.final_family) == len(j2.final_family) == 2
+    assert not (_simulated(j1, j2) and _simulated(j2, j1))
+    assert not buchi_equiv(degeneralize(j1), degeneralize(j2)).equal
+    # A join with its state names reversed is the same machine, but whose
+    # final set sorts first can flip, so only a map that swaps them works.
+    params = GenParams(max_states=2, seed=0)
+    flipped = 0
+    for seed in range(12):
+        g = join(
+            random_machine(replace(params, seed=seed), "bar"),
+            random_machine(replace(params, seed=seed + 100, name_pool=frozenset({"cx0"})), "bar"),
+        )
+        if len(g.final_family) != 2:
+            continue
+        order = sorted(g.states)
+        mapping = dict(zip(order, reversed(order)))
+        renamed = rename_machine(g, mapping)
+        flipped += renamed.final_family[0] == frozenset(map(mapping.get, g.final_family[1]))
+        assert _simulated(g, renamed) and _simulated(renamed, g)
+        assert buchi_equiv(degeneralize(g), degeneralize(renamed)).equal
+    assert flipped
+
+
+def test_buchi_equiv_tries_simulation_before_the_monoid():
+    a = random_machine(GenParams(seed=3), "bar")
+    mate = language_preserving_mutate(a, 3, "b")
+    context = random_machine(GenParams(seed=4, name_pool=frozenset({"cx0"})), "bar")
+    # A bound of 1 admits only the unit, so any monoid closure would refuse.
+    assert buchi_equiv(a, mate, monoid_limit=1).equal
+    assert buchi_equiv(join(a, context), join(mate, context), monoid_limit=1).equal
+
+
+def test_buchi_equiv_stops_at_the_first_disagreeing_period():
+    params = GenParams(seed=209)
+    names = frozenset({"A", "cx0"})
+    context = random_machine(replace(params, seed=2 * 10**6 + 209, name_pool=names), "bar")
+    fuzzed = (
+        join(random_machine(params, "bar"), context),
+        join(random_machine(replace(params, seed=10**6 + 209), "bar"), context),
+    )
+    # The first pair's monoid has 4 elements, the second's over 20,000.
+    for (j1, j2), limit in ((buchi_counterexample().joins, 3), (fuzzed, 10)):
+        verdict = buchi_equiv(j1, j2, monoid_limit=limit)
+        assert not verdict.equal
+        assert dumps_canonical(verdict_to_json(verdict)) == dumps_canonical(
+            verdict_to_json(buchi_equiv(j1, j2))
+        )
+        assert accepts_lasso(j1, verdict.witness) != accepts_lasso(j2, verdict.witness)
+        with pytest.raises(SizeBoundError):
+            buchi_equiv(j1, j2, monoid_limit=limit - 1)
+
+
 def test_buchi_complement_keeps_only_live_states():
     params = GenParams(max_states=5, name_pool=frozenset({"A"}), data_pool=frozenset({"0", "1"}))
     for seed in range(12):
@@ -471,7 +577,7 @@ def dead_end_pairs(draw, kind="lts"):
     return m, (tailed if kind == "lts" else Bar(tailed, m.final))
 
 
-@given(dead_end_pairs(), st.data())
+@given(st.one_of(dead_end_pairs(), dead_end_pairs("bar")), st.data())
 def test_reach_matches_the_naive_walk(pair, data):
     m = pair[1]
     foreign = [rec(Z="0"), rec(A="9")]  # a port and a value the machine lacks
@@ -480,6 +586,9 @@ def test_reach_matches_the_naive_walk(pair, data):
     symbols = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=4)))
     word = FiniteWord(symbols, m.names | {"Z"})
     assert reach(m, start, word) == naive_reach(m, start, symbols)
+    reached = naive_reach(m, m.initial, symbols)
+    assert traceable(m, word) == bool(reached)
+    assert accepts_finite(m, word) == bool(reached & (m.final if isinstance(m, Bar) else m.states))
 
 
 @given(dead_end_pairs(), dead_end_pairs(), st.booleans())
