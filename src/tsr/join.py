@@ -43,26 +43,46 @@ def product_state(left: str, right: str) -> str:
     return f"({_component(left)},{_component(right)})"
 
 
+def _moves_by_label(base: Ltsr) -> dict:
+    """label -> [(source, target)], labels in first-seen order."""
+    moves = {}
+    for p, r, q in base.transitions:
+        moves.setdefault(r, []).append((p, q))
+    return moves
+
+
 def _joined_base(base1: Ltsr, base2: Ltsr) -> Ltsr:
+    """The composed transition system.
+
+    Whether a move may go alone (rule 2 or 3) or with which partner (rule 1)
+    depends only on the labels and the name sets, so it is decided once per
+    label or label pair, and each joined label is built once.
+    """
     if base1.data != base2.data:
         raise DataSetMismatchError(
             f"join requires one shared data set, got {sorted(base1.data)} and {sorted(base2.data)}"
         )
     n1, n2 = base1.names, base2.names
     pair = {(s1, s2): product_state(s1, s2) for s1 in base1.states for s2 in base2.states}
+    moves1, moves2 = _moves_by_label(base1), _moves_by_label(base2)
     transitions = set()
-    for (p1, r1, q1) in base1.transitions:
+    for r1, edges1 in moves1.items():
         if not r1.domain & n2:
-            for s2 in base2.states:
-                transitions.add((pair[p1, s2], r1, pair[q1, s2]))
-    for (p2, r2, q2) in base2.transitions:
+            for p1, q1 in edges1:
+                for s2 in base2.states:
+                    transitions.add((pair[p1, s2], r1, pair[q1, s2]))
+    for r2, edges2 in moves2.items():
         if not r2.domain & n1:
-            for s1 in base1.states:
-                transitions.add((pair[s1, p2], r2, pair[s1, q2]))
-    for (p1, r1, q1) in base1.transitions:
-        for (p2, r2, q2) in base2.transitions:
+            for p2, q2 in edges2:
+                for s1 in base1.states:
+                    transitions.add((pair[s1, p2], r2, pair[s1, q2]))
+    for r1, edges1 in moves1.items():
+        for r2, edges2 in moves2.items():
             if comp(r1, n1, r2, n2):
-                transitions.add((pair[p1, p2], union(r1, r2), pair[q1, q2]))
+                r = union(r1, r2)
+                for p1, q1 in edges1:
+                    for p2, q2 in edges2:
+                        transitions.add((pair[p1, p2], r, pair[q1, q2]))
     states = frozenset(pair.values())
     initial = frozenset(pair[s1, s2] for s1 in base1.initial for s2 in base2.initial)
     return Ltsr(states, n1 | n2, base1.data, frozenset(transitions), initial)

@@ -34,17 +34,31 @@ def check_token(token: str, what: str = "token") -> str:
     return token
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without ``__post_init__``.
+
+    Only for fields that already satisfy the class's checks by construction.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, order=True)
 class Record:
     """An immutable record, stored as entries sorted by port name.
 
     The sorted-tuple representation makes equality, hashing, ordering, and
     serialization canonical: there is exactly one object shape per record.
+    The hash and ``domain`` are computed once, at construction; they are not
+    pickled or copied, because string hashes differ from process to process.
     """
 
     entries: tuple = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.entries, tuple):
+            raise InvalidRecordError(f"record entries must be a tuple, got {self.entries!r}")
         seen = None
         for entry in self.entries:
             if not (isinstance(entry, tuple) and len(entry) == 2):
@@ -55,16 +69,31 @@ class Record:
             if seen is not None and port <= seen:
                 raise InvalidRecordError("record entries must be strictly sorted by port name")
             seen = port
+        self._seal()
+
+    @classmethod
+    def _trusted(cls, entries: tuple) -> "Record":
+        """A record from entries that are already checked and strictly sorted."""
+        r = _unchecked(cls, entries=entries)
+        r._seal()
+        return r
+
+    def _seal(self) -> None:
+        # Same value as the dataclass hash, so set and dict orders do not move.
+        self.__dict__["domain"] = frozenset(port for port, _ in self.entries)
+        self.__dict__["_hash"] = hash((self.entries,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.entries,))
 
     @classmethod
     def of(cls, assignments: Optional[Mapping[str, str]] = None, **kw: str) -> "Record":
         merged = dict(assignments or {})
         merged.update(kw)
         return cls(tuple(sorted(merged.items())))
-
-    @property
-    def domain(self) -> frozenset:
-        return frozenset(port for port, _ in self.entries)
 
     def get(self, port: str) -> Optional[str]:
         for name, value in self.entries:
@@ -88,7 +117,9 @@ TAU = Record()
 def restrict(r: Record, names: Iterable[str]) -> Record:
     """Keep only the assignments whose port lies in ``names``."""
     keep = frozenset(names)
-    return Record(tuple(e for e in r.entries if e[0] in keep))
+    if r.domain <= keep:
+        return r
+    return Record._trusted(tuple(e for e in r.entries if e[0] in keep))
 
 
 def comp(r1: Record, names1: Iterable[str], r2: Record, names2: Iterable[str]) -> bool:
@@ -126,7 +157,7 @@ def union(r1: Record, r2: Record) -> Record:
                 f"records disagree on port {port}: {merged[port]!r} vs {value!r}"
             )
         merged[port] = value
-    return Record(tuple(sorted(merged.items())))
+    return Record._trusted(tuple(sorted(merged.items())))
 
 
 def alphabet_limit() -> int:
@@ -242,21 +273,24 @@ Word = Union[FiniteWord, Lasso]
 def restrict_word(w: FiniteWord, names: Iterable[str]) -> FiniteWord:
     """Pointwise restriction; same length, the declared name set becomes ``names``."""
     keep = frozenset(names)
-    return FiniteWord(tuple(restrict(r, keep) for r in w.symbols), keep)
+    return _unchecked(FiniteWord, symbols=tuple(restrict(r, keep) for r in w.symbols), names=keep)
 
 
 def restrict_lasso(l: Lasso, names: Iterable[str]) -> Lasso:
     keep = frozenset(names)
-    return Lasso(
-        tuple(restrict(r, keep) for r in l.prefix),
-        tuple(restrict(r, keep) for r in l.period),
-        keep,
+    return _unchecked(
+        Lasso,
+        prefix=tuple(restrict(r, keep) for r in l.prefix),
+        period=tuple(restrict(r, keep) for r in l.period),
+        names=keep,
     )
 
 
 def vis(w: FiniteWord) -> FiniteWord:
     """Drop every invisible symbol; what remains is the observable content."""
-    return FiniteWord(tuple(r for r in w.symbols if not r.is_invisible), w.names)
+    return _unchecked(
+        FiniteWord, symbols=tuple(r for r in w.symbols if not r.is_invisible), names=w.names
+    )
 
 
 def vis_lasso(l: Lasso) -> Word:
@@ -269,5 +303,5 @@ def vis_lasso(l: Lasso) -> Word:
     pre = tuple(r for r in l.prefix if not r.is_invisible)
     per = tuple(r for r in l.period if not r.is_invisible)
     if per:
-        return Lasso(pre, per, l.names)
-    return FiniteWord(pre, l.names)
+        return _unchecked(Lasso, prefix=pre, period=per, names=l.names)
+    return _unchecked(FiniteWord, symbols=pre, names=l.names)

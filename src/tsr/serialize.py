@@ -35,6 +35,17 @@ def record_from_json(obj) -> Record:
     return Record.of(obj)
 
 
+def _label_from_json(obj, labels: dict) -> Record:
+    """``record_from_json(obj)``, built once per distinct label in ``labels``."""
+    try:
+        return labels[frozenset(obj.items())]
+    except (AttributeError, KeyError, TypeError):
+        pass  # not a dict, an unhashable value, or a new label
+    record = record_from_json(obj)
+    labels[frozenset(obj.items())] = record
+    return record
+
+
 def word_to_json(w: FiniteWord) -> list:
     return [record_to_json(r) for r in w.symbols]
 
@@ -128,6 +139,7 @@ def machine_from_json(obj) -> Machine:
     if not isinstance(raw, list):
         raise MachineFormatError('"transitions" must be an array')
     transitions = []
+    labels = {}
     for t in raw:
         if not isinstance(t, dict) or set(t) != {"from", "label", "to"}:
             raise MachineFormatError(
@@ -135,7 +147,7 @@ def machine_from_json(obj) -> Machine:
             )
         if not isinstance(t["from"], str) or not isinstance(t["to"], str):
             raise MachineFormatError("transition endpoints must be strings")
-        transitions.append((t["from"], record_from_json(t["label"]), t["to"]))
+        transitions.append((t["from"], _label_from_json(t["label"], labels), t["to"]))
     base = Ltsr.make(states, names, data, transitions, initial)
     if "final" in obj:
         return Bar(base, frozenset(_string_list(obj, "final")))

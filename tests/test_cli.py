@@ -59,6 +59,20 @@ def test_validate_unparseable(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", [["A", "0"], {"A": 0}, {"A": ["0"]}])
+def test_malformed_label_exits_two(tmp_path, capsys, label):
+    machine = {
+        "names": ["A"], "data": ["0"], "states": ["s0"], "initial": ["s0"],
+        "transitions": [
+            {"from": "s0", "label": {"A": "0"}, "to": "s0"},
+            {"from": "s0", "label": label, "to": "s0"},
+        ],
+    }
+    path = write_json(tmp_path, "bad.json", machine)
+    assert main(["validate", path]) == 2
+    assert "invalid" in capsys.readouterr().err
+
+
 def test_join_bars_and_flatten(parity_files, tmp_path, capsys):
     left, right = parity_files
     assert main(["join", left, right]) == 0

@@ -9,6 +9,7 @@ from tsr.automata import Gba, accepts_finite, base_of, gba_accepts_lasso, valida
 from tsr.congruence import GenParams, random_machine
 from tsr.errors import DataSetMismatchError, TsrError
 from tsr.join import (
+    _joined_base,
     distinguishing_context,
     fresh_name,
     join,
@@ -116,6 +117,41 @@ def test_join_edges_match_naive_rules_on_random_machines():
         assert j.transitions == naive_join_edges(base_of(m1), base_of(m2))
         assert len(j.states) == len(m1.states) * len(m2.states)
         assert j.names == m1.names | m2.names
+
+
+@st.composite
+def small_lts(draw, names):
+    """A machine of 1-3 states over ``names`` with up to 6 edges, invisible ones included."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    label = st.dictionaries(st.sampled_from(sorted(names)), st.sampled_from(["0", "1"])).map(
+        Record.of
+    )
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(states), label, st.sampled_from(states)), max_size=6
+    ))
+    return lts(states, names, ["0", "1"], edges, states[:1])
+
+
+NAME_SET_PAIRS = {
+    "shared": ({"A", "B"}, {"A", "B"}),
+    "disjoint": ({"A"}, {"B"}),
+    "overlapping": ({"A", "B"}, {"B", "C"}),
+    "nested": ({"A"}, {"A", "B"}),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(NAME_SET_PAIRS))
+@given(data=st.data())
+def test_joined_base_matches_the_per_transition_pair_rules(relation, data):
+    names1, names2 = NAME_SET_PAIRS[relation]
+    m1 = data.draw(small_lts(names1))
+    m2 = data.draw(small_lts(names2))
+    for left, right in ((m1, m2), (m2, m1), (m1, lts(["c"], names2, ["0", "1"], [], ["c"]))):
+        j = _joined_base(left, right)
+        assert j.transitions == naive_join_edges(left, right)
+        assert j.states == {product_state(a, b) for a in left.states for b in right.states}
+        assert j.initial == {product_state(a, b) for a in left.initial for b in right.initial}
+        assert j.names == left.names | right.names
 
 
 def test_join_with_inert_context_is_a_tagged_copy():

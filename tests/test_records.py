@@ -1,9 +1,17 @@
 """Record algebra: construction, restriction, compatibility, union, words."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tsr import records
 from tsr.errors import AlphabetLimitError, IncompatibleRecordsError, InvalidRecordError
 from tsr.records import (
     ALPHABET_LIMIT_ENV,
@@ -49,6 +57,8 @@ def test_record_token_rules():
         Record((("A", "1"), ("A", "2")))
     with pytest.raises(InvalidRecordError):
         Record((("A",),))
+    with pytest.raises(InvalidRecordError):
+        Record([("A", "1")])
 
 
 def test_invisible_record():
@@ -179,3 +189,125 @@ def test_lasso():
 def test_words_over_different_name_sets_differ():
     assert FiniteWord.of([A1], names={"A"}) != FiniteWord.of([A1], names={"A", "B"})
     assert Lasso.of([], [A1], names={"A"}) != Lasso.of([], [A1], names={"A", "B"})
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PICKLE_RECORDS = """
+import pickle, sys
+from tsr.records import Record
+records = [Record.of(A="1"), Record.of(A="1", B="x"), Record.of(port="value")]
+sys.stdout.write(pickle.dumps(records).hex())
+"""
+
+UNPICKLE_AND_LOOK_UP = """
+import pickle, sys
+from tsr.records import Record
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = {Record.of(A="1"), Record.of(A="1", B="x"), Record.of(port="value")}
+assert all(r in fresh for r in loaded), "an unpickled record is missing from a set of fresh ones"
+assert {hash(r) for r in loaded} == {hash(r) for r in fresh}
+"""
+
+
+def run_python(code, hash_seed, stdin=""):
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_unpickled_records_hash_like_fresh_ones_in_another_process():
+    # String hashes are salted per process: a record pickled with its cached
+    # hash would compare equal to a fresh one but not be found in a set.
+    dumped = run_python(PICKLE_RECORDS, hash_seed=1)
+    run_python(UNPICKLE_AND_LOOK_UP, hash_seed=2, stdin=dumped)
+
+
+def test_copies_and_unpickled_records_equal_the_original():
+    for r in (TAU, A1, AB):
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert twin == r and hash(twin) == hash(r) and twin.domain == r.domain
+            assert twin in {r} and r in {twin}
+
+
+def test_record_hash_and_domain_are_fixed_at_construction():
+    r = Record.of(B="2", A="1")
+    assert r.domain is r.domain == {"A", "B"}
+    assert hash(r) == hash(Record((("A", "1"), ("B", "2"))))
+    assert {r: 1}[AB] == 1
+
+
+@pytest.fixture
+def token_checks(monkeypatch):
+    """Counts the calls made to ``records.check_token``."""
+    calls = []
+    check = records.check_token
+
+    def counted(token, what="token"):
+        calls.append(token)
+        return check(token, what)
+
+    monkeypatch.setattr(records, "check_token", counted)
+    return calls
+
+
+def test_union_and_restrict_do_not_recheck_tokens(token_checks):
+    c3, abc = Record.of(C="3"), Record.of(A="1", B="2", C="3")
+    assert token_checks == ["C", "3", "A", "1", "B", "2", "C", "3"]
+    token_checks.clear()
+    assert union(AB, c3) == abc
+    assert union(A1, B2) == AB and union(TAU, A1) == A1
+    assert restrict(AB, {"B"}) == B2 and restrict(AB, {"A", "B"}) == AB
+    assert restrict(AB, {"C"}) == TAU
+    assert union(A1, B2).domain == {"A", "B"}
+    assert hash(restrict(AB, {"A"})) == hash(A1)
+    assert token_checks == []
+
+
+def test_checked_constructors_still_reject_bad_tokens(token_checks):
+    for build in (
+        lambda: Record((("A", "1"), ("B", " "))),
+        lambda: Record.of({"a b": "1"}),
+        lambda: Record.of(A=""),
+        lambda: enumerate_alphabet(["A", "b c"], ["0"]),
+        lambda: enumerate_alphabet(["A"], ["0", "x y"]),
+    ):
+        token_checks.clear()
+        with pytest.raises(InvalidRecordError):
+            build()
+        assert token_checks
+
+
+def test_word_operations_skip_rechecking_symbols(monkeypatch):
+    checked = []
+    monkeypatch.setattr(records, "_check_symbols", lambda symbols, names: checked.append(symbols))
+    names = frozenset({"A", "B"})
+    w = FiniteWord((A1, TAU, AB), names)
+    l = Lasso((AB,), (TAU, B2), names)
+    quiet = Lasso((AB,), (TAU,), names)
+    checked.clear()
+    results = (
+        restrict_word(w, {"A"}), vis(w), restrict_lasso(l, {"B"}), vis_lasso(l), vis_lasso(quiet)
+    )
+    assert checked == []
+    assert results == (
+        FiniteWord((A1, TAU, A1), frozenset({"A"})),
+        FiniteWord((A1, AB), names),
+        Lasso((B2,), (TAU, B2), frozenset({"B"})),
+        Lasso((AB,), (B2,), names),
+        FiniteWord((AB,), names),
+    )
+
+
+def test_word_constructors_still_reject_bad_symbols():
+    for symbols in ((A1, B2), (A1, "A=1"), (AB,)):
+        with pytest.raises(InvalidRecordError):
+            FiniteWord(symbols, frozenset({"A"}))
+        with pytest.raises(InvalidRecordError):
+            Lasso((), symbols, frozenset({"A"}))
+        with pytest.raises(InvalidRecordError):
+            Lasso(symbols, (A1,), frozenset({"A"}))

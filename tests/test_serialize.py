@@ -103,6 +103,39 @@ def test_machine_from_json_errors():
         machine_from_json(bad_family)
 
 
+MALFORMED_LABELS = {
+    "non-object": ["A", "0"],
+    "non-string-value": {"A": 0},
+    "list-value": {"A": ["0"]},
+}
+
+
+def machine_with_labels(*labels):
+    return {
+        "names": ["A", "B"], "data": ["0", "1"], "states": ["s0"], "initial": ["s0"],
+        "transitions": [{"from": "s0", "label": r, "to": "s0"} for r in labels],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_LABELS))
+def test_malformed_labels_are_format_errors(kind):
+    bad = MALFORMED_LABELS[kind]
+    for labels in ((bad,), ({"A": "0"}, bad), (bad, {"A": "0"})):
+        with pytest.raises(MachineFormatError):
+            machine_from_json(machine_with_labels(*labels))
+
+
+def test_equal_labels_load_as_one_record():
+    raw = machine_with_labels({"A": "0", "B": "1"}, {"B": "1", "A": "0"}, {}, {}, {"A": "0"})
+    raw["states"] = ["s0", "s1", "s2", "s3", "s4"]
+    for i, t in enumerate(raw["transitions"]):
+        t["to"] = f"s{i}"
+    labels = {dst: r for _, r, dst in machine_from_json(raw).transitions}
+    assert labels["s0"] is labels["s1"] == rec(A="0", B="1")
+    assert labels["s2"] is labels["s3"] == TAU
+    assert labels["s4"] == A
+
+
 def test_verdict_json_shape():
     w = FiniteWord((A,), frozenset({"A"}))
     assert verdict_to_json(Verdict(True)) == {
