@@ -394,6 +394,29 @@ def _reached(succ, roots) -> list:
     return seen
 
 
+def _explore(roots, edges) -> tuple:
+    """Breadth-first discovery of a graph from ``roots``, as ``(found, rows)``.
+
+    ``found`` lists the nodes in the order they are found, roots first, and
+    ``rows[i]`` the ``(label, id)`` pairs of ``edges(found[i])`` in the order
+    given, each node named by its position in ``found``.  A node's first
+    appearance in the rows is the edge that found it.
+    """
+    found = list(dict.fromkeys(roots))
+    ids = {node: i for i, node in enumerate(found)}
+    rows = []
+    for node in found:  # grows while it is read
+        row = []
+        for label, child in edges(node):
+            i = ids.get(child)
+            if i is None:
+                i = ids[child] = len(found)
+                found.append(child)
+            row.append((label, i))
+        rows.append(row)
+    return found, rows
+
+
 def _live_ids(succ, *accepting) -> list:
     """Per node of ``_sccs``'s graph, whether a cycle through a node of every
     ``accepting`` list is reachable from it (node ``v`` belongs to a list when
@@ -442,19 +465,8 @@ def strongly_connected_components(nodes, succ) -> list:
     Roots are taken in ``nodes`` order; nodes reached outside the list join
     the search too.  Components come out in reverse topological order.
     """
-    order = list(dict.fromkeys(nodes))
-    ids = {node: i for i, node in enumerate(order)}
-    rows = []
-    for node in order:  # grows while it is read: successors outside ``nodes``
-        row = []
-        for child in succ(node):
-            i = ids.get(child)
-            if i is None:
-                i = ids[child] = len(order)
-                order.append(child)
-            row.append(i)
-        rows.append(row)
-    return [[order[i] for i in scc] for scc in _sccs(rows)]
+    order, rows = _explore(nodes, lambda node: ((None, child) for child in succ(node)))
+    return [[order[i] for i in scc] for scc in _sccs([[j for _, j in row] for row in rows])]
 
 
 def _loop_ids(m: Machine, period) -> list:

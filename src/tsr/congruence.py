@@ -223,6 +223,9 @@ def _shift_final_along_cycle(m: Bar, rng: random.Random) -> Optional[Bar]:
     for start in sorted(base.states):
         # Breadth-first over (state, parity); an even cycle through start
         # exists when (start, even) is re-reachable in at least two steps.
+        # Not _explore: this search stops reading a state's successors at its
+        # first even return to start, whether that cycle qualifies or not, and
+        # a search that reads every edge picks other cycles, so other mates.
         back = {}
         queue = deque([(start, 0)])
         seenp = {(start, 0)}
@@ -263,8 +266,9 @@ def language_preserving_mutate(m: Machine, seed, relation: str = "f") -> Machine
     Mutations are structural (rename, twin a state, add an unreachable
     state, and for the lasso relation a final-marker shift along an even
     cycle); each candidate is re-verified with the relation's decision
-    procedure and discarded on failure. The fallback is a plain renaming,
-    which cannot change any language.
+    procedure and discarded on failure.  A renaming, which cannot change any
+    language, is always among them, so ``TsrError`` is raised when every
+    candidate fails: the decision procedure is then broken.
     """
     rng = random.Random(f"mutate:{relation}:{seed}")
     ops = ["rename", "duplicate", "unreachable"]
@@ -284,12 +288,8 @@ def language_preserving_mutate(m: Machine, seed, relation: str = "f") -> Machine
             continue
         if relation_equiv(relation, m, candidate).equal:
             return candidate
-    fallback = _rename_states(m, rng)
-    if not relation_equiv(relation, m, fallback).equal:
-        raise TsrError(
-            "renaming was judged non-equivalent; the decision procedure is broken"
-        )
-    return fallback
+    # Every op was tried, a renaming among them, and none was judged equal.
+    raise TsrError("renaming was judged non-equivalent; the decision procedure is broken")
 
 
 def check_instance(rel: str, a: Machine, b: Machine, c: Machine) -> CongruenceInstance:
@@ -356,31 +356,11 @@ def buchi_counterexample() -> CongruenceInstance:
     and the joined acceptance then asks whether that state was final.
     """
     left, right = parity_bars()
-    context = distinguishing_context(left.names, right.names, left.data)
-    premise = buchi_equiv(left, right)
-    j1, j2 = join(left, context), join(right, context)
-    conclusion = buchi_equiv(j1, j2)
-    difference = shortest_accept_difference(left, right)
-    if difference is None:
-        raise TsrError("parity pair lost its finite-language difference; bug")
-    loop_letter = next(iter(context.transitions))[1]
-    witness = Lasso(
-        tuple(difference.symbols),
-        (loop_letter,),
-        left.names | right.names | context.names,
-    )
-    if accepts_lasso(j1, witness) == accepts_lasso(j2, witness):
-        raise TsrError("counterexample witness failed re-verification; bug")
-    return CongruenceInstance(
-        relation="b",
-        left=left,
-        right=right,
-        context=context,
-        premise_holds=premise.equal,
-        conclusion_holds=conclusion.equal,
-        witness=witness,
-        joins=(j1, j2),
-    )
+    found = distinguish_by_context(left, right)
+    if found is None:
+        raise TsrError("parity pair lost its distinguishing context; bug")
+    context, witness = found
+    return replace(check_instance("b", left, right, context), witness=witness)
 
 
 def distinguish_by_context(b1: Bar, b2: Bar) -> Optional[Tuple[Bar, Lasso]]:

@@ -40,6 +40,7 @@ from .automata import (
     Verdict,
     _component,
     _cyclic,
+    _explore,
     _final_sets,
     _ids,
     _indexed,
@@ -566,20 +567,8 @@ def buchi_complement(b: Bar) -> Bar:
         else:
             yield from start_block(state[1])
 
-    # Explored states get ids in the order they are found; the initial reader
-    # is id 0 and is always kept.
-    found = [("r", 0)]
-    ids_of = {found[0]: 0}
-    rows = []
-    for state in found:  # grows while it is read
-        row = []
-        for r, dst in edges(state):
-            j = ids_of.get(dst)
-            if j is None:
-                j = ids_of[dst] = len(found)
-                found.append(dst)
-            row.append((r, j))
-        rows.append(row)
+    # The initial reader is id 0 and is always kept.
+    found, rows = _explore([("r", 0)], edges)
     live = _live_ids([[j for _, j in row] for row in rows], [q[0] == "c" for q in found])
     live[0] = True
 
@@ -646,8 +635,8 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
     """None when the lasso language is empty, else a witness lasso.
 
     A witness exists exactly when some final state is reachable and lies on a
-    cycle; the returned lasso follows a shortest path to such a state and a
-    shortest cycle back to it.
+    cycle; the returned lasso follows a shortest path to the least such state
+    and a shortest cycle back to it.
     """
     if not isinstance(b, Bar):
         raise TsrError("buchi_empty takes a Buchi automaton")
@@ -657,68 +646,40 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
         out.setdefault(src, []).append((r, dst))
     for src in out:
         out[src].sort()
+    edges = lambda q: out.get(q, ())
 
-    parents = {}
-    order = []
-    seen = set(base.initial)
-    queue = deque(sorted(base.initial))
-    while queue:
-        q = queue.popleft()
-        order.append(q)
-        for (r, dst) in out.get(q, ()):
-            if dst not in seen:
-                seen.add(dst)
-                parents[dst] = (q, r)
-                queue.append(dst)
+    roots = sorted(base.initial)
+    found, rows = _explore(roots, edges)
+    succ = [[j for _, j in row] for row in rows]
+    looping = [
+        v for scc in _sccs(succ) if _cyclic(scc, succ) for v in scc if found[v] in b.final
+    ]
+    if not looping:
+        return None
+    f = min(looping, key=found.__getitem__)
+    prefix = _labels_to(rows, len(roots), f)
+    # Only members of f's component can reach f again, so the first edge back
+    # into f from f closes a shortest cycle that stays inside the component.
+    back = _explore([found[f]], edges)[1]
+    last, r = next((i, r) for i, row in enumerate(back) for r, j in row if j == 0)
+    period = _labels_to(back, 1, last) + [r]
+    return LassoWitness(Lasso(tuple(prefix), tuple(period), base.names), "machine")
 
-    ids = {q: i for i, q in enumerate(order)}
-    rows = [[ids[d] for _, d in out.get(q, ())] for q in order]
-    cyclic = [False] * len(order)
-    scc_of = [0] * len(order)
-    for c, scc in enumerate(_sccs(rows)):
-        loops = _cyclic(scc, rows)
-        for v in scc:
-            scc_of[v] = c
-            cyclic[v] = loops
 
-    for f in sorted(b.final):
-        if f not in seen or not cyclic[ids[f]]:
-            continue
-        prefix = []
-        node = f
-        while node in parents:
-            prev, r = parents[node]
-            prefix.append(r)
-            node = prev
-        prefix.reverse()
-        # Shortest cycle through f inside its own strongly connected component.
-        home = scc_of[ids[f]]
-        period = None
-        back = {f: None}
-        bfs = deque([f])
-        while bfs and period is None:
-            q = bfs.popleft()
-            for (r, dst) in out.get(q, ()):
-                if scc_of[ids[dst]] != home:
-                    continue
-                if dst == f:
-                    labels = [r]
-                    node = q
-                    while back[node] is not None:
-                        prev, rr = back[node]
-                        labels.append(rr)
-                        node = prev
-                    labels.reverse()
-                    period = labels
-                    break
-                if dst not in back:
-                    back[dst] = (q, r)
-                    bfs.append(dst)
-        if period is None:
-            continue
-        lasso = Lasso(tuple(prefix), tuple(period), base.names)
-        return LassoWitness(lasso, "machine")
-    return None
+def _labels_to(rows, roots: int, node: int) -> list:
+    """The labels along the edges of ``_explore``'s ``rows`` that found
+    ``node``, from one of the first ``roots`` ids.  The edge that found a
+    node is its first appearance in the rows, and leaves a lower id."""
+    found_by = {}
+    for i, row in enumerate(rows):
+        for r, j in row:
+            found_by.setdefault(j, (i, r))
+    labels = []
+    while node >= roots:
+        node, r = found_by[node]
+        labels.append(r)
+    labels.reverse()
+    return labels
 
 
 def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:

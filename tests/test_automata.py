@@ -231,6 +231,18 @@ def test_validate_reports_violations():
     assert any("final-family member" in v for v in validate(stray_member))
 
 
+def test_validate_reports_tokens_initial_states_labels_and_finals():
+    base = Ltsr(
+        frozenset({"s0", "bad state"}), frozenset({"A"}), frozenset({"0"}),
+        frozenset({("s0", "A=0", "s0")}), frozenset({"s0", "s9"}),
+    )
+    msgs = validate(Bar(base, frozenset({"s8"})))
+    assert "state id must be a non-empty string without whitespace, got 'bad state'" in msgs
+    assert "initial states must be states of the machine" in msgs
+    assert "transition label 'A=0' is not a record" in msgs
+    assert "final states must be states of the machine" in msgs
+
+
 def test_strongly_connected_components():
     edges = {"a": ["b"], "b": ["a", "c"], "c": []}
     sccs = strongly_connected_components(["a", "b", "c"], lambda n: edges[n])
@@ -359,6 +371,16 @@ def test_degeneralize_pads_when_nothing_accepts():
     g = gba(["q0"], ["A"], ["0"], [], ["q0"], [["q0"]])
     flat = degeneralize(g)
     assert validate(flat) == []
+    for pre, per in lassos_up_to([TAU, A], 1, 1):
+        assert not accepts_lasso(flat, Lasso.of(pre, per, names={"A"}))
+
+
+def test_degeneralize_pads_a_family_with_no_common_state_and_no_cycle():
+    g = gba(["q0", "q1"], ["A"], ["0"], [("q0", A, "q1")], ["q0"], [["q0"], ["q1"]])
+    flat = degeneralize(g)
+    assert validate(flat) == []
+    assert flat.final == frozenset({"(pad,0)"})
+    assert flat.states == {"(q0,1)", "(q0,2)", "(q1,1)", "(q1,2)", "(pad,0)"}
     for pre, per in lassos_up_to([TAU, A], 1, 1):
         assert not accepts_lasso(flat, Lasso.of(pre, per, names={"A"}))
 

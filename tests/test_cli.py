@@ -171,6 +171,24 @@ def test_member_out_of_alphabet(parity_files, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_member_outside_the_alphabet_exits_two(parity_files, tmp_path, capsys):
+    left, _ = parity_files
+    foreign_word = write_json(tmp_path, "w.json", [{"A": "9"}])
+    assert main(["member", "--word", foreign_word, left]) == 2
+    assert "word uses data outside" in capsys.readouterr().err
+    foreign_lasso = write_json(tmp_path, "l.json", {"prefix": [{"A": "0"}], "period": [{"A": "9"}]})
+    assert main(["member", "--lasso", foreign_lasso, left]) == 2
+    assert "lasso uses data outside" in capsys.readouterr().err
+
+
+def test_invalid_machine_file_exits_two(parity_files, tmp_path, capsys):
+    left, _ = parity_files
+    broken = write_machine(tmp_path, "broken.json", bar(["s0"], ["A"], ["0"], [], ["s9"], ["s0"]))
+    for argv in (["equiv", "--relation", "f", left, broken], ["join", broken, left]):
+        assert main(argv) == 2
+        assert "initial states must be states of the machine" in capsys.readouterr().err
+
+
 def test_fuzz_clean_run(capsys):
     assert main(["fuzz", "--relation", "ft", "--trials", "5"]) == 0
     captured = capsys.readouterr()
@@ -213,6 +231,13 @@ def test_distinguish(parity_files, capsys):
     assert main(["distinguish", left, left]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["distinguishable"] is False
+
+
+def test_distinguish_a_plain_system_exits_two(parity_files, tmp_path, capsys):
+    left, _ = parity_files
+    plain = write_machine(tmp_path, "m.json", lts(["s0"], ["A"], ["0"], [("s0", A, "s0")], ["s0"]))
+    assert main(["distinguish", left, plain]) == 2
+    assert "distinguish compares two Buchi automata" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -3,9 +3,11 @@
 import pytest
 
 from helpers import lts, rec
+from tsr import congruence
 from tsr.automata import (
     Bar,
     Gba,
+    Verdict,
     gba_accepts_lasso,
     trap_states,
     validate,
@@ -69,6 +71,14 @@ def test_language_preserving_mutate_is_verified_per_relation():
             )
             mutated = language_preserving_mutate(m, seed, rel)
             assert relation_equiv(rel, m, mutated).equal
+
+
+def test_language_preserving_mutate_refuses_when_no_candidate_is_equal(monkeypatch):
+    monkeypatch.setattr(congruence, "relation_equiv", lambda rel, a, b: Verdict(False))
+    for rel in RELATIONS:
+        m = random_machine(GenParams(seed=1), "lts" if rel in ("ft", "it") else "bar")
+        with pytest.raises(TsrError, match="renaming was judged non-equivalent"):
+            language_preserving_mutate(m, 0, rel)
 
 
 def test_parity_bars_facts():

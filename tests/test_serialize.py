@@ -103,6 +103,20 @@ def test_machine_from_json_errors():
         machine_from_json(bad_family)
 
 
+def test_machine_from_json_rejects_non_array_parts():
+    good = machine_to_json(lts(["s0"], ["A"], ["0"], [("s0", A, "s0")], ["s0"]))
+    cases = {
+        '"transitions" must be an array': {"transitions": {"from": "s0"}},
+        "transition endpoints must be strings": {
+            "transitions": [{"from": "s0", "label": {"A": "0"}, "to": 0}]
+        },
+        '"final_family" must be an array of state arrays': {"final_family": "s0"},
+    }
+    for message, change in cases.items():
+        with pytest.raises(MachineFormatError, match=message):
+            machine_from_json({**good, **change})
+
+
 MALFORMED_LABELS = {
     "non-object": ["A", "0"],
     "non-string-value": {"A": 0},
