@@ -157,7 +157,7 @@ def validate(m: Machine) -> list:
         out.append("machine must have at least one initial state")
     if not base.initial <= base.states:
         out.append("initial states must be states of the machine")
-    for (src, label, dst) in sorted(base.transitions, key=lambda t: (t[0], t[1], t[2])):
+    for (src, label, dst) in sorted(base.transitions, key=_transition_key):
         if src not in base.states or dst not in base.states:
             out.append(f"transition {src} -{label}-> {dst} uses undeclared states")
         if not isinstance(label, Record):
@@ -178,6 +178,16 @@ def validate(m: Machine) -> list:
             if not member <= base.states:
                 out.append("every final-family member must be a set of states")
     return out
+
+
+def _transition_key(t) -> tuple:
+    """``validate``'s report order: by source, then label, then target.
+    Records sort among themselves; a label that is not one sorts after them,
+    by its repr, so that it is reported instead of breaking the sort."""
+    src, label, dst = t
+    if isinstance(label, Record):
+        return (src, 0, label, dst)
+    return (src, 1, repr(label), dst)
 
 
 def reach(m: Machine, from_states: Iterable[str], w: FiniteWord) -> frozenset:
@@ -322,13 +332,14 @@ def _step(masks: dict, mask: int, r) -> int:
     return out
 
 
-def _sccs(succ) -> list:
+def _sccs(succ, roots=None) -> list:
     """Tarjan's strongly connected components of the graph on ``0..len(succ)-1``.
 
-    ``succ[v]`` lists the successors of node ``v``.  Roots are taken in id
-    order and successors in list order; components come out in reverse
-    topological order, each listing its members in the order they leave the
-    stack.
+    ``succ[v]`` lists the successors of node ``v``.  Roots are taken in the
+    order of ``roots``, by default every id in id order, and successors in
+    list order, so only the nodes reachable from ``roots`` are split into
+    components; components come out in reverse topological order, each
+    listing its members in the order they leave the stack.
     """
     n = len(succ)
     index = [-1] * n
@@ -337,7 +348,7 @@ def _sccs(succ) -> list:
     stack = []
     sccs = []
     counter = 0
-    for root in range(n):
+    for root in range(n) if roots is None else roots:
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
@@ -420,13 +431,17 @@ def _explore(roots, edges) -> tuple:
 def _live_ids(succ, *accepting) -> list:
     """Per node of ``_sccs``'s graph, whether a cycle through a node of every
     ``accepting`` list is reachable from it (node ``v`` belongs to a list when
-    the list's ``v``-th entry is set).
+    the list's ``v``-th entry is set); with no list, any cycle will do.
 
     Such cycles lie exactly in the components that hold a cycle and a member
     of every list; the live nodes are their members and every node that can
-    reach one.
+    reach one.  Each such cycle runs through a node of the first list, so it
+    stays inside that list's forward closure: only that closure, found by
+    starting Tarjan's search from the list's members, is split into
+    components.
     """
-    components = [scc for scc in _sccs(succ) if _cyclic(scc, succ)]
+    roots = [v for v, hit in enumerate(accepting[0]) if hit] if accepting else None
+    components = [scc for scc in _sccs(succ, roots) if _cyclic(scc, succ)]
     for acc in accepting:
         components = [scc for scc in components if any(map(acc.__getitem__, scc))]
     cycles = [v for scc in components for v in scc]
@@ -576,9 +591,8 @@ def degeneralize(g: Gba) -> Bar:
         core = core & member
     final = {cname(q, i) for q in core for i in range(1, k + 1)}
 
-    seen = _reached(rows, [index[q] for q in base.initial])
-    for scc in _sccs(rows):
-        if seen[scc[0]] and _cyclic(scc, rows):
+    for scc in _sccs(rows, [index[q] for q in base.initial]):
+        if _cyclic(scc, rows):
             final.update(cname(order[v], 1) for v in scc if v < n and order[v] in family[0])
 
     if not final:

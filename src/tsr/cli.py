@@ -127,12 +127,12 @@ def cmd_equiv(args) -> int:
     return 0 if verdict.equal else 1
 
 
-def _check_in_alphabet(symbols, base, what: str):
+def _check_data(symbols, data, what: str):
+    # Ports need no check here: the word and lasso constructors refuse a
+    # symbol with a port outside the machine's name set.
     for r in symbols:
-        if not r.domain <= base.names:
-            raise TsrError(f"{what} uses ports outside the machine's name set: {r}")
         for _, value in r.entries:
-            if value not in base.data:
+            if value not in data:
                 raise TsrError(f"{what} uses data outside the machine's data set: {r}")
 
 
@@ -141,11 +141,11 @@ def cmd_member(args) -> int:
     base = base_of(m)
     if args.word:
         word = word_from_json(load_json(args.word), base.names)
-        _check_in_alphabet(word.symbols, base, "word")
+        _check_data(word.symbols, base.data, "word")
         ok = accepts_finite(m, word)
     else:
         lasso = lasso_from_json(load_json(args.lasso), base.names)
-        _check_in_alphabet(lasso.prefix + lasso.period, base, "lasso")
+        _check_data(lasso.prefix + lasso.period, base.data, "lasso")
         ok = accepts_lasso(m, lasso)
     print("true" if ok else "false")
     return 0 if ok else 1

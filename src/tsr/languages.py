@@ -594,7 +594,15 @@ def buchi_complement(b: Bar) -> Bar:
 
 
 def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
-    """Standard two-copy intersection of Buchi automata over one alphabet."""
+    """Standard two-copy intersection of Buchi automata over one alphabet.
+
+    A state ``(p,q,c)`` pairs a state of each machine with a copy ``c``:
+    copy 1 waits for a final state of ``b1`` and copy 2 for one of ``b2``,
+    and the final states are copy 1's with a final left state.  Only the
+    part reachable from the initial pairs in copy 1 is built; the lasso and
+    finite-word languages are those of the full product.  When no reachable
+    state is final, a lone unreachable final state ``never`` pads the result.
+    """
     if not (isinstance(b1, Bar) and isinstance(b2, Bar)):
         raise TsrError("buchi_intersect takes two Buchi automata")
     base1, base2 = base_of(b1), base_of(b2)
@@ -602,33 +610,39 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
         raise AlphabetMismatchError(
             "intersection requires identical alphabets (same names and data)"
         )
+    final1, final2 = b1.final, b2.final
+    left = {}
+    for (p1, r, q1) in base1.transitions:
+        left.setdefault(p1, []).append((r, q1))
+    right = {}
+    for (p2, r, q2) in base2.transitions:
+        right.setdefault(p2, {}).setdefault(r, []).append(q2)
 
-    right = [(q2, _component(q2)) for q2 in base2.states]
-    name = {}
-    for q1 in base1.states:
-        left = _component(q1)
-        for q2, c2 in right:
-            for copy in (1, 2):
-                name[q1, q2, copy] = f"({left},{c2},{copy})"
+    def edges(state):
+        p1, p2, copy = state
+        if copy == 1 and p1 in final1:
+            nxt = 2
+        elif copy == 2 and p2 in final2:
+            nxt = 1
+        else:
+            nxt = copy
+        moves = right.get(p2)
+        if moves:
+            for r, q1 in left.get(p1, ()):
+                for q2 in moves.get(r, ()):  # synchronize on equal labels
+                    yield r, (q1, q2, nxt)
 
-    by_label = {}
-    for (p2, r2, q2) in base2.transitions:
-        by_label.setdefault(r2, []).append((p2, q2))
-    transitions = set()
-    for (p1, r1, q1) in base1.transitions:
-        for (p2, q2) in by_label.get(r1, ()):  # synchronize on equal labels
-            for copy in (1, 2):
-                if copy == 1 and p1 in b1.final:
-                    nxt = 2
-                elif copy == 2 and p2 in b2.final:
-                    nxt = 1
-                else:
-                    nxt = copy
-                transitions.add((name[p1, p2, copy], r1, name[q1, q2, nxt]))
-    states = frozenset(name.values())
-    initial = frozenset(name[q1, q2, 1] for q1 in base1.initial for q2 in base2.initial)
-    final = frozenset(name[f1, q2, 1] for f1 in b1.final for q2 in base2.states)
-    return Bar(Ltsr(states, base1.names, base1.data, frozenset(transitions), initial), final)
+    roots = [(q1, q2, 1) for q1 in base1.initial for q2 in base2.initial]
+    found, rows = _explore(roots, edges)
+    names = [f"({_component(q1)},{_component(q2)},{copy})" for q1, q2, copy in found]
+    states = frozenset(names)
+    transitions = frozenset((names[i], r, names[j]) for i, row in enumerate(rows) for r, j in row)
+    initial = frozenset(names[: len(roots)])
+    final = frozenset(name for name, (q1, _, copy) in zip(names, found) if copy == 1 and q1 in final1)
+    if not final:
+        states = states | {"never"}
+        final = frozenset({"never"})
+    return Bar(Ltsr(states, base1.names, base1.data, transitions, initial), final)
 
 
 def buchi_empty(b: Bar) -> Optional[LassoWitness]:
@@ -705,7 +719,7 @@ def _productive(m: Machine) -> tuple:
     infinite run, and the productive initial states as a mask."""
     base = base_of(m)
     _, index, _, moves = _indexed(base)
-    keep = sum(1 << i for i, live in enumerate(_live_ids(moves, [True] * len(moves))) if live)
+    keep = sum(1 << i for i, live in enumerate(_live_ids(moves)) if live)
     masks = {r: [row & keep for row in rows] for r, rows in _masks(base).items()}
     return masks, _state_mask(index, base.initial) & keep
 

@@ -221,6 +221,28 @@ def naive_profile_compose(a, b):
     return (compose(reach_a, reach_b), fins)
 
 
+def reachable_from(succ, v) -> set:
+    """Nodes reachable from ``v`` in one step or more; ``succ[w]`` lists the
+    successors of node ``w``."""
+    seen = set()
+    frontier = list(succ[v])
+    while frontier:
+        w = frontier.pop()
+        if w not in seen:
+            seen.add(w)
+            frontier.extend(succ[w])
+    return seen
+
+
+def reachable_states(m):
+    """States reachable from the initial ones, by a plain graph search."""
+    base = base_of(m)
+    succ = {q: [] for q in base.states}
+    for src, _, dst in base.transitions:
+        succ[src].append(dst)
+    return set(base.initial).union(*(reachable_from(succ, q) for q in base.initial))
+
+
 def states_reaching_accepting_cycles(m):
     """States with a path to a final state that can return to itself.
 
@@ -244,6 +266,24 @@ def states_reaching_accepting_cycles(m):
     on_cycle = {f for f in m.final if f in reachable(succ.get(f, ()))}
     return {q for q in m.base.states if reachable([q]) & on_cycle}
 
+
+def naive_live_ids(succ, lists):
+    """Per node ``v`` of the id graph ``succ``, whether some node reachable
+    from ``v`` lies on a cycle that meets every list of ``lists`` (node
+    ``w`` meets a list when the list's ``w``-th entry is set); with no
+    list, any cycle will do.
+
+    Plain searches from every node, written straight from the definition: a
+    cycle through ``u`` can visit exactly the nodes that ``u`` reaches and
+    that reach ``u`` back.
+    """
+    reach_of = [reachable_from(succ, v) for v in range(len(succ))]
+    on_cycle = set()
+    for u, ahead_u in enumerate(reach_of):
+        loop = {w for w in ahead_u if u in reach_of[w]}
+        if u in loop and all(any(acc[w] for w in loop) for acc in lists):
+            on_cycle.add(u)
+    return [bool(({v} | ahead_v) & on_cycle) for v, ahead_v in enumerate(reach_of)]
 
 
 def naive_lasso_accepts(m, family, lasso):

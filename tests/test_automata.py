@@ -1,5 +1,7 @@
 """Machines: stepping, validation, acceptance, degeneralization."""
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +12,8 @@ from helpers import (
     lts,
     lts_to_bar,
     naive_lasso_accepts,
+    naive_live_ids,
+    reachable_from,
     rec,
     step,
     words_up_to,
@@ -32,8 +36,9 @@ from tsr.automata import (
     with_idle_loops,
     without_invisible_edges,
 )
-from tsr.automata import _live_ids
-from tsr.records import TAU, FiniteWord, Lasso
+from tsr.automata import _indexed, _live_ids, _loop_ids
+from tsr.congruence import GenParams, random_machine
+from tsr.records import TAU, FiniteWord, Lasso, enumerate_alphabet
 
 A = rec(A="0")
 F = rec(zz0="0")
@@ -243,6 +248,36 @@ def test_validate_reports_tokens_initial_states_labels_and_finals():
     assert "final states must be states of the machine" in msgs
 
 
+def test_validate_reports_a_label_that_is_not_a_record_beside_records():
+    # Sorting the transitions once compared the str label with the Record
+    # leaving the same state and raised TypeError.
+    base = Ltsr(
+        frozenset({"s0"}), frozenset({"A"}), frozenset({"0"}),
+        frozenset({("s0", "A=0", "s0"), ("s0", A, "s0")}), frozenset({"s0"}),
+    )
+    assert validate(base) == ["transition label 'A=0' is not a record"]
+
+
+def test_validate_reports_record_labels_by_source_label_and_target():
+    base = Ltsr(
+        frozenset({"s0", "s1"}), frozenset({"A"}), frozenset({"0"}),
+        frozenset({
+            ("s1", rec(A="1"), "s0"),
+            ("s0", rec(B="0"), "s1"),
+            ("s0", rec(A="1"), "s9"),
+            ("s0", rec(A="1"), "s1"),
+        }),
+        frozenset({"s0"}),
+    )
+    assert validate(base) == [
+        "transition label {A=1} uses data outside the data set",
+        "transition s0 -{A=1}-> s9 uses undeclared states",
+        "transition label {A=1} uses data outside the data set",
+        "transition label {B=0} uses ports outside the name set",
+        "transition label {A=1} uses data outside the data set",
+    ]
+
+
 def test_strongly_connected_components():
     edges = {"a": ["b"], "b": ["a", "c"], "c": []}
     sccs = strongly_connected_components(["a", "b", "c"], lambda n: edges[n])
@@ -268,23 +303,11 @@ def digraphs(draw):
     return nodes, succ
 
 
-def _reachable_from(succ, v) -> set:
-    """Nodes reachable from ``v`` in one step or more."""
-    seen = set()
-    frontier = list(succ[v])
-    while frontier:
-        w = frontier.pop()
-        if w not in seen:
-            seen.add(w)
-            frontier.extend(succ[w])
-    return seen
-
-
 @given(digraphs())
 def test_sccs_are_the_mutual_reachability_classes_in_reverse_topological_order(graph):
     nodes, succ = graph
     sccs = strongly_connected_components(nodes, lambda v: succ[v])
-    reach_of = {v: _reachable_from(succ, v) | {v} for v in range(len(succ))}
+    reach_of = {v: reachable_from(succ, v) | {v} for v in range(len(succ))}
     found = [v for scc in sccs for v in scc]
     assert len(found) == len(set(found))
     assert set(found) == set().union(*(reach_of[v] for v in nodes))
@@ -300,21 +323,35 @@ def test_sccs_are_the_mutual_reachability_classes_in_reverse_topological_order(g
 
 @given(digraphs(), st.data())
 def test_live_ids_are_the_nodes_reaching_an_accepting_cycle(graph, data):
-    # A node is live when it reaches a node on a cycle whose component meets
-    # every accepting list.
+    # Zero to three lists; sinks, self-loops and lists with no member occur.
     _, succ = graph
     n = len(succ)
     flags = st.lists(st.booleans(), min_size=n, max_size=n)
-    accepting = data.draw(st.lists(flags, min_size=1, max_size=3))
-    reach_of = [_reachable_from(succ, v) for v in range(n)]
-    on_cycle = set()
-    for a in range(n):
-        if a in reach_of[a]:
-            component = {w for w in reach_of[a] if a in reach_of[w]}
-            if all(any(acc[w] for w in component) for acc in accepting):
-                on_cycle.add(a)
-    expected = [bool(({v} | reach_of[v]) & on_cycle) for v in range(n)]
-    assert _live_ids(succ, *accepting) == expected
+    accepting = data.draw(st.lists(flags, max_size=3))
+    assert _live_ids(succ, *accepting) == naive_live_ids(succ, accepting)
+
+
+def test_gba_lasso_acceptance_matches_batched_loop_states():
+    # For each period the loop states are found once, and every prefix is
+    # judged by the states it reaches, as accepting_loop_states does for a
+    # Bar; a family of two sets makes the second set matter too.
+    names = frozenset({"A"})
+    letters = sorted(enumerate_alphabet(names, frozenset({"0", "1"})))
+    for seed in range(40):
+        b = random_machine(
+            GenParams(max_states=4, name_pool=names, data_pool=frozenset({"0", "1"}), seed=seed),
+            "bar",
+        )
+        rng = random.Random(f"gba-family:{seed}")
+        family = [{q for q in sorted(b.states) if rng.random() < 0.5} or set(b.final)
+                  for _ in range(2)]
+        g = Gba.make(b.states, b.names, b.data, b.transitions, b.initial, family)
+        for per in words_up_to(letters, 2)[1:]:
+            loop = {q for q, ok in zip(_indexed(g.base)[0], _loop_ids(g, per)) if ok}
+            for pre in words_up_to(letters, 2):
+                l = Lasso(pre, per, names)
+                batched = bool(reach(g, g.initial, FiniteWord(pre, names)) & loop)
+                assert accepts_lasso(g, l) == batched == naive_lasso_accepts(g, g.final_family, l)
 
 
 def test_degeneralize_single_member_family():

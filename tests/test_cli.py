@@ -167,8 +167,12 @@ def test_member_lasso(parity_files, tmp_path, capsys):
 def test_member_out_of_alphabet(parity_files, tmp_path, capsys):
     left, _ = parity_files
     alien = write_json(tmp_path, "w.json", [{"Z": "9"}])
-    assert main(["member", "--word", alien, left]) == 2
-    assert "error" in capsys.readouterr().err
+    alien_lasso = write_json(tmp_path, "l.json", {"prefix": [], "period": [{"Z": "0"}]})
+    for argv in (["--word", alien], ["--lasso", alien_lasso]):
+        assert main(["member", *argv, left]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "ports outside the declared name set" in err
 
 
 def test_member_outside_the_alphabet_exits_two(parity_files, tmp_path, capsys):

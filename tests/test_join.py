@@ -220,7 +220,10 @@ def test_composite_state_names_never_collide(names1, names2):
     g = join(m1, m2)
     assert len(g.states) == len(names1) * len(names2)
     assert len(g.transitions) == len(names1) * len(names2)
-    both = buchi_intersect(m1, m2)
+    # The intersection is built from its initial pairs, so it is taken with a
+    # self-loop copy of m2 on which every triple (q1, q2, copy) is reachable.
+    loops2 = bar(names2, ["A"], ["0"], [(q, A, q) for q in names2], names2, names2)
+    both = buchi_intersect(m1, loops2)
     assert len(both.states) == 2 * len(names1) * len(names2)
     assert len(both.transitions) == 2 * len(names1) * len(names2)
 

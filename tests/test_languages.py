@@ -18,6 +18,7 @@ from helpers import (
     lts_to_bar,
     naive_profile_compose,
     naive_reach,
+    reachable_states,
     rec,
     rename_machine,
     states_reaching_accepting_cycles,
@@ -506,6 +507,47 @@ def test_buchi_intersect():
             parity_left(),
             bar(["s0"], ["A"], ["1"], [("s0", rec(A="1"), "s0")], ["s0"], ["s0"]),
         )
+
+
+def test_intersections_with_complements_are_built_reachable_only():
+    # The full two-copy products of C9's first twelve machines with their
+    # complements have 24,742 states and 65,668 transitions in all.  In one
+    # of the twelve no final state is reachable, so it carries the padding
+    # state.
+    names, data = frozenset({"A"}), frozenset({"0", "1"})
+    params = GenParams(max_states=5, name_pool=names, data_pool=data)
+    states = transitions = padded = 0
+    for seed in range(12):
+        b = random_machine(replace(params, seed=seed), "bar")
+        both = buchi_intersect(b, buchi_complement(b))
+        padded += "never" in both.states
+        states += len(both.states - {"never"})
+        transitions += len(both.transitions)
+    assert (states, transitions, padded) == (1519, 4525, 1)
+
+
+@st.composite
+def bar_pairs(draw):
+    """Two small random Buchi automata over ports {A} and data {0, 1}."""
+    params = GenParams(max_states=4, name_pool=frozenset({"A"}), data_pool=frozenset({"0", "1"}))
+    return tuple(random_machine(replace(params, seed=draw(st.integers(0, 10**6))), "bar")
+                 for _ in range(2))
+
+
+@given(bar_pairs())
+def test_buchi_intersect_builds_only_reachable_states(pair):
+    b1, b2 = pair
+    both = buchi_intersect(b1, b2)
+    assert validate(both) == []
+    reachable = reachable_states(both)
+    if reachable & both.final:
+        assert both.states == reachable
+    else:
+        assert both.states == reachable | {"never"} and both.final == {"never"}
+    letters = [TAU, rec(A="0"), rec(A="1")]
+    for pre, per in lassos_up_to(letters, 2, 2):
+        l = Lasso.of(pre, per, names={"A"})
+        assert accepts_lasso(both, l) == (accepts_lasso(b1, l) and accepts_lasso(b2, l))
 
 
 def test_buchi_empty():
