@@ -19,7 +19,6 @@ from .automata import (
     Ltsr,
     accepts_finite,
     accepts_lasso,
-    base_of,
     trap_states,
     validate,
 )
@@ -82,8 +81,7 @@ def cmd_validate(args) -> int:
         for v in violations:
             print(f"violation: {v}")
         return 2
-    base = base_of(m)
-    n = len(base.states)
+    n = len(m.states)
     plural = "state" if n == 1 else "states"
     suffix = ", trapless" if not trap_states(m) else ""
     print(f"valid {type(m).__name__}, {n} {plural}{suffix}")
@@ -95,7 +93,7 @@ def cmd_join(args) -> int:
     m2 = _load_valid(args.right)
     if isinstance(m1, Bar) and isinstance(m2, Bar):
         result = join_bar_flat(m1, m2) if args.flatten else join(m1, m2)
-    elif isinstance(m1, Ltsr) and isinstance(m2, Ltsr):
+    elif type(m1) is Ltsr and type(m2) is Ltsr:
         result = join_lts(m1, m2)
     else:
         print(
@@ -138,14 +136,13 @@ def _check_data(symbols, data, what: str):
 
 def cmd_member(args) -> int:
     m = _load_valid(args.machine)
-    base = base_of(m)
     if args.word:
-        word = word_from_json(load_json(args.word), base.names)
-        _check_data(word.symbols, base.data, "word")
+        word = word_from_json(load_json(args.word), m.names)
+        _check_data(word.symbols, m.data, "word")
         ok = accepts_finite(m, word)
     else:
-        lasso = lasso_from_json(load_json(args.lasso), base.names)
-        _check_data(lasso.prefix + lasso.period, base.data, "lasso")
+        lasso = lasso_from_json(load_json(args.lasso), m.names)
+        _check_data(lasso.prefix + lasso.period, m.data, "lasso")
         ok = accepts_lasso(m, lasso)
     print("true" if ok else "false")
     return 0 if ok else 1

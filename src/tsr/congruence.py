@@ -129,19 +129,19 @@ def random_machine(params: GenParams, kind: str = "bar") -> Machine:
         for q in states:
             if q not in with_out:
                 transitions.add((q, rng.choice(letters), q))
-    base = Ltsr.make(states, params.name_pool, params.data_pool, transitions, initial)
+    fields = (states, params.name_pool, params.data_pool, transitions, initial)
     if kind == "lts":
-        return base
+        return Ltsr.make(*fields)
     final = {q for q in states if rng.random() < FINAL_DENSITY}
     if not final:
         final = {rng.choice(states)}
-    return Bar(base, frozenset(final))
+    return Bar.make(*fields, final)
 
 
 def relation_equiv(rel: str, a: Machine, b: Machine) -> Verdict:
     """Decide ``a ~ b`` for one of the relations ``ft``, ``f``, ``it``, ``b``."""
     if rel == "ft":
-        return finite_equiv(base_of(a), base_of(b))
+        return finite_equiv(*map(base_of, (a, b)))
     if rel == "f":
         return finite_equiv(a, b)
     if rel == "it":
@@ -152,62 +152,54 @@ def relation_equiv(rel: str, a: Machine, b: Machine) -> Verdict:
 
 
 def _rename_states(m: Machine, rng: random.Random) -> Machine:
-    base = base_of(m)
-    order = sorted(base.states)
+    order = sorted(m.states)
     targets = list(range(len(order)))
     rng.shuffle(targets)
     mapping = {q: f"s{t}" for q, t in zip(order, targets)}
-    new_base = Ltsr(
-        frozenset(mapping.values()),
-        base.names,
-        base.data,
-        frozenset((mapping[s], r, mapping[d]) for (s, r, d) in base.transitions),
-        frozenset(mapping[q] for q in base.initial),
+    return _rebuilt(
+        m,
+        lambda final: frozenset(mapping[q] for q in final),
+        states=frozenset(mapping.values()),
+        transitions=frozenset((mapping[s], r, mapping[d]) for (s, r, d) in m.transitions),
+        initial=frozenset(mapping[q] for q in m.initial),
     )
-    return _rebuilt(m, new_base, lambda final: frozenset(mapping[q] for q in final))
 
 
 def _duplicate_state(m: Machine, rng: random.Random) -> Machine:
     # Add a twin of one state: same outgoing edges, incoming edges split
     # between the original and the twin. The twin simulates the original
     # exactly, so every language is preserved.
-    base = base_of(m)
-    victim = rng.choice(sorted(base.states))
-    twin = fresh_name(base.states, "dup")
+    victim = rng.choice(sorted(m.states))
+    twin = fresh_name(m.states, "dup")
     transitions = set()
-    for (src, r, dst) in sorted(base.transitions):
+    for (src, r, dst) in sorted(m.transitions):
         keep_target = dst
         if dst == victim and rng.random() < 0.5:
             keep_target = twin
         transitions.add((src, r, keep_target))
-    for (src, r, dst) in sorted(base.transitions):
+    for (src, r, dst) in sorted(m.transitions):
         if src == victim:
             transitions.add((twin, r, dst))
-    initial = set(base.initial)
+    initial = set(m.initial)
     if victim in initial and rng.random() < 0.5:
         initial.add(twin)
-    new_base = Ltsr(
-        base.states | {twin},
-        base.names,
-        base.data,
-        frozenset(transitions),
-        frozenset(initial),
+    return _rebuilt(
+        m,
+        lambda final: final | {twin} if victim in final else final,
+        states=m.states | {twin},
+        transitions=frozenset(transitions),
+        initial=frozenset(initial),
     )
-    return _rebuilt(m, new_base, lambda final: final | {twin} if victim in final else final)
 
 
 def _add_unreachable(m: Machine, rng: random.Random) -> Machine:
-    base = base_of(m)
-    extra = fresh_name(base.states, "u")
-    letters = sorted(enumerate_alphabet(base.names, base.data))
-    new_base = Ltsr(
-        base.states | {extra},
-        base.names,
-        base.data,
-        base.transitions | {(extra, rng.choice(letters), extra)},
-        base.initial,
+    extra = fresh_name(m.states, "u")
+    letters = sorted(enumerate_alphabet(m.names, m.data))
+    return _rebuilt(
+        m,
+        states=m.states | {extra},
+        transitions=m.transitions | {(extra, rng.choice(letters), extra)},
     )
-    return _rebuilt(m, new_base)
 
 
 def _shift_final_along_cycle(m: Bar, rng: random.Random) -> Optional[Bar]:
@@ -215,12 +207,11 @@ def _shift_final_along_cycle(m: Bar, rng: random.Random) -> Optional[Bar]:
     # keeps every infinite run's count of final visits intact on that cycle,
     # so it often preserves the lasso language while changing the finite one;
     # the caller re-verifies and discards shifts that change both.
-    base = base_of(m)
     succ = {}
-    for (src, _, dst) in base.transitions:
+    for (src, _, dst) in m.transitions:
         succ.setdefault(src, set()).add(dst)
     cycle = None
-    for start in sorted(base.states):
+    for start in sorted(m.states):
         # Breadth-first over (state, parity); an even cycle through start
         # exists when (start, even) is re-reachable in at least two steps.
         # Not _explore: this search stops reading a state's successors at its
@@ -257,7 +248,7 @@ def _shift_final_along_cycle(m: Bar, rng: random.Random) -> Optional[Bar]:
             shifted.add(nxt)
     if not shifted or frozenset(shifted) == m.final:
         return None
-    return Bar(m.base, frozenset(shifted))
+    return replace(m, final=frozenset(shifted))
 
 
 def language_preserving_mutate(m: Machine, seed, relation: str = "f") -> Machine:
@@ -304,7 +295,7 @@ def check_instance(rel: str, a: Machine, b: Machine, c: Machine) -> CongruenceIn
         raise TsrError(f"unknown relation {rel!r}")
     if rel == "it":
         for label, machine in (("left", a), ("right", b), ("context", c)):
-            traps = trap_states(base_of(machine))
+            traps = trap_states(machine)
             if traps:
                 raise TrapStateError(
                     f"{label} machine has trap states {sorted(traps)}; "
@@ -378,12 +369,10 @@ def distinguish_by_context(b1: Bar, b2: Bar) -> Optional[Tuple[Bar, Lasso]]:
     buc = buchi_equiv(b1, b2)
     if fin.equal and buc.equal:
         return None
-    context = distinguishing_context(
-        base_of(b1).names, base_of(b2).names, base_of(b1).data
-    )
+    context = distinguishing_context(b1.names, b2.names, b1.data)
     loop_letter = next(iter(context.transitions))[1]
     j1, j2 = join(b1, context), join(b2, context)
-    names = base_of(j1).names | base_of(j2).names
+    names = j1.names | j2.names
 
     candidates = []
     for first, second in ((b1, b2), (b2, b1)):

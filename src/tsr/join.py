@@ -27,7 +27,6 @@ from .automata import (
     Machine,
     _canonical_family,
     _component,
-    base_of,
     degeneralize,
 )
 from .errors import DataSetMismatchError, TsrError
@@ -43,38 +42,38 @@ def product_state(left: str, right: str) -> str:
     return f"({_component(left)},{_component(right)})"
 
 
-def _moves_by_label(base: Ltsr) -> dict:
+def _moves_by_label(m: Machine) -> dict:
     """label -> [(source, target)], labels in first-seen order."""
     moves = {}
-    for p, r, q in base.transitions:
+    for p, r, q in m.transitions:
         moves.setdefault(r, []).append((p, q))
     return moves
 
 
-def _joined_base(base1: Ltsr, base2: Ltsr) -> Ltsr:
-    """The composed transition system.
+def _joined_base(m1: Machine, m2: Machine) -> Ltsr:
+    """The composed transition system, acceptance left out.
 
     Whether a move may go alone (rule 2 or 3) or with which partner (rule 1)
     depends only on the labels and the name sets, so it is decided once per
     label or label pair, and each joined label is built once.
     """
-    if base1.data != base2.data:
+    if m1.data != m2.data:
         raise DataSetMismatchError(
-            f"join requires one shared data set, got {sorted(base1.data)} and {sorted(base2.data)}"
+            f"join requires one shared data set, got {sorted(m1.data)} and {sorted(m2.data)}"
         )
-    n1, n2 = base1.names, base2.names
-    pair = {(s1, s2): product_state(s1, s2) for s1 in base1.states for s2 in base2.states}
-    moves1, moves2 = _moves_by_label(base1), _moves_by_label(base2)
+    n1, n2 = m1.names, m2.names
+    pair = {(s1, s2): product_state(s1, s2) for s1 in m1.states for s2 in m2.states}
+    moves1, moves2 = _moves_by_label(m1), _moves_by_label(m2)
     transitions = set()
     for r1, edges1 in moves1.items():
         if not r1.domain & n2:
             for p1, q1 in edges1:
-                for s2 in base2.states:
+                for s2 in m2.states:
                     transitions.add((pair[p1, s2], r1, pair[q1, s2]))
     for r2, edges2 in moves2.items():
         if not r2.domain & n1:
             for p2, q2 in edges2:
-                for s1 in base1.states:
+                for s1 in m1.states:
                     transitions.add((pair[s1, p2], r2, pair[s1, q2]))
     for r1, edges1 in moves1.items():
         for r2, edges2 in moves2.items():
@@ -84,8 +83,8 @@ def _joined_base(base1: Ltsr, base2: Ltsr) -> Ltsr:
                     for p2, q2 in edges2:
                         transitions.add((pair[p1, p2], r, pair[q1, q2]))
     states = frozenset(pair.values())
-    initial = frozenset(pair[s1, s2] for s1 in base1.initial for s2 in base2.initial)
-    return Ltsr(states, n1 | n2, base1.data, frozenset(transitions), initial)
+    initial = frozenset(pair[s1, s2] for s1 in m1.initial for s2 in m2.initial)
+    return Ltsr(states, n1 | n2, m1.data, frozenset(transitions), initial)
 
 
 def join(b1: Bar, b2: Bar) -> Gba:
@@ -98,19 +97,19 @@ def join(b1: Bar, b2: Bar) -> Gba:
     """
     if not isinstance(b1, Bar) or not isinstance(b2, Bar):
         raise TsrError("join is defined on two Buchi automata; see join_lts for plain systems")
-    base = _joined_base(b1.base, b2.base)
+    joined = _joined_base(b1, b2)
     left_final = frozenset(
         product_state(f1, s2) for f1 in b1.final for s2 in b2.states
     )
     right_final = frozenset(
         product_state(s1, f2) for s1 in b1.states for f2 in b2.final
     )
-    return Gba(base, _canonical_family((left_final, right_final)))
+    return Gba(**vars(joined), final_family=_canonical_family((left_final, right_final)))
 
 
 def join_lts(m1: Machine, m2: Machine) -> Ltsr:
     """Join two transition systems, ignoring any acceptance structure."""
-    return _joined_base(base_of(m1), base_of(m2))
+    return _joined_base(m1, m2)
 
 
 def join_bar_flat(b1: Bar, b2: Bar) -> Bar:

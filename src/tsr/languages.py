@@ -35,7 +35,6 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .automata import (
     Bar,
     Gba,
-    Ltsr,
     Machine,
     Verdict,
     _component,
@@ -94,14 +93,13 @@ class LassoWitness:
 
 
 def _union_letters(x1: Machine, x2: Machine) -> Tuple[frozenset, List[Record]]:
-    base1, base2 = base_of(x1), base_of(x2)
-    if base1.data != base2.data:
+    if x1.data != x2.data:
         raise DataSetMismatchError(
             "finite/omega language comparison requires one shared data set, "
-            f"got {sorted(base1.data)} and {sorted(base2.data)}"
+            f"got {sorted(x1.data)} and {sorted(x2.data)}"
         )
-    names = base1.names | base2.names
-    return names, sorted(enumerate_alphabet(names, base1.data))
+    names = x1.names | x2.names
+    return names, sorted(enumerate_alphabet(names, x1.data))
 
 
 def _subset_pairs(masks1, masks2, start, letters):
@@ -134,12 +132,11 @@ def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
     """The first word of ``_subset_pairs`` over the union alphabet at which
     ``stop``, given the pair of acceptance flags, returns True: a shortest
     witness."""
-    base1, base2 = base_of(x1), base_of(x2)
     names, letters = _union_letters(x1, x2)
-    index1, index2 = _indexed(base1)[1], _indexed(base2)[1]
+    index1, index2 = _indexed(x1)[1], _indexed(x2)[1]
     t1, t2 = _state_mask(index1, finite_targets(x1)), _state_mask(index2, finite_targets(x2))
-    start = (_state_mask(index1, base1.initial), _state_mask(index2, base2.initial))
-    for (s1, s2), word in _subset_pairs(_masks(base1), _masks(base2), start, letters):
+    start = (_state_mask(index1, x1.initial), _state_mask(index2, x2.initial))
+    for (s1, s2), word in _subset_pairs(_masks(x1), _masks(x2), start, letters):
         if stop(bool(s1 & t1), bool(s2 & t2)):
             return FiniteWord(word, names)
     return None
@@ -171,15 +168,13 @@ def _reachable(b: Union[Bar, Gba]) -> Union[Bar, Gba]:
     otherwise multiply the monoid.  A ``Gba`` has every family member
     restricted.
     """
-    base = base_of(b)
-    order, index, _, moves = _indexed(base)
-    seen = _reached(moves, [index[q] for q in base.initial])
+    order, index, _, moves = _indexed(b)
+    seen = _reached(moves, [index[q] for q in b.initial])
     if all(seen):
         return b
     states = frozenset(q for q, keep in zip(order, seen) if keep)
-    kept = frozenset(t for t in base.transitions if t[0] in states)
-    reachable = Ltsr(states, base.names, base.data, kept, base.initial)
-    return _rebuilt(b, reachable, lambda final: final & states)
+    kept = frozenset(t for t in b.transitions if t[0] in states)
+    return _rebuilt(b, lambda final: final & states, states=states, transitions=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +285,7 @@ class _ProfileSpace:
 
 
 def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpace:
-    base = base_of(b)
-    order, index, _, _ = _indexed(base)
+    order, index, _, _ = _indexed(b)
     n = len(order)
     nn = n * n
     fmasks = [_state_mask(index, final) for final in _final_sets(b)]  # one per member of F
@@ -304,7 +298,7 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
         for j, fmask in enumerate(fmasks):
             if (fmask >> p) & 1:
                 unit_f |= 1 << (j * nn + p * n + p)
-    masks = _masks(base)
+    masks = _masks(b)
     letter_profiles = {}
     for r in letters:
         lr = lf = 0
@@ -323,7 +317,7 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
         (unit_r, unit_f),
         letter_profiles,
         {r: _rows(x, n, frow) for r, x in letter_profiles.items()},
-        _state_mask(index, base.initial),
+        _state_mask(index, b.initial),
     )
 
 
@@ -378,19 +372,18 @@ def _simulated(a: Union[Bar, Gba], b: Union[Bar, Gba]) -> bool:
     the bit mask of the ids of ``b`` that simulate p, refined from that
     acceptance seed to the greatest fixpoint.
     """
-    base_a, base_b = base_of(a), base_of(b)
-    index_a, index_b = _indexed(base_a)[1], _indexed(base_b)[1]
-    masks_b = _masks(base_b)
+    index_a, index_b = _indexed(a)[1], _indexed(b)[1]
+    masks_b = _masks(b)
     # moves[p]: per letter p moves on, b's successor rows and p's targets.
     stuck = [0] * len(index_b)
     moves = [
-        [(masks_b.get(r, stuck), row[p]) for r, row in _masks(base_a).items() if row[p]]
+        [(masks_b.get(r, stuck), row[p]) for r, row in _masks(a).items() if row[p]]
         for p in range(len(index_a))
     ]
     finals_a = [_state_mask(index_a, f) for f in _final_sets(a)]
     finals_b = [_state_mask(index_b, f) for f in _final_sets(b)]
-    starts_a = list(_ids(_state_mask(index_a, base_a.initial)))
-    start_b = _state_mask(index_b, base_b.initial)
+    starts_a = list(_ids(_state_mask(index_a, a.initial)))
+    start_b = _state_mask(index_b, b.initial)
     every_b = (1 << len(index_b)) - 1
     for stand_in in product(range(len(finals_a)), repeat=len(finals_b)):
         sim = []
@@ -458,7 +451,7 @@ def buchi_equiv(
         return Verdict(True)
     spaces = (_profile_space(b1, letters), _profile_space(b2, letters))
     start = (spaces[0].initial_mask, spaces[1].initial_mask)
-    pairs = list(_subset_pairs(_masks(base_of(b1)), _masks(base_of(b2)), start, letters))
+    pairs = list(_subset_pairs(_masks(b1), _masks(b2), start, letters))
 
     # A period matters only through the states from which reading it forever
     # accepts, so one idempotent per such pair of state sets is scanned: the
@@ -504,13 +497,12 @@ def buchi_complement(b: Bar) -> Bar:
     if not isinstance(b, Bar):
         raise TsrError("buchi_complement takes a Buchi automaton")
     b = _reachable(b)
-    base = base_of(b)
-    if len(base.states) > DEFAULT_COMPLEMENT_STATE_LIMIT:
+    if len(b.states) > DEFAULT_COMPLEMENT_STATE_LIMIT:
         raise SizeBoundError(
             f"complementation is limited to {DEFAULT_COMPLEMENT_STATE_LIMIT} states, "
-            f"got {len(base.states)}"
+            f"got {len(b.states)}"
         )
-    letters = sorted(enumerate_alphabet(base.names, base.data))
+    letters = sorted(enumerate_alphabet(b.names, b.data))
     space = _profile_space(b, letters)
     nonempty = dict(_joint_closure((space,), letters, COMPLEMENT_MONOID_LIMIT))
 
@@ -525,7 +517,7 @@ def buchi_complement(b: Bar) -> Bar:
     # by stepping along the closure, which reaches every element from the unit.
     # rhos[id of sigma]: the ids of the periods rho such that (sigma, rho) is
     # a linked, non-accepting pair.
-    masks = _masks(base)
+    masks = _masks(b)
     reach = {0: space.initial_mask}
     for x, row in enumerate(succ):
         for r, y in zip(letters, row):
@@ -590,7 +582,7 @@ def buchi_complement(b: Bar) -> Bar:
     if not final:
         states = states | {"never"}
         final = frozenset({"never"})
-    return Bar(Ltsr(states, base.names, base.data, transitions, frozenset({names[0]})), final)
+    return Bar(states, b.names, b.data, transitions, frozenset({names[0]}), final)
 
 
 def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
@@ -605,17 +597,16 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
     """
     if not (isinstance(b1, Bar) and isinstance(b2, Bar)):
         raise TsrError("buchi_intersect takes two Buchi automata")
-    base1, base2 = base_of(b1), base_of(b2)
-    if base1.names != base2.names or base1.data != base2.data:
+    if b1.names != b2.names or b1.data != b2.data:
         raise AlphabetMismatchError(
             "intersection requires identical alphabets (same names and data)"
         )
     final1, final2 = b1.final, b2.final
     left = {}
-    for (p1, r, q1) in base1.transitions:
+    for (p1, r, q1) in b1.transitions:
         left.setdefault(p1, []).append((r, q1))
     right = {}
-    for (p2, r, q2) in base2.transitions:
+    for (p2, r, q2) in b2.transitions:
         right.setdefault(p2, {}).setdefault(r, []).append(q2)
 
     def edges(state):
@@ -632,7 +623,7 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
                 for q2 in moves.get(r, ()):  # synchronize on equal labels
                     yield r, (q1, q2, nxt)
 
-    roots = [(q1, q2, 1) for q1 in base1.initial for q2 in base2.initial]
+    roots = [(q1, q2, 1) for q1 in b1.initial for q2 in b2.initial]
     found, rows = _explore(roots, edges)
     names = [f"({_component(q1)},{_component(q2)},{copy})" for q1, q2, copy in found]
     states = frozenset(names)
@@ -642,7 +633,7 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
     if not final:
         states = states | {"never"}
         final = frozenset({"never"})
-    return Bar(Ltsr(states, base1.names, base1.data, transitions, initial), final)
+    return Bar(states, b1.names, b1.data, transitions, initial, final)
 
 
 def buchi_empty(b: Bar) -> Optional[LassoWitness]:
@@ -654,15 +645,14 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
     """
     if not isinstance(b, Bar):
         raise TsrError("buchi_empty takes a Buchi automaton")
-    base = base_of(b)
     out = {}
-    for (src, r, dst) in base.transitions:
+    for (src, r, dst) in b.transitions:
         out.setdefault(src, []).append((r, dst))
     for src in out:
         out[src].sort()
     edges = lambda q: out.get(q, ())
 
-    roots = sorted(base.initial)
+    roots = sorted(b.initial)
     found, rows = _explore(roots, edges)
     succ = [[j for _, j in row] for row in rows]
     looping = [
@@ -677,7 +667,7 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
     back = _explore([found[f]], edges)[1]
     last, r = next((i, r) for i, row in enumerate(back) for r, j in row if j == 0)
     period = _labels_to(back, 1, last) + [r]
-    return LassoWitness(Lasso(tuple(prefix), tuple(period), base.names), "machine")
+    return LassoWitness(Lasso(tuple(prefix), tuple(period), b.names), "machine")
 
 
 def _labels_to(rows, roots: int, node: int) -> list:
@@ -707,7 +697,7 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
         raise TsrError("accepting_loop_states takes a Buchi automaton")
     if not period:
         raise TsrError("period must be non-empty")
-    order = _indexed(base_of(b))[0]
+    order = _indexed(b)[0]
     return frozenset(q for q, keep in zip(order, _loop_ids(b, period)) if keep)
 
 
@@ -717,11 +707,10 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
 def _productive(m: Machine) -> tuple:
     """``_masks`` cut down to the productive states, those starting some
     infinite run, and the productive initial states as a mask."""
-    base = base_of(m)
-    _, index, _, moves = _indexed(base)
+    _, index, _, moves = _indexed(m)
     keep = sum(1 << i for i, live in enumerate(_live_ids(moves)) if live)
-    masks = {r: [row & keep for row in rows] for r, rows in _masks(base).items()}
-    return masks, _state_mask(index, base.initial) & keep
+    masks = {r: [row & keep for row in rows] for r, rows in _masks(m).items()}
+    return masks, _state_mask(index, m.initial) & keep
 
 
 def _extend_to_lasso(prefix_word, mask, masks, names) -> Lasso:
@@ -778,9 +767,8 @@ def componentwise_traceable(w: FiniteWord, m1: Machine, m2: Machine) -> bool:
     component can trace the visible part of the word restricted to its own
     ports.  Exact for machines that can always idle invisibly in place.
     """
-    base1, base2 = base_of(m1), base_of(m2)
-    return traceable(m1, vis(restrict_word(w, base1.names))) and traceable(
-        m2, vis(restrict_word(w, base2.names))
+    return traceable(m1, vis(restrict_word(w, m1.names))) and traceable(
+        m2, vis(restrict_word(w, m2.names))
     )
 
 
@@ -793,12 +781,11 @@ def componentwise_lasso_traceable(l: Lasso, m1: Machine, m2: Machine) -> bool:
     infinite traceability).  Exact for trapless idle-capable machines.
     """
     for m in (m1, m2):
-        base = base_of(m)
-        part = vis_lasso(restrict_lasso(l, base.names))
+        part = vis_lasso(restrict_lasso(l, m.names))
         if isinstance(part, FiniteWord):
             ok = traceable(m, part)
         else:
-            ok = accepts_lasso(base, part)
+            ok = accepts_lasso(base_of(m), part)
         if not ok:
             return False
     return True
@@ -806,6 +793,6 @@ def componentwise_lasso_traceable(l: Lasso, m1: Machine, m2: Machine) -> bool:
 
 def componentwise_accepts_finite(w: FiniteWord, b1: Bar, b2: Bar) -> bool:
     """Membership formula for the finite-word language of a join of Bars."""
-    return accepts_finite(b1, vis(restrict_word(w, base_of(b1).names))) and accepts_finite(
-        b2, vis(restrict_word(w, base_of(b2).names))
+    return accepts_finite(b1, vis(restrict_word(w, b1.names))) and accepts_finite(
+        b2, vis(restrict_word(w, b2.names))
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Union
 
-from .automata import Bar, Gba, Ltsr, Machine, Verdict, base_of
+from .automata import Bar, Gba, Ltsr, Machine, Verdict
 from .congruence import CongruenceInstance, FuzzReport
 from .errors import MachineFormatError
 from .records import FiniteWord, Lasso, Record
@@ -96,17 +96,16 @@ def _transition_key(t: dict):
 
 
 def machine_to_json(m: Machine) -> dict:
-    base = base_of(m)
     transitions = [
         {"from": src, "label": record_to_json(r), "to": dst}
-        for (src, r, dst) in base.transitions
+        for (src, r, dst) in m.transitions
     ]
     transitions.sort(key=_transition_key)
     out = {
-        "names": sorted(base.names),
-        "data": sorted(base.data),
-        "states": sorted(base.states),
-        "initial": sorted(base.initial),
+        "names": sorted(m.names),
+        "data": sorted(m.data),
+        "states": sorted(m.states),
+        "initial": sorted(m.initial),
         "transitions": transitions,
     }
     if isinstance(m, Bar):
@@ -148,9 +147,9 @@ def machine_from_json(obj) -> Machine:
         if not isinstance(t["from"], str) or not isinstance(t["to"], str):
             raise MachineFormatError("transition endpoints must be strings")
         transitions.append((t["from"], _label_from_json(t["label"], labels), t["to"]))
-    base = Ltsr.make(states, names, data, transitions, initial)
+    fields = (states, names, data, transitions, initial)
     if "final" in obj:
-        return Bar(base, frozenset(_string_list(obj, "final")))
+        return Bar.make(*fields, _string_list(obj, "final"))
     if "final_family" in obj:
         family = obj["final_family"]
         if not isinstance(family, list):
@@ -160,8 +159,8 @@ def machine_from_json(obj) -> Machine:
             if not isinstance(member, list) or not all(isinstance(x, str) for x in member):
                 raise MachineFormatError("every final-family member must be an array of strings")
             members.append(frozenset(member))
-        return Gba.make(states, names, data, transitions, initial, members)
-    return base
+        return Gba.make(*fields, members)
+    return Ltsr.make(*fields)
 
 
 def instance_to_json(ci: CongruenceInstance) -> dict:

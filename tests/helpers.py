@@ -36,7 +36,7 @@ def lts_to_bar(m):
     Finite acceptance then coincides with traceability and infinite acceptance
     with the existence of an infinite run.
     """
-    return Bar(m, m.states)
+    return Bar(**vars(m), final=m.states)
 
 
 def words_up_to(letters, max_len):
@@ -173,10 +173,10 @@ def rename_machine(m, mapping):
         frozenset(mapping[q] for q in base.initial),
     )
     if isinstance(m, Bar):
-        return Bar(new_base, frozenset(mapping[q] for q in m.final))
+        return Bar(**vars(new_base), final=frozenset(mapping[q] for q in m.final))
     if isinstance(m, Gba):
         family = (frozenset(mapping[q] for q in member) for member in m.final_family)
-        return Gba(new_base, _canonical_family(family))
+        return Gba(**vars(new_base), final_family=_canonical_family(family))
     return new_base
 
 

@@ -25,6 +25,7 @@ from tsr.automata import (
     Verdict,
     accepts_finite,
     accepts_lasso,
+    base_of,
     degeneralize,
     finite_targets,
     gba_accepts_lasso,
@@ -181,7 +182,7 @@ def test_accepts_lasso_takes_every_machine_kind(case):
     base, final, family, l = case
     expected = {
         base: accepts_lasso(lts_to_bar(base), l),
-        Bar(base, frozenset(final)): naive_lasso_accepts(base, [final], l),
+        Bar(**vars(base), final=frozenset(final)): naive_lasso_accepts(base, [final], l),
         Gba.make(base.states, ["A"], ["0"], base.transitions, base.initial, family):
             naive_lasso_accepts(base, family, l),
     }
@@ -189,6 +190,20 @@ def test_accepts_lasso_takes_every_machine_kind(case):
     for m, accepted in expected.items():
         assert accepts_lasso(m, l) == accepted
         assert gba_accepts_lasso(m, l) == accepted
+
+
+def test_a_bar_and_its_plain_system_are_distinct_cache_keys():
+    # _indexed, _masks and _targets_mask are cached per machine; were a Bar
+    # equal to its plain system, the second call would read the first's
+    # finite targets.
+    b = bar(["s0", "s1"], ["A"], ["0"], [("s0", A, "s1")], ["s0"], ["s0"])
+    plain = base_of(b)
+    w = FiniteWord((A,), frozenset({"A"}))
+    assert accepts_finite(plain, w)
+    assert not accepts_finite(b, w)
+    assert plain != b and plain == base_of(plain)
+    assert type(plain) is Ltsr and not hasattr(plain, "base")
+    assert isinstance(b, Ltsr) and b.base == plain
 
 
 def test_trap_states_and_idle_loops():
@@ -224,15 +239,12 @@ def test_validate_reports_violations():
     assert any("outside the data set" in v for v in msgs)
 
     no_final = Bar(
-        Ltsr(
-            frozenset({"s0"}), frozenset({"A"}), frozenset({"0"}),
-            frozenset({("s0", A, "s0")}), frozenset({"s0"}),
-        ),
-        frozenset(),
+        frozenset({"s0"}), frozenset({"A"}), frozenset({"0"}),
+        frozenset({("s0", A, "s0")}), frozenset({"s0"}), frozenset(),
     )
     assert any("final set must be non-empty" in v for v in validate(no_final))
 
-    stray_member = Gba(no_final.base, (frozenset({"sX"}),))
+    stray_member = Gba(**vars(base_of(no_final)), final_family=(frozenset({"sX"}),))
     assert any("final-family member" in v for v in validate(stray_member))
 
 
@@ -241,7 +253,7 @@ def test_validate_reports_tokens_initial_states_labels_and_finals():
         frozenset({"s0", "bad state"}), frozenset({"A"}), frozenset({"0"}),
         frozenset({("s0", "A=0", "s0")}), frozenset({"s0", "s9"}),
     )
-    msgs = validate(Bar(base, frozenset({"s8"})))
+    msgs = validate(Bar(**vars(base), final=frozenset({"s8"})))
     assert "state id must be a non-empty string without whitespace, got 'bad state'" in msgs
     assert "initial states must be states of the machine" in msgs
     assert "transition label 'A=0' is not a record" in msgs
@@ -275,6 +287,24 @@ def test_validate_reports_record_labels_by_source_label_and_target():
         "transition label {A=1} uses data outside the data set",
         "transition label {B=0} uses ports outside the name set",
         "transition label {A=1} uses data outside the data set",
+    ]
+
+
+def test_validate_reports_tokens_that_are_not_strings_beside_strings():
+    # Sorting the tokens, or the transitions by source, once compared an int
+    # with a str and raised TypeError.
+    def machine(states, names, transitions):
+        return Ltsr(frozenset(states), frozenset(names), frozenset({"0"}),
+                    frozenset(transitions), frozenset({"s0"}))
+
+    assert validate(machine({"s0", 1}, {"A"}, {("s0", A, "s0")})) == [
+        "state id must be a non-empty string without whitespace, got 1",
+    ]
+    assert validate(machine({"s0"}, {"A", 2}, {("s0", A, "s0")})) == [
+        "port name must be a non-empty string without whitespace, got 2",
+    ]
+    assert validate(machine({"s0"}, {"A"}, {(1, A, "s0"), ("s0", A, "s0")})) == [
+        "transition 1 -{A=0}-> s0 uses undeclared states",
     ]
 
 
@@ -347,7 +377,7 @@ def test_gba_lasso_acceptance_matches_batched_loop_states():
                   for _ in range(2)]
         g = Gba.make(b.states, b.names, b.data, b.transitions, b.initial, family)
         for per in words_up_to(letters, 2)[1:]:
-            loop = {q for q, ok in zip(_indexed(g.base)[0], _loop_ids(g, per)) if ok}
+            loop = {q for q, ok in zip(_indexed(g)[0], _loop_ids(g, per)) if ok}
             for pre in words_up_to(letters, 2):
                 l = Lasso(pre, per, names)
                 batched = bool(reach(g, g.initial, FiniteWord(pre, names)) & loop)

@@ -116,8 +116,12 @@ def test_join_mixed_kinds_is_an_error(tmp_path, capsys):
     b, _ = parity_bars()
     lp = write_machine(tmp_path, "l.json", m)
     bp = write_machine(tmp_path, "b.json", b)
-    assert main(["join", lp, bp]) == 2
-    assert "error" in capsys.readouterr().err
+    # Every kind is an Ltsr, so only a plain system on both sides may take
+    # the join_lts branch; a Gba is never an input to join.
+    gp = str(GOLDEN / "joined.json")
+    for left, right in ((lp, bp), (bp, lp), (gp, gp)):
+        assert main(["join", left, right]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_equiv_exit_codes(parity_files, capsys):

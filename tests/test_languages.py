@@ -616,7 +616,7 @@ def dead_end_pairs(draw, kind="lts"):
         | {("a0", letters[0], "u1"), ("u0", letters[-1], "u1")},
         base.initial | draw(st.sets(dead)),
     )
-    return m, (tailed if kind == "lts" else Bar(tailed, m.final))
+    return m, (tailed if kind == "lts" else Bar(**vars(tailed), final=m.final))
 
 
 @given(st.one_of(dead_end_pairs(), dead_end_pairs("bar")), st.data())

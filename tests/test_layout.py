@@ -1,5 +1,6 @@
 """Source layout: every module-level private name of the library is used,
-and no module of the library or the tests imports a name it never reads."""
+no module of the library or the tests imports a name it never reads, and
+the library never reads ``base``."""
 
 import ast
 from pathlib import Path
@@ -33,14 +34,18 @@ def _referenced(stmt) -> set:
     return out
 
 
+def _statements(src: Path):
+    """Each top-level statement of the package, with its module's file name."""
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            yield path.name, stmt
+
+
 def _unread(src: Path, wanted) -> list:
     """Module-level names for which ``wanted`` holds that no statement of
     the package reads outside the one defining them.  Imports do not count
     as reads, so a name only imported somewhere is still reported."""
-    statements = []
-    for path in sorted(src.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            statements.append((path.name, stmt, _referenced(stmt)))
+    statements = [(module, stmt, _referenced(stmt)) for module, stmt in _statements(src)]
     out = []
     for module, stmt, _ in statements:
         for name in _defined(stmt):
@@ -60,6 +65,14 @@ def unexported_public_names(src: Path, exported) -> list:
     """Module-level public names that are not in ``exported`` and that
     nothing reads: library code that only tests or outside tools call."""
     return _unread(src, lambda name: not name.startswith("_") and name not in exported)
+
+
+def readers_of(src: Path, name: str) -> list:
+    """The top-level statements of the package that read ``name``, as a
+    bare name or as an attribute."""
+    return [
+        f"{module}:{stmt.lineno}" for module, stmt in _statements(src) if name in _referenced(stmt)
+    ]
 
 
 def unused_imports(paths) -> list:
@@ -114,6 +127,21 @@ def test_an_unexported_unread_name_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import leftover\n")
     assert unexported_public_names(tmp_path, {"exported"}) == ["a.py:12 leftover"]
+
+
+def test_no_library_statement_reads_base():
+    # Bar.base is kept only for perfbench, which reads it; the library reads
+    # machine fields directly and forgets acceptance with base_of, so the
+    # alias can go once the benchmark stops reading it.
+    assert readers_of(SRC, "base") == []
+
+
+def test_a_read_of_base_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Bar:\n    base = property(lambda self: self)\n\n\n"
+        "def states(m):\n    return m.base.states\n"
+    )
+    assert readers_of(tmp_path, "base") == ["a.py:5"]
 
 
 def test_every_import_is_read():
