@@ -465,28 +465,6 @@ def _live_ids(succ, *accepting) -> list:
     return _reached(preds, cycles)
 
 
-def _positions_product(m: Machine, syms, loop_start: int) -> list:
-    """Successor rows of the machine x word-position graph, on dense ids.
-
-    Node ``i*n + q`` is state ``q`` of ``_indexed(m)`` about to read
-    ``syms[i]``; after the last symbol the position goes back to
-    ``loop_start``.
-    """
-    order, _, succ, _ = _indexed(m)
-    n = len(order)
-    rows = []
-    for i, r in enumerate(syms):
-        shift = (i + 1 if i + 1 < len(syms) else loop_start) * n
-        letter_rows = succ.get(r)
-        if letter_rows is None:
-            rows.extend([()] * n)
-        elif shift:
-            rows.extend([d + shift for d in row] for row in letter_rows)
-        else:
-            rows.extend(letter_rows)
-    return rows
-
-
 def strongly_connected_components(nodes, succ) -> list:
     """Tarjan's SCCs over an explicit node list and a successor function.
 
@@ -504,11 +482,23 @@ def _loop_ids(m: Machine, period) -> list:
     Decided on the finite product of the machine with the period's positions
     rather than by following runs, because with nondeterminism an accepting
     run may have to make different choices on different passes through the
-    period.
+    period.  Node ``i*n + q`` of the product is state ``q`` about to read
+    ``period[i]``; after the last symbol the position wraps back to 0.
     """
-    order = _indexed(m)[0]
+    order, _, succ, _ = _indexed(m)
+    n = len(order)
+    rows = []
+    for i, r in enumerate(period):
+        shift = ((i + 1) % len(period)) * n
+        letter_rows = succ.get(r)
+        if letter_rows is None:
+            rows.extend([()] * n)
+        elif shift:
+            rows.extend([d + shift for d in row] for row in letter_rows)
+        else:
+            rows.extend(letter_rows)
     accepting = ([q in f for q in order] * len(period) for f in _final_sets(m))
-    return _live_ids(_positions_product(m, period, 0), *accepting)[: len(order)]
+    return _live_ids(rows, *accepting)[:n]
 
 
 def accepts_lasso(m: Machine, l: Lasso) -> bool:
@@ -564,7 +554,8 @@ def degeneralize(g: Gba) -> Bar:
     One copy of the state space per family member; the counter advances past
     copy ``i`` whenever the source state lies in member ``i``, so a run that
     cycles through all copies forever meets every member infinitely often.
-    The family is ordered by sorted member contents to keep output canonical.
+    The family is ordered by sorted member contents to keep output canonical;
+    an empty family is one member holding every state (see ``_final_sets``).
 
     Final marking: states whose underlying state lies in the intersection of
     the family are final in every copy, which preserves finite acceptance of
@@ -576,7 +567,7 @@ def degeneralize(g: Gba) -> Bar:
     is seen infinitely often also accepts, finitely, infinitely many prefixes
     of every accepted infinite word.)
     """
-    family = list(g.final_family) if g.final_family else [frozenset(g.states)]
+    family = _final_sets(g)
     k = len(family)
 
     def cname(q: str, i: int) -> str:
@@ -596,10 +587,7 @@ def degeneralize(g: Gba) -> Bar:
             rows[(i - 1) * n + index[src]].append((j - 1) * n + index[dst])
     initial = frozenset(cname(q, 1) for q in g.initial)
 
-    core = frozenset(g.states)
-    for member in family:
-        core = core & member
-    final = {cname(q, i) for q in core for i in range(1, k + 1)}
+    final = {cname(q, i) for q in finite_targets(g) for i in range(1, k + 1)}
 
     for scc in _sccs(rows, [index[q] for q in g.initial]):
         if _cyclic(scc, rows):

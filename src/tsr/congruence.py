@@ -171,13 +171,14 @@ def _duplicate_state(m: Machine, rng: random.Random) -> Machine:
     # exactly, so every language is preserved.
     victim = rng.choice(sorted(m.states))
     twin = fresh_name(m.states, "dup")
+    edges = sorted(m.transitions)
     transitions = set()
-    for (src, r, dst) in sorted(m.transitions):
+    for (src, r, dst) in edges:
         keep_target = dst
         if dst == victim and rng.random() < 0.5:
             keep_target = twin
         transitions.add((src, r, keep_target))
-    for (src, r, dst) in sorted(m.transitions):
+    for (src, r, dst) in edges:
         if src == victim:
             transitions.add((twin, r, dst))
     initial = set(m.initial)
@@ -262,19 +263,12 @@ def language_preserving_mutate(m: Machine, seed, relation: str = "f") -> Machine
     candidate fails: the decision procedure is then broken.
     """
     rng = random.Random(f"mutate:{relation}:{seed}")
-    ops = ["rename", "duplicate", "unreachable"]
+    ops = [_rename_states, _duplicate_state, _add_unreachable]
     if relation == "b" and isinstance(m, Bar):
-        ops.append("cycle_shift")
+        ops.append(_shift_final_along_cycle)
     rng.shuffle(ops)
     for op in ops:
-        if op == "rename":
-            candidate = _rename_states(m, rng)
-        elif op == "duplicate":
-            candidate = _duplicate_state(m, rng)
-        elif op == "unreachable":
-            candidate = _add_unreachable(m, rng)
-        else:
-            candidate = _shift_final_along_cycle(m, rng)
+        candidate = op(m, rng)
         if candidate is None:
             continue
         if relation_equiv(relation, m, candidate).equal:
@@ -291,8 +285,6 @@ def check_instance(rel: str, a: Machine, b: Machine, c: Machine) -> CongruenceIn
     joins themselves may still contain traps, which the infinite-trace
     decision handles by pruning.
     """
-    if rel not in RELATIONS:
-        raise TsrError(f"unknown relation {rel!r}")
     if rel == "it":
         for label, machine in (("left", a), ("right", b), ("context", c)):
             traps = trap_states(machine)

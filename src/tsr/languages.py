@@ -51,10 +51,10 @@ from .automata import (
     _sccs,
     _state_mask,
     _step,
+    _targets_mask,
     accepts_finite,
     accepts_lasso,
     base_of,
-    finite_targets,
     traceable,
 )
 from .errors import (
@@ -134,7 +134,7 @@ def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
     witness."""
     names, letters = _union_letters(x1, x2)
     index1, index2 = _indexed(x1)[1], _indexed(x2)[1]
-    t1, t2 = _state_mask(index1, finite_targets(x1)), _state_mask(index2, finite_targets(x2))
+    t1, t2 = _targets_mask(x1), _targets_mask(x2)
     start = (_state_mask(index1, x1.initial), _state_mask(index2, x2.initial))
     for (s1, s2), word in _subset_pairs(_masks(x1), _masks(x2), start, letters):
         if stop(bool(s1 & t1), bool(s2 & t2)):
@@ -239,7 +239,6 @@ class _ProfileSpace:
     fcol: int              # col at every member offset
     frow: int              # the low n bits at every member offset
     unit: Profile
-    letters: dict          # Record -> Profile
     letter_rows: dict      # Record -> Rows of that profile
     initial_mask: int
 
@@ -298,16 +297,16 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
         for j, fmask in enumerate(fmasks):
             if (fmask >> p) & 1:
                 unit_f |= 1 << (j * nn + p * n + p)
+    frow = ((1 << n) - 1) * members
     masks = _masks(b)
-    letter_profiles = {}
+    letter_rows = {}
     for r in letters:
         lr = lf = 0
         for p, mask in enumerate(masks.get(r, ())):
             lr |= mask << (p * n)
             for j, fmask in enumerate(fmasks):
                 lf |= (mask if (fmask >> p) & 1 else mask & fmask) << (j * nn + p * n)
-        letter_profiles[r] = (lr, lf)
-    frow = ((1 << n) - 1) * members
+        letter_rows[r] = _rows((lr, lf), n, frow)
     return _ProfileSpace(
         n,
         members,
@@ -315,8 +314,7 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
         col * members,
         frow,
         (unit_r, unit_f),
-        letter_profiles,
-        {r: _rows(x, n, frow) for r, x in letter_profiles.items()},
+        letter_rows,
         _state_mask(index, b.initial),
     )
 
@@ -483,6 +481,8 @@ def buchi_complement(b: Bar) -> Bar:
     exactly rho, visiting a final cut marker at every block boundary.  Words
     in the input's language admit no such split; words outside it admit one
     by Ramsey-style factorization, which is what makes the result complete.
+    A commitment and a cut each start a block at the unit, so their edges are
+    those of a block whose profile so far is the unit.
 
     States are named by monoid element ids, in the closure's breadth-first
     order: reader ``r<sigma>``, block ``b<rho>_<profile so far>`` and cut
@@ -511,7 +511,6 @@ def buchi_complement(b: Bar) -> Bar:
     order = [space.unit] + [e[0] for e in nonempty if e[0] != space.unit]
     ids = {x: i for i, x in enumerate(order)}
     succ = [[ids[y] for y in space.successors(x, letters)] for x in order]
-    first = [ids[space.letters[r]] for r in letters]
 
     # reach[id of sigma]: the states sigma drives the initial states to, found
     # by stepping along the closure, which reaches every element from the unit.
@@ -536,28 +535,23 @@ def buchi_complement(b: Bar) -> Bar:
                 continue
             rhos.setdefault(sigma_id, []).append(ids[rho])
 
-    def start_block(rho_id):
-        for k, r in enumerate(letters):
-            yield r, ("b", rho_id, first[k])
-            if first[k] == rho_id:
-                yield r, ("c", rho_id)
-
     def edges(state):
-        if state[0] == "r":
-            x = state[1]
-            for k, r in enumerate(letters):
-                yield r, ("r", succ[x][k])
-            for rho_id in rhos.get(x, ()):
-                yield from start_block(rho_id)
-        elif state[0] == "b":
+        # Blocks are nearly every state, so they take the first branch; a
+        # commitment and a cut have the edges of the block at the unit, id 0.
+        if state[0] == "b":
             _, rho_id, x = state
-            for k, r in enumerate(letters):
-                y = succ[x][k]
+            for r, y in zip(letters, succ[x]):
                 yield r, ("b", rho_id, y)
                 if y == rho_id:
                     yield r, ("c", rho_id)
+        elif state[0] == "r":
+            x = state[1]
+            for r, y in zip(letters, succ[x]):
+                yield r, ("r", y)
+            for rho_id in rhos.get(x, ()):
+                yield from edges(("b", rho_id, 0))
         else:
-            yield from start_block(state[1])
+            yield from edges(("b", state[1], 0))
 
     # The initial reader is id 0 and is always kept.
     found, rows = _explore([("r", 0)], edges)

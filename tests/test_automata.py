@@ -398,6 +398,21 @@ def test_degeneralize_single_member_family():
         assert accepts_lasso(flat, l) == accepts_lasso(reference, l)
 
 
+def test_degeneralize_of_an_empty_family_is_one_all_final_copy():
+    # An empty family constrains nothing, like one member holding every state.
+    g = gba(
+        ["q0", "q1", "q2"], ["A"], ["0"],
+        [("q0", A, "q1"), ("q1", A, "q0"), ("q1", TAU, "q2"), ("q2", TAU, "q2"), ("q2", A, "q1")],
+        ["q0"], [],
+    )
+    flat = degeneralize(g)
+    assert flat.states == {"(q0,1)", "(q1,1)", "(q2,1)"}
+    assert flat.final == flat.states
+    for pre, per in lassos_up_to([TAU, A], 2, 3):
+        l = Lasso.of(pre, per, names={"A"})
+        assert accepts_lasso(flat, l) == accepts_lasso(g, l)
+
+
 def test_degeneralize_preserves_lasso_language():
     g = gba(
         ["q0", "q1", "q2"], ["A"], ["0"],

@@ -1,6 +1,7 @@
 """Source layout: every module-level private name of the library is used,
-no module of the library or the tests imports a name it never reads, and
-the library never reads ``base``."""
+no module of the library or the tests imports a name it never reads, the
+library never reads ``base``, and no private function takes a parameter
+that every caller sets to the same literal."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,60 @@ def readers_of(src: Path, name: str) -> list:
     ]
 
 
+def _passed_literal(call, param, position):
+    """The source of the literal ``call`` passes as ``param``, by keyword or
+    at ``position`` (None for a keyword-only parameter); None when it passes
+    something else or nothing that can be seen."""
+    given = {k.arg: k.value for k in call.keywords if k.arg is not None}
+    if param in given:
+        node = given[param]
+    elif position is not None and position < len(call.args):
+        if any(isinstance(a, ast.Starred) for a in call.args[: position + 1]):
+            return None
+        node = call.args[position]
+    else:
+        return None
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.unparse(node)
+
+
+def constant_arguments(src: Path) -> list:
+    """Parameters of module-level private functions that every call in the
+    package passes as the same literal, by position or by keyword.  A
+    function that is never called, or that is read other than by calling
+    it, is skipped: its callers cannot all be seen."""
+    statements = list(_statements(src))
+    functions = {
+        stmt.name: (module, stmt)
+        for module, stmt in statements
+        if isinstance(stmt, ast.FunctionDef)
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+    }
+    nodes = [node for _, stmt in statements for node in ast.walk(stmt)]
+    calls = {name: [] for name in functions}
+    for node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in calls:
+            calls[node.func.id].append(node)
+    callees = {id(call.func) for found in calls.values() for call in found}
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id in calls and id(node) not in callees:
+            calls[node.id] = []
+    out = []
+    for name, (module, stmt) in functions.items():
+        positional = [a.arg for a in stmt.args.posonlyargs + stmt.args.args]
+        for position, param in enumerate(positional + [a.arg for a in stmt.args.kwonlyargs]):
+            if position >= len(positional):
+                position = None
+            passed = {_passed_literal(call, param, position) for call in calls[name]}
+            if len(passed) == 1 and None not in passed:
+                out.append(f"{module}:{stmt.lineno} {name}({param}={passed.pop()})")
+    return out
+
+
 def unused_imports(paths) -> list:
     """The names each file imports but never reads.  A name listed in
     ``__all__`` counts as read; ``from __future__`` imports are skipped."""
@@ -142,6 +197,28 @@ def test_a_read_of_base_is_reported(tmp_path):
         "def states(m):\n    return m.base.states\n"
     )
     assert readers_of(tmp_path, "base") == ["a.py:5"]
+
+
+def test_no_private_function_takes_a_constant_argument():
+    assert constant_arguments(SRC) == []
+
+
+def test_a_constant_argument_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _walk(rows, start, limit=None):\n    return rows[start:limit]\n\n\n"
+        "def _sorted(xs, key):\n    return sorted(xs, key=key)\n\n\n"
+        "def _unused(flag):\n    return flag\n\n\n"
+        "def _spread(a, b):\n    return a + b\n\n\n"
+        "def _passed(x):\n    return x\n\n\n"
+        "def first(rows):\n    return _walk(rows, 0, limit=-1) + _sorted(rows, None)\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _passed, _spread, _walk\n\n\n"
+        "def last(rows, n):\n"
+        "    return _walk(rows, 0, -1) + _walk(rows, start=0, limit=-1) + _spread(*rows)\n\n\n"
+        "def keys(rows):\n    return _sorted(rows, key=len) + _passed(1) + list(map(_passed, rows))\n"
+    )
+    assert constant_arguments(tmp_path) == ["a.py:1 _walk(start=0)", "a.py:1 _walk(limit=-1)"]
 
 
 def test_every_import_is_read():
