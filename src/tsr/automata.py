@@ -229,7 +229,7 @@ def _read(m: Machine, states, symbols) -> int:
     for r in symbols:
         if not mask:
             break
-        mask = _step(masks, mask, r)
+        mask = _step(masks.get(r), mask)
     return mask
 
 
@@ -332,10 +332,10 @@ def _ids(mask: int):
         mask ^= low
 
 
-def _step(masks: dict, mask: int, r) -> int:
-    """The ids reached on the letter ``r`` from the ids in ``mask``, over a
-    ``_masks`` table; a letter that labels no transition reaches nothing."""
-    rows = masks.get(r)
+def _step(rows, mask: int) -> int:
+    """The ids reached from the ids in ``mask`` over one letter's ``_masks``
+    rows; ``None``, the rows of a letter that labels no transition, reaches
+    nothing."""
     out = 0
     if rows is not None:
         while mask:  # _ids inlined: this loop is the finite-word searches' hot path

@@ -49,8 +49,10 @@ from .serialize import (
 
 EPILOG = (
     "exit codes: 0 success/equal, 1 not-equal or violation found, 2 usage or "
-    f"input error. The environment variable {ALPHABET_LIMIT_ENV} overrides "
-    "the 64-letter alphabet enumeration guard."
+    "input error. Comparisons step only on the labels that occur in the "
+    f"machines. The environment variable {ALPHABET_LIMIT_ENV} overrides the "
+    "64-letter alphabet enumeration guard, which only complementation and "
+    "the random machines of fuzz apply."
 )
 
 

@@ -19,10 +19,17 @@ equal pairs without building any monoid; otherwise it scans the monoid as it
 is built and stops at the first idempotent class on which the machines
 disagree.
 
-Machines with different name sets are compared over the union alphabet.  A
-record outside one machine's name set matches no transition of that machine,
-so words using foreign ports are simply absent from its languages; no
-special error is raised.
+Machines are compared over the labels that occur in them: words range over
+the union of the two name sets, but the searches step only on records that
+label some transition of either machine.  A letter that no transition
+carries is dead on both sides.  In the subset search it steps every pair to
+the all-empty pair, which is never expanded; in the monoid it gives the zero
+profile, which never links to an accepting loop.  So leaving such letters
+out keeps every verdict and every shortest witness, and no comparison
+enumerates the alphabet; only complementation, which needs an edge on every
+letter, does.  A record outside one machine's name set matches no transition
+of that machine, so words using foreign ports are simply absent from its
+languages; no special error is raised.
 """
 
 from __future__ import annotations
@@ -93,34 +100,38 @@ class LassoWitness:
 
 
 def _union_letters(x1: Machine, x2: Machine) -> Tuple[frozenset, List[Record]]:
+    """The union of the two name sets, and the labels that occur in either
+    machine, sorted: the letters the decisions step on."""
     if x1.data != x2.data:
         raise DataSetMismatchError(
             "finite/omega language comparison requires one shared data set, "
             f"got {sorted(x1.data)} and {sorted(x2.data)}"
         )
     names = x1.names | x2.names
-    return names, sorted(enumerate_alphabet(names, x1.data))
+    return names, sorted(_masks(x1).keys() | _masks(x2).keys())
 
 
 def _subset_pairs(masks1, masks2, start, letters):
     """Breadth-first search over the product of two subset constructions.
 
-    Each side is a bit mask of ids stepped over its own ``_masks`` table.
-    Yields every joint pair reachable from ``start`` once, with a shortest
-    word reaching it, in the order the pairs are found; letters are tried in
-    the order given, so the first pair with a property carries a shortest,
+    Each side is a bit mask of ids stepped over its own ``_masks`` table,
+    whose rows for each letter are looked up once per search.  Yields every
+    joint pair reachable from ``start`` once, with a shortest word reaching
+    it, in the order the pairs are found; letters are tried in the order
+    given, so the first pair with a property carries a shortest,
     deterministic word.  The pair whose sides are both empty is yielded but
     not expanded: it only steps to itself.
     """
     yield start, ()
+    steps = [(r, masks1.get(r), masks2.get(r)) for r in letters]
     seen = {start}
     queue = deque([(start, ())])
     while queue:
         (s1, s2), word = queue.popleft()
         if not (s1 or s2):
             continue
-        for r in letters:
-            pair = (_step(masks1, s1, r), _step(masks2, s2, r))
+        for r, rows1, rows2 in steps:
+            pair = (_step(rows1, s1), _step(rows2, s2))
             if pair not in seen:
                 seen.add(pair)
                 found = (pair, word + (r,))
@@ -129,7 +140,7 @@ def _subset_pairs(masks1, masks2, start, letters):
 
 
 def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
-    """The first word of ``_subset_pairs`` over the union alphabet at which
+    """The first word of ``_subset_pairs`` over the occurring labels at which
     ``stop``, given the pair of acceptance flags, returns True: a shortest
     witness."""
     names, letters = _union_letters(x1, x2)
@@ -521,7 +532,7 @@ def buchi_complement(b: Bar) -> Bar:
     for x, row in enumerate(succ):
         for r, y in zip(letters, row):
             if y not in reach:
-                reach[y] = _step(masks, reach[x], r)
+                reach[y] = _step(masks.get(r), reach[x])
     columns = [space.columns(x) for x in order]
     rhos = {}
     for e in nonempty:

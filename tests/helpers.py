@@ -6,11 +6,12 @@ they share no shortcuts with the library code they check.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from tsr.automata import Bar, Gba, Ltsr, _canonical_family, base_of, finite_targets, reach
-from tsr.join import product_state
+from tsr.congruence import GenParams, random_machine
+from tsr.join import join_bar_flat, join_lts, product_state
 from tsr.records import TAU, FiniteWord, Record, enumerate_alphabet, restrict
 
 
@@ -128,6 +129,44 @@ def dfa_accepts(d: Dfa, w) -> bool:
             return False
         state = d.transitions[key]
     return state in d.accepting
+
+
+def shortest_separating_length(d1: Dfa, d2: Dfa, letters):
+    """Length of a shortest word over ``letters`` that exactly one of two
+    DFAs accepts, or None when they agree on every word.  A letter outside
+    a DFA's alphabet sends it to a dead state, written None."""
+    start = (d1.initial, d2.initial)
+    seen = {start}
+    layer = [start]
+    length = 0
+    while layer:
+        if any((s1 in d1.accepting) != (s2 in d2.accepting) for s1, s2 in layer):
+            return length
+        nxt = []
+        for s1, s2 in layer:
+            for r in letters:
+                pair = (d1.transitions.get((s1, r)), d2.transitions.get((s2, r)))
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        layer = nxt
+        length += 1
+    return None
+
+
+def four_port_join(kind, seeds=(1, 2, 3)):
+    """The join of three random machines of the given kind over ports
+    {A, B}, {B, C} and {C, D} and data {0, 1}, drawn from ``seeds``: four
+    ports and 81 letters, more than the 64 that enumeration allows.  Bars
+    are joined with ``join_bar_flat``."""
+    params = GenParams(data_pool=frozenset({"0", "1"}))
+    pools = (frozenset({"A", "B"}), frozenset({"B", "C"}), frozenset({"C", "D"}))
+    m1, m2, m3 = (
+        random_machine(replace(params, seed=seed, name_pool=pool), kind)
+        for seed, pool in zip(seeds, pools)
+    )
+    joined = join_lts if kind == "lts" else join_bar_flat
+    return joined(joined(m1, m2), m3)
 
 
 def naive_join_edges(base1, base2):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import bar, lts, rec
+from helpers import bar, four_port_join, lts, rec
 from tsr.cli import main
 from tsr.congruence import parity_bars
 from tsr.records import Record
@@ -134,6 +134,20 @@ def test_equiv_exit_codes(parity_files, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["equal"] is False
     assert verdict["witness_kind"] == "finite"
+
+
+def test_equiv_ft_decides_four_port_machines(tmp_path, capsys):
+    # Each machine has 81 letters, more than enumeration allows.
+    left = write_machine(tmp_path, "left.json", four_port_join("lts"))
+    right = write_machine(tmp_path, "right.json", four_port_join("lts", seeds=(1, 2, 4)))
+    code = main(["equiv", "--relation", "ft", left, right])
+    assert code in (0, 1)
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == (0 if verdict["equal"] else 1)
+    if not verdict["equal"]:
+        word = write_json(tmp_path, "word.json", verdict["witness"])
+        codes = [main(["member", "--word", word, path]) for path in (left, right)]
+        assert sorted(codes) == [0, 1]
 
 
 def test_equiv_it_warns_about_traps(tmp_path, capsys):

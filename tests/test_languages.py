@@ -1,6 +1,7 @@
 """Finite, lasso, and infinite-trace language decisions."""
 
 import hashlib
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from helpers import (
     bar,
     determinize,
     dfa_accepts,
+    four_port_join,
     gba,
     lassos_up_to,
     lts,
@@ -21,6 +23,7 @@ from helpers import (
     reachable_states,
     rec,
     rename_machine,
+    shortest_separating_length,
     states_reaching_accepting_cycles,
     words_up_to,
 )
@@ -45,7 +48,13 @@ from tsr.congruence import (
     parity_bars,
     random_machine,
 )
-from tsr.errors import AlphabetMismatchError, DataSetMismatchError, SizeBoundError, TsrError
+from tsr.errors import (
+    AlphabetLimitError,
+    AlphabetMismatchError,
+    DataSetMismatchError,
+    SizeBoundError,
+    TsrError,
+)
 from tsr.join import join, join_lts
 from tsr.languages import (
     LassoWitness,
@@ -62,7 +71,7 @@ from tsr.languages import (
     shortest_accept_difference,
 )
 from tsr.languages import _profile_space, _simulated
-from tsr.records import TAU, FiniteWord, Lasso, enumerate_alphabet
+from tsr.records import ALPHABET_LIMIT_ENV, TAU, FiniteWord, Lasso, enumerate_alphabet
 from tsr.serialize import dumps_canonical, machine_to_json, verdict_to_json, witness_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -371,8 +380,9 @@ def test_buchi_equiv_stops_at_the_first_disagreeing_period():
         join(random_machine(params, "bar"), context),
         join(random_machine(replace(params, seed=10**6 + 209), "bar"), context),
     )
-    # The first pair's monoid has 4 elements, the second's over 20,000.
-    for (j1, j2), limit in ((buchi_counterexample().joins, 3), (fuzzed, 10)):
+    # The first pair's monoid has 3 elements over the labels that occur, the
+    # second's over 20,000.
+    for (j1, j2), limit in ((buchi_counterexample().joins, 2), (fuzzed, 10)):
         verdict = buchi_equiv(j1, j2, monoid_limit=limit)
         assert not verdict.equal
         assert dumps_canonical(verdict_to_json(verdict)) == dumps_canonical(
@@ -650,6 +660,74 @@ def test_finite_equiv_witnesses_separate_the_machines(p, q):
         verdict = finite_equiv(x, y)
         if not verdict.equal:
             assert accepts_finite(x, verdict.witness) != accepts_finite(y, verdict.witness)
+
+
+def test_finite_equiv_witness_is_the_full_alphabet_oracles_shortest():
+    # The search steps only on labels that occur; the oracle determinizes
+    # each machine over its whole alphabet and searches the union alphabet.
+    data = frozenset({"0", "1"})
+    names = frozenset({"A", "B"})
+    letters = enumerate_alphabet(names | {"C"}, data)
+    lengths = []
+    for seed in range(40):
+        m1 = random_machine(
+            GenParams(max_states=4, name_pool=names, data_pool=data, seed=seed),
+            ("bar", "lts")[seed % 2],
+        )
+        # The mate gains port C and a C-labelled move, and loses one move.
+        rng = random.Random(seed)
+        order = sorted(m1.states)
+        dropped = rng.choice(sorted(m1.transitions))
+        added = (rng.choice(order), rec(C=rng.choice("01")), rng.choice(order))
+        m2 = replace(m1, names=names | {"C"}, transitions=(m1.transitions - {dropped}) | {added})
+        assert validate(m2) == []
+        verdict = finite_equiv(m1, m2)
+        d1, d2 = determinize(m1), determinize(m2)
+        shortest = shortest_separating_length(d1, d2, letters)
+        assert verdict.equal == (shortest is None)
+        if not verdict.equal:
+            assert dfa_accepts(d1, verdict.witness) != dfa_accepts(d2, verdict.witness)
+            assert len(verdict.witness) <= shortest
+            lengths.append(shortest)
+    assert len(lengths) > 30 and max(lengths) >= 3
+
+
+def test_four_port_joins_are_compared_over_their_labels():
+    # 81 letters over four ports, more than enumeration allows; 42 occur.
+    j = four_port_join("lts")
+    other = four_port_join("lts", seeds=(1, 2, 4))
+    assert len({r for _, r, _ in j.transitions}) == 42
+    assert finite_equiv(j, j).equal
+    assert infinite_traceable_equiv(j, j).equal
+    assert shortest_accept_difference(j, j) is None
+    verdict = finite_equiv(j, other)
+    assert not verdict.equal
+    assert traceable(j, verdict.witness) != traceable(other, verdict.witness)
+    verdict = infinite_traceable_equiv(j, other)
+    assert not verdict.equal
+    assert accepts_lasso(lts_to_bar(j), verdict.witness) != accepts_lasso(
+        lts_to_bar(other), verdict.witness
+    )
+    for x, y in ((j, other), (other, j)):
+        w = shortest_accept_difference(x, y)
+        assert traceable(x, w) and not traceable(y, w)
+
+
+def test_flattened_four_port_bar_join_is_compared_over_its_labels():
+    b = four_port_join("bar")
+    assert len(b.states) == 48 and len({r for _, r, _ in b.transitions}) == 42
+    mate = language_preserving_mutate(b, 7, "b")
+    for other in (b, mate):
+        assert finite_equiv(b, other).equal
+        assert buchi_equiv(b, other).equal
+
+
+def test_buchi_complement_still_refuses_above_the_alphabet_limit(monkeypatch):
+    monkeypatch.delenv(ALPHABET_LIMIT_ENV, raising=False)
+    loop = bar(["s0"], ["A", "B", "C", "D"], ["0", "1"], [("s0", A, "s0")], ["s0"], ["s0"])
+    # The complement needs an edge on each of the 81 letters.
+    with pytest.raises(AlphabetLimitError, match="81 letters"):
+        buchi_complement(loop)
 
 
 def test_infinite_traceable_equiv_equal():

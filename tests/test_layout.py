@@ -1,7 +1,8 @@
 """Source layout: every module-level private name of the library is used,
 no module of the library or the tests imports a name it never reads, the
-library never reads ``base``, and no private function takes a parameter
-that every caller sets to the same literal."""
+library never reads ``base``, no private function takes a parameter that
+every caller sets to the same literal, and of the language decisions only
+complementation enumerates the alphabet."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,17 @@ def readers_of(src: Path, name: str) -> list:
     bare name or as an attribute."""
     return [
         f"{module}:{stmt.lineno}" for module, stmt in _statements(src) if name in _referenced(stmt)
+    ]
+
+
+def readers_in(path: Path, name: str) -> list:
+    """The top-level statements of one module that read ``name``, each by
+    the first name it defines, or by its line when it defines none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (_defined(stmt) or [f"line {stmt.lineno}"])[0]
+        for stmt in tree.body
+        if name in _referenced(stmt)
     ]
 
 
@@ -197,6 +209,24 @@ def test_a_read_of_base_is_reported(tmp_path):
         "def states(m):\n    return m.base.states\n"
     )
     assert readers_of(tmp_path, "base") == ["a.py:5"]
+
+
+def test_only_complementation_enumerates_the_alphabet():
+    # Comparisons step on the labels that occur in the machines; only the
+    # complement needs an edge on every letter.
+    assert readers_in(SRC / "languages.py", "enumerate_alphabet") == ["buchi_complement"]
+
+
+def test_a_stray_enumeration_is_reported(tmp_path):
+    path = tmp_path / "languages.py"
+    path.write_text(
+        "from .records import enumerate_alphabet\n\n\n"
+        "def buchi_complement(b):\n    return enumerate_alphabet(b.names, b.data)\n\n\n"
+        "def _union_letters(x1, x2):\n    return records.enumerate_alphabet(x1.names, x1.data)\n\n\n"
+        "def finite_equiv(x1, x2):\n    return _union_letters(x1, x2)\n\n\n"
+        "print(enumerate_alphabet(['A'], ['0']))\n"
+    )
+    assert readers_in(path, "enumerate_alphabet") == ["buchi_complement", "_union_letters", "line 16"]
 
 
 def test_no_private_function_takes_a_constant_argument():
