@@ -24,8 +24,8 @@ this module ever skips or inserts steps on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Iterable, Optional, Union
+from functools import lru_cache, reduce
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidRecordError
 from .records import FiniteWord, Lasso, Record, check_token
@@ -217,19 +217,20 @@ def reach(m: Machine, from_states: Iterable[str], w: FiniteWord) -> frozenset:
     current = frozenset(from_states)
     if not w.symbols:
         return current
-    order = _indexed(m)[0]
+    order = _indexed(m).order
     return frozenset(order[i] for i in _ids(_read(m, current, w.symbols)))
 
 
 def _read(m: Machine, states, symbols) -> int:
     """The ids reached from the named ``states`` by reading ``symbols``, as a
-    bit mask stepped over ``_masks``; states the machine lacks are dropped."""
-    masks = _masks(m)
-    mask = _state_mask(_indexed(m)[1], states)
+    bit mask stepped over ``_indexed``'s masks; states the machine lacks are
+    dropped."""
+    table = _indexed(m)
+    mask = _state_mask(table.index, states)
     for r in symbols:
         if not mask:
             break
-        mask = _step(masks.get(r), mask)
+        mask = _step(table.masks.get(r), mask)
     return mask
 
 
@@ -270,14 +271,8 @@ def finite_targets(m: Machine) -> frozenset:
     return frozenset.intersection(*_final_sets(m))
 
 
-@lru_cache(maxsize=512)
-def _targets_mask(m: Machine) -> int:
-    """``finite_targets`` as a bit mask of ``_indexed`` ids."""
-    return _state_mask(_indexed(m)[1], finite_targets(m))
-
-
 def accepts_finite(m: Machine, w: FiniteWord) -> bool:
-    return bool(_read(m, m.initial, w.symbols) & _targets_mask(m))
+    return bool(_read(m, m.initial, w.symbols) & _indexed(m).targets)
 
 
 def trap_states(m: Machine) -> frozenset:
@@ -286,37 +281,45 @@ def trap_states(m: Machine) -> frozenset:
     return frozenset(m.states - alive)
 
 
-@lru_cache(maxsize=512)
-def _indexed(m: Machine) -> tuple:
-    """The machine on dense state ids, as ``(order, index, succ, moves)``.
+class _Table(NamedTuple):
+    """A machine on dense state ids, as the library's walks read it.
 
     ``order`` lists the states sorted, ``index`` maps a state to its position
     there, and ``succ[letter][i]`` lists the ids reached from state ``i`` on
-    that letter (letters that label no transition are absent).  ``moves[i]``
-    lists the ids reached from state ``i`` on any letter.
+    that letter, while ``masks[letter][i]`` holds them as a bit mask (letters
+    that label no transition are absent from both).  ``moves[i]`` lists the
+    ids reached from state ``i`` on any letter.  ``finals`` holds each of
+    ``_final_sets`` as a bit mask of ids, and ``targets`` their AND, the
+    ``finite_targets``.
     """
+
+    order: list
+    index: dict
+    succ: dict
+    masks: dict
+    moves: list
+    finals: tuple
+    targets: int
+
+
+@lru_cache(maxsize=512)
+def _indexed(m: Machine) -> _Table:
+    """The ``_Table`` of a machine, built in one pass over its transitions."""
     order = sorted(m.states)
     index = {q: i for i, q in enumerate(order)}
-    succ: dict = {}
+    succ, masks = {}, {}
     moves = [[] for _ in order]
     for src, label, dst in m.transitions:
         i, j = index[src], index[dst]
         rows = succ.get(label)
         if rows is None:
             rows = succ[label] = [[] for _ in order]
+            masks[label] = [0] * len(order)
         rows[i].append(j)
+        masks[label][i] |= 1 << j
         moves[i].append(j)
-    return order, index, succ, moves
-
-
-@lru_cache(maxsize=512)
-def _masks(m: Machine) -> dict:
-    """Per letter, ``_indexed``'s successor rows as bit masks of ids.
-
-    Built apart from ``_indexed`` so that only machines whose state sets are
-    stepped pay for it; complements are only searched for cycles.
-    """
-    return {r: [sum(1 << j for j in row) for row in rows] for r, rows in _indexed(m)[2].items()}
+    finals = tuple(_state_mask(index, f) for f in _final_sets(m))
+    return _Table(order, index, succ, masks, moves, finals, reduce(int.__and__, finals))
 
 
 def _state_mask(index: dict, states) -> int:
@@ -333,9 +336,9 @@ def _ids(mask: int):
 
 
 def _step(rows, mask: int) -> int:
-    """The ids reached from the ids in ``mask`` over one letter's ``_masks``
-    rows; ``None``, the rows of a letter that labels no transition, reaches
-    nothing."""
+    """The ids reached from the ids in ``mask`` over one letter's rows of
+    ``_indexed``'s masks; ``None``, the rows of a letter that labels no
+    transition, reaches nothing."""
     out = 0
     if rows is not None:
         while mask:  # _ids inlined: this loop is the finite-word searches' hot path
@@ -485,8 +488,8 @@ def _loop_ids(m: Machine, period) -> list:
     period.  Node ``i*n + q`` of the product is state ``q`` about to read
     ``period[i]``; after the last symbol the position wraps back to 0.
     """
-    order, _, succ, _ = _indexed(m)
-    n = len(order)
+    table = _indexed(m)
+    succ, n = table.succ, len(table.order)
     rows = []
     for i, r in enumerate(period):
         shift = ((i + 1) % len(period)) * n
@@ -497,7 +500,7 @@ def _loop_ids(m: Machine, period) -> list:
             rows.extend([d + shift for d in row] for row in letter_rows)
         else:
             rows.extend(letter_rows)
-    accepting = ([q in f for q in order] * len(period) for f in _final_sets(m))
+    accepting = ([f >> q & 1 for q in range(n)] * len(period) for f in table.finals)
     return _live_ids(rows, *accepting)[:n]
 
 

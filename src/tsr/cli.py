@@ -16,6 +16,7 @@ import sys
 
 from .automata import (
     Bar,
+    Gba,
     Ltsr,
     accepts_finite,
     accepts_lasso,
@@ -111,8 +112,8 @@ def cmd_equiv(args) -> int:
     m1 = _load_valid(args.left)
     m2 = _load_valid(args.right)
     rel = args.relation
-    if rel in ("f", "b") and not (isinstance(m1, Bar) and isinstance(m2, Bar)):
-        print(f"error: relation {rel} compares Buchi automata", file=sys.stderr)
+    if rel in ("f", "b") and not all(isinstance(m, (Bar, Gba)) for m in (m1, m2)):
+        print(f"error: relation {rel} compares (generalized) Buchi automata", file=sys.stderr)
         return 2
     if rel == "it":
         for path, m in ((args.left, m1), (args.right, m2)):

@@ -27,6 +27,7 @@ from .automata import (
     Machine,
     _canonical_family,
     _component,
+    _indexed,
     degeneralize,
 )
 from .errors import DataSetMismatchError, TsrError
@@ -42,48 +43,46 @@ def product_state(left: str, right: str) -> str:
     return f"({_component(left)},{_component(right)})"
 
 
-def _moves_by_label(m: Machine) -> dict:
-    """label -> [(source, target)], labels in first-seen order."""
-    moves = {}
-    for p, r, q in m.transitions:
-        moves.setdefault(r, []).append((p, q))
-    return moves
-
-
 def _joined_base(m1: Machine, m2: Machine) -> Ltsr:
     """The composed transition system, acceptance left out.
 
     Whether a move may go alone (rule 2 or 3) or with which partner (rule 1)
     depends only on the labels and the name sets, so it is decided once per
-    label or label pair, and each joined label is built once.
+    label or label pair, and each joined label is built once.  Both sides
+    are read from their ``_indexed`` rows; ``pair[i][k]`` names ids i and k.
     """
     if m1.data != m2.data:
         raise DataSetMismatchError(
             f"join requires one shared data set, got {sorted(m1.data)} and {sorted(m2.data)}"
         )
     n1, n2 = m1.names, m2.names
-    pair = {(s1, s2): product_state(s1, s2) for s1 in m1.states for s2 in m2.states}
-    moves1, moves2 = _moves_by_label(m1), _moves_by_label(m2)
+    t1, t2 = _indexed(m1), _indexed(m2)
+    pair = [[product_state(s1, s2) for s2 in t2.order] for s1 in t1.order]
+    moves1, moves2 = (
+        {r: [(i, j) for i, row in enumerate(rows) for j in row] for r, rows in t.succ.items()}
+        for t in (t1, t2)
+    )
     transitions = set()
     for r1, edges1 in moves1.items():
         if not r1.domain & n2:
-            for p1, q1 in edges1:
-                for s2 in m2.states:
-                    transitions.add((pair[p1, s2], r1, pair[q1, s2]))
+            for i, j in edges1:
+                for p, q in zip(pair[i], pair[j]):
+                    transitions.add((p, r1, q))
     for r2, edges2 in moves2.items():
         if not r2.domain & n1:
-            for p2, q2 in edges2:
-                for s1 in m1.states:
-                    transitions.add((pair[s1, p2], r2, pair[s1, q2]))
+            for k, l in edges2:
+                for row in pair:
+                    transitions.add((row[k], r2, row[l]))
     for r1, edges1 in moves1.items():
         for r2, edges2 in moves2.items():
             if comp(r1, n1, r2, n2):
                 r = union(r1, r2)
-                for p1, q1 in edges1:
-                    for p2, q2 in edges2:
-                        transitions.add((pair[p1, p2], r, pair[q1, q2]))
-    states = frozenset(pair.values())
-    initial = frozenset(pair[s1, s2] for s1 in m1.initial for s2 in m2.initial)
+                for i, j in edges1:
+                    source, target = pair[i], pair[j]
+                    for k, l in edges2:
+                        transitions.add((source[k], r, target[l]))
+    states = frozenset(q for row in pair for q in row)
+    initial = frozenset(product_state(s1, s2) for s1 in m1.initial for s2 in m2.initial)
     return Ltsr(states, n1 | n2, m1.data, frozenset(transitions), initial)
 
 

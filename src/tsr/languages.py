@@ -47,18 +47,15 @@ from .automata import (
     _component,
     _cyclic,
     _explore,
-    _final_sets,
     _ids,
     _indexed,
     _live_ids,
     _loop_ids,
-    _masks,
     _reached,
     _rebuilt,
     _sccs,
     _state_mask,
     _step,
-    _targets_mask,
     accepts_finite,
     accepts_lasso,
     base_of,
@@ -108,13 +105,13 @@ def _union_letters(x1: Machine, x2: Machine) -> Tuple[frozenset, List[Record]]:
             f"got {sorted(x1.data)} and {sorted(x2.data)}"
         )
     names = x1.names | x2.names
-    return names, sorted(_masks(x1).keys() | _masks(x2).keys())
+    return names, sorted(_indexed(x1).succ.keys() | _indexed(x2).succ.keys())
 
 
 def _subset_pairs(masks1, masks2, start, letters):
     """Breadth-first search over the product of two subset constructions.
 
-    Each side is a bit mask of ids stepped over its own ``_masks`` table,
+    Each side is a bit mask of ids stepped over its own per-letter masks,
     whose rows for each letter are looked up once per search.  Yields every
     joint pair reachable from ``start`` once, with a shortest word reaching
     it, in the order the pairs are found; letters are tried in the order
@@ -144,10 +141,10 @@ def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
     ``stop``, given the pair of acceptance flags, returns True: a shortest
     witness."""
     names, letters = _union_letters(x1, x2)
-    index1, index2 = _indexed(x1)[1], _indexed(x2)[1]
-    t1, t2 = _targets_mask(x1), _targets_mask(x2)
-    start = (_state_mask(index1, x1.initial), _state_mask(index2, x2.initial))
-    for (s1, s2), word in _subset_pairs(_masks(x1), _masks(x2), start, letters):
+    table1, table2 = _indexed(x1), _indexed(x2)
+    t1, t2 = table1.targets, table2.targets
+    start = (_state_mask(table1.index, x1.initial), _state_mask(table2.index, x2.initial))
+    for (s1, s2), word in _subset_pairs(table1.masks, table2.masks, start, letters):
         if stop(bool(s1 & t1), bool(s2 & t2)):
             return FiniteWord(word, names)
     return None
@@ -179,11 +176,11 @@ def _reachable(b: Union[Bar, Gba]) -> Union[Bar, Gba]:
     otherwise multiply the monoid.  A ``Gba`` has every family member
     restricted.
     """
-    order, index, _, moves = _indexed(b)
-    seen = _reached(moves, [index[q] for q in b.initial])
+    table = _indexed(b)
+    seen = _reached(table.moves, [table.index[q] for q in b.initial])
     if all(seen):
         return b
-    states = frozenset(q for q, keep in zip(order, seen) if keep)
+    states = frozenset(q for q, keep in zip(table.order, seen) if keep)
     kept = frozenset(t for t in b.transitions if t[0] in states)
     return _rebuilt(b, lambda final: final & states, states=states, transitions=kept)
 
@@ -295,10 +292,10 @@ class _ProfileSpace:
 
 
 def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpace:
-    order, index, _, _ = _indexed(b)
-    n = len(order)
+    table = _indexed(b)
+    n = len(table.order)
     nn = n * n
-    fmasks = [_state_mask(index, final) for final in _final_sets(b)]  # one per member of F
+    fmasks = table.finals  # one per member of F
     members = sum(1 << (j * nn) for j in range(len(fmasks)))
     col = 0
     unit_r = unit_f = 0
@@ -309,11 +306,10 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
             if (fmask >> p) & 1:
                 unit_f |= 1 << (j * nn + p * n + p)
     frow = ((1 << n) - 1) * members
-    masks = _masks(b)
     letter_rows = {}
     for r in letters:
         lr = lf = 0
-        for p, mask in enumerate(masks.get(r, ())):
+        for p, mask in enumerate(table.masks.get(r, ())):
             lr |= mask << (p * n)
             for j, fmask in enumerate(fmasks):
                 lf |= (mask if (fmask >> p) & 1 else mask & fmask) << (j * nn + p * n)
@@ -326,7 +322,7 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
         frow,
         (unit_r, unit_f),
         letter_rows,
-        _state_mask(index, b.initial),
+        _state_mask(table.index, b.initial),
     )
 
 
@@ -381,22 +377,21 @@ def _simulated(a: Union[Bar, Gba], b: Union[Bar, Gba]) -> bool:
     the bit mask of the ids of ``b`` that simulate p, refined from that
     acceptance seed to the greatest fixpoint.
     """
-    index_a, index_b = _indexed(a)[1], _indexed(b)[1]
-    masks_b = _masks(b)
+    table_a, table_b = _indexed(a), _indexed(b)
+    n_a, n_b = len(table_a.order), len(table_b.order)
     # moves[p]: per letter p moves on, b's successor rows and p's targets.
-    stuck = [0] * len(index_b)
+    stuck = [0] * n_b
     moves = [
-        [(masks_b.get(r, stuck), row[p]) for r, row in _masks(a).items() if row[p]]
-        for p in range(len(index_a))
+        [(table_b.masks.get(r, stuck), row[p]) for r, row in table_a.masks.items() if row[p]]
+        for p in range(n_a)
     ]
-    finals_a = [_state_mask(index_a, f) for f in _final_sets(a)]
-    finals_b = [_state_mask(index_b, f) for f in _final_sets(b)]
-    starts_a = list(_ids(_state_mask(index_a, a.initial)))
-    start_b = _state_mask(index_b, b.initial)
-    every_b = (1 << len(index_b)) - 1
+    finals_a, finals_b = table_a.finals, table_b.finals
+    starts_a = list(_ids(_state_mask(table_a.index, a.initial)))
+    start_b = _state_mask(table_b.index, b.initial)
+    every_b = (1 << n_b) - 1
     for stand_in in product(range(len(finals_a)), repeat=len(finals_b)):
         sim = []
-        for p in range(len(index_a)):
+        for p in range(n_a):
             allowed = every_b
             for j, i in enumerate(stand_in):
                 if finals_a[i] >> p & 1:
@@ -460,7 +455,7 @@ def buchi_equiv(
         return Verdict(True)
     spaces = (_profile_space(b1, letters), _profile_space(b2, letters))
     start = (spaces[0].initial_mask, spaces[1].initial_mask)
-    pairs = list(_subset_pairs(_masks(b1), _masks(b2), start, letters))
+    pairs = list(_subset_pairs(_indexed(b1).masks, _indexed(b2).masks, start, letters))
 
     # A period matters only through the states from which reading it forever
     # accepts, so one idempotent per such pair of state sets is scanned: the
@@ -527,7 +522,7 @@ def buchi_complement(b: Bar) -> Bar:
     # by stepping along the closure, which reaches every element from the unit.
     # rhos[id of sigma]: the ids of the periods rho such that (sigma, rho) is
     # a linked, non-accepting pair.
-    masks = _masks(b)
+    masks = _indexed(b).masks
     reach = {0: space.initial_mask}
     for x, row in enumerate(succ):
         for r, y in zip(letters, row):
@@ -606,35 +601,39 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
         raise AlphabetMismatchError(
             "intersection requires identical alphabets (same names and data)"
         )
-    final1, final2 = b1.final, b2.final
-    left = {}
-    for (p1, r, q1) in b1.transitions:
-        left.setdefault(p1, []).append((r, q1))
-    right = {}
-    for (p2, r, q2) in b2.transitions:
-        right.setdefault(p2, {}).setdefault(r, []).append(q2)
+    table1, table2 = _indexed(b1), _indexed(b2)
+    (final1,), (final2,) = table1.finals, table2.finals
+    # Per letter both machines move on, each one's successor rows: the pair
+    # synchronizes on equal labels.
+    steps = [(r, rows, table2.succ[r]) for r, rows in table1.succ.items() if r in table2.succ]
 
     def edges(state):
         p1, p2, copy = state
-        if copy == 1 and p1 in final1:
+        if copy == 1 and final1 >> p1 & 1:
             nxt = 2
-        elif copy == 2 and p2 in final2:
+        elif copy == 2 and final2 >> p2 & 1:
             nxt = 1
         else:
             nxt = copy
-        moves = right.get(p2)
-        if moves:
-            for r, q1 in left.get(p1, ()):
-                for q2 in moves.get(r, ()):  # synchronize on equal labels
-                    yield r, (q1, q2, nxt)
+        for r, rows1, rows2 in steps:
+            targets2 = rows2[p2]
+            if targets2:
+                for q1 in rows1[p1]:
+                    for q2 in targets2:
+                        yield r, (q1, q2, nxt)
 
-    roots = [(q1, q2, 1) for q1 in b1.initial for q2 in b2.initial]
+    roots = [(table1.index[q1], table2.index[q2], 1) for q1 in b1.initial for q2 in b2.initial]
     found, rows = _explore(roots, edges)
-    names = [f"({_component(q1)},{_component(q2)},{copy})" for q1, q2, copy in found]
+    order1, order2 = table1.order, table2.order
+    names = [
+        f"({_component(order1[q1])},{_component(order2[q2])},{copy})" for q1, q2, copy in found
+    ]
     states = frozenset(names)
     transitions = frozenset((names[i], r, names[j]) for i, row in enumerate(rows) for r, j in row)
     initial = frozenset(names[: len(roots)])
-    final = frozenset(name for name, (q1, _, copy) in zip(names, found) if copy == 1 and q1 in final1)
+    final = frozenset(
+        name for name, (q1, _, copy) in zip(names, found) if copy == 1 and final1 >> q1 & 1
+    )
     if not final:
         states = states | {"never"}
         final = frozenset({"never"})
@@ -650,19 +649,16 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
     """
     if not isinstance(b, Bar):
         raise TsrError("buchi_empty takes a Buchi automaton")
-    out = {}
-    for (src, r, dst) in b.transitions:
-        out.setdefault(src, []).append((r, dst))
-    for src in out:
-        out[src].sort()
-    edges = lambda q: out.get(q, ())
+    # Edges in (letter, id) order; ids follow the sorted state names.
+    table = _indexed(b)
+    steps = sorted(table.masks.items())
+    (final,) = table.finals
+    edges = lambda q: ((r, j) for r, rows in steps for j in _ids(rows[q]))
 
-    roots = sorted(b.initial)
+    roots = sorted(table.index[q] for q in b.initial)
     found, rows = _explore(roots, edges)
     succ = [[j for _, j in row] for row in rows]
-    looping = [
-        v for scc in _sccs(succ) if _cyclic(scc, succ) for v in scc if found[v] in b.final
-    ]
+    looping = [v for scc in _sccs(succ) if _cyclic(scc, succ) for v in scc if final >> found[v] & 1]
     if not looping:
         return None
     f = min(looping, key=found.__getitem__)
@@ -702,20 +698,19 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
         raise TsrError("accepting_loop_states takes a Buchi automaton")
     if not period:
         raise TsrError("period must be non-empty")
-    order = _indexed(b)[0]
-    return frozenset(q for q, keep in zip(order, _loop_ids(b, period)) if keep)
+    return frozenset(q for q, keep in zip(_indexed(b).order, _loop_ids(b, period)) if keep)
 
 
 # ---------------------------------------------------------------------------
 # Infinite traceability
 
 def _productive(m: Machine) -> tuple:
-    """``_masks`` cut down to the productive states, those starting some
-    infinite run, and the productive initial states as a mask."""
-    _, index, _, moves = _indexed(m)
-    keep = sum(1 << i for i, live in enumerate(_live_ids(moves)) if live)
-    masks = {r: [row & keep for row in rows] for r, rows in _masks(m).items()}
-    return masks, _state_mask(index, m.initial) & keep
+    """``_indexed``'s masks cut down to the productive states, those starting
+    some infinite run, and the productive initial states as a mask."""
+    table = _indexed(m)
+    keep = sum(1 << i for i, live in enumerate(_live_ids(table.moves)) if live)
+    masks = {r: [row & keep for row in rows] for r, rows in table.masks.items()}
+    return masks, _state_mask(table.index, m.initial) & keep
 
 
 def _extend_to_lasso(prefix_word, mask, masks, names) -> Lasso:

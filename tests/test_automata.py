@@ -37,8 +37,9 @@ from tsr.automata import (
     with_idle_loops,
     without_invisible_edges,
 )
-from tsr.automata import _indexed, _live_ids, _loop_ids
+from tsr.automata import _final_sets, _ids, _indexed, _live_ids, _loop_ids
 from tsr.congruence import GenParams, random_machine
+from tsr.join import join
 from tsr.records import TAU, FiniteWord, Lasso, enumerate_alphabet
 
 A = rec(A="0")
@@ -193,9 +194,9 @@ def test_accepts_lasso_takes_every_machine_kind(case):
 
 
 def test_a_bar_and_its_plain_system_are_distinct_cache_keys():
-    # _indexed, _masks and _targets_mask are cached per machine; were a Bar
-    # equal to its plain system, the second call would read the first's
-    # finite targets.
+    # _indexed, which holds the finite targets, is cached per machine; were
+    # a Bar equal to its plain system, the second call would read the first's
+    # targets.
     b = bar(["s0", "s1"], ["A"], ["0"], [("s0", A, "s1")], ["s0"], ["s0"])
     plain = base_of(b)
     w = FiniteWord((A,), frozenset({"A"}))
@@ -333,6 +334,51 @@ def digraphs(draw):
     return nodes, succ
 
 
+@st.composite
+def table_machines(draw):
+    """An Ltsr, a Bar, a join and an empty-family Gba, from two systems on
+    1-3 states over ports A and B and data {0, 1}.  Each system draws its
+    labels from three letters, so some letter of its alphabet is often
+    unused."""
+    bars = []
+    for port in ("A", "B"):
+        n = draw(st.integers(1, 3))
+        states = [f"{port.lower()}{i}" for i in range(n)]
+        state = st.sampled_from(states)
+        letters = st.sampled_from([TAU, rec({port: "0"}), rec({port: "1"})])
+        edges = draw(st.sets(st.tuples(state, letters, state), max_size=8))
+        initial = draw(st.sets(state, min_size=1))
+        bars.append(bar(states, [port], ["0", "1"], edges, initial, draw(st.sets(state))))
+    base = base_of(bars[0])
+    return [base, bars[0], join(*bars), Gba(**vars(base), final_family=())]
+
+
+@given(table_machines())
+def test_the_id_table_holds_the_rows_masks_and_final_masks_of_a_machine(machines):
+    for m in machines:
+        table = _indexed(m)
+        order = table.order
+        assert order == sorted(m.states)
+        assert table.index == {q: i for i, q in enumerate(order)}
+        # A letter of the alphabet that no transition carries has no rows.
+        labels = {r for _, r, _ in m.transitions}
+        assert table.succ.keys() == table.masks.keys() == labels
+        edges = {
+            (order[i], r, order[j])
+            for r, rows in table.succ.items()
+            for i, row in enumerate(rows)
+            for j in row
+        }
+        assert edges == m.transitions
+        for r, rows in table.succ.items():
+            assert table.masks[r] == [sum(1 << j for j in row) for row in rows]
+        for i, row in enumerate(table.moves):
+            assert sorted(row) == sorted(j for rows in table.succ.values() for j in rows[i])
+        as_set = lambda mask: frozenset(order[i] for i in _ids(mask))
+        assert tuple(map(as_set, table.finals)) == _final_sets(m)
+        assert as_set(table.targets) == finite_targets(m)
+
+
 @given(digraphs())
 def test_sccs_are_the_mutual_reachability_classes_in_reverse_topological_order(graph):
     nodes, succ = graph
@@ -377,7 +423,7 @@ def test_gba_lasso_acceptance_matches_batched_loop_states():
                   for _ in range(2)]
         g = Gba.make(b.states, b.names, b.data, b.transitions, b.initial, family)
         for per in words_up_to(letters, 2)[1:]:
-            loop = {q for q, ok in zip(_indexed(g)[0], _loop_ids(g, per)) if ok}
+            loop = {q for q, ok in zip(_indexed(g).order, _loop_ids(g, per)) if ok}
             for pre in words_up_to(letters, 2):
                 l = Lasso(pre, per, names)
                 batched = bool(reach(g, g.initial, FiniteWord(pre, names)) & loop)

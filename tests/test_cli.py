@@ -8,6 +8,7 @@ import pytest
 from helpers import bar, four_port_join, lts, rec
 from tsr.cli import main
 from tsr.congruence import parity_bars
+from tsr.join import distinguishing_context, join
 from tsr.records import Record
 from tsr.serialize import dumps_canonical, machine_to_json
 
@@ -163,6 +164,24 @@ def test_equiv_b_requires_acceptance(tmp_path, capsys):
     m = lts(["s0"], ["A"], ["0"], [("s0", A, "s0")], ["s0"])
     path = write_machine(tmp_path, "m.json", m)
     assert main(["equiv", "--relation", "b", path, path]) == 2
+
+
+def test_equiv_f_and_b_compare_generalized_automata(tmp_path, capsys):
+    # A join is a Gba, on which f and b are defined; only a plain system is refused.
+    joined = str(GOLDEN / "joined.json")
+    for rel in ("f", "b"):
+        assert main(["equiv", "--relation", rel, joined, joined]) == 0
+        assert json.loads(capsys.readouterr().out)["equal"] is True
+    left, right = parity_bars()
+    context = distinguishing_context(left.names, right.names, left.data)
+    paths = [
+        write_machine(tmp_path, f"{i}.json", join(m, context)) for i, m in enumerate((left, right))
+    ]
+    assert main(["equiv", "--relation", "b", *paths]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["witness_kind"] == "lasso"
+    lasso = write_json(tmp_path, "lasso.json", verdict["witness"])
+    assert sorted(main(["member", "--lasso", lasso, path]) for path in paths) == [0, 1]
 
 
 def test_member_word(parity_files, tmp_path, capsys):

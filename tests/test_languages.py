@@ -55,7 +55,7 @@ from tsr.errors import (
     SizeBoundError,
     TsrError,
 )
-from tsr.join import join, join_lts
+from tsr.join import join, join_bar_flat, join_lts
 from tsr.languages import (
     LassoWitness,
     accepting_loop_states,
@@ -499,6 +499,38 @@ def test_decision_outputs_are_pinned():
     # Recorded before the subset-pair searches were merged into one.
     expected = (GOLDEN / "decisions.sha256").read_text(encoding="utf-8").strip()
     assert decision_digest() == expected
+
+
+def builder_digest(seeds=range(60)) -> str:
+    """sha256 of the machines the product builders make, as canonical JSON.
+
+    Each seed draws a Buchi automaton of up to three states over ports
+    {A, B} and one over {B, C}, {A, B} or {C}, both over data {0, 1}, and
+    covers their ``join``, their ``join_bar_flat`` and ``join_lts`` of the
+    first one's plain system with the second.  Then, for each of C9's twelve
+    family machines b, ``buchi_intersect(b, buchi_complement(b))``.
+    """
+    data = frozenset({"0", "1"})
+    pools = (frozenset({"B", "C"}), frozenset({"A", "B"}), frozenset({"C"}))
+    params = GenParams(max_states=3, name_pool=frozenset({"A", "B"}), data_pool=data)
+    digest = hashlib.sha256()
+    for seed in seeds:
+        m1 = random_machine(replace(params, seed=seed), "bar")
+        m2 = random_machine(replace(params, seed=seed + 1000, name_pool=pools[seed % 3]), "bar")
+        built = (join(m1, m2), join_bar_flat(m1, m2), join_lts(base_of(m1), m2))
+        digest.update("\n".join(dumps_canonical(machine_to_json(m)) for m in built).encode())
+    family = GenParams(max_states=5, name_pool=frozenset({"A"}), data_pool=data)
+    for seed in range(12):
+        b = random_machine(replace(family, seed=seed), "bar")
+        product = buchi_intersect(b, buchi_complement(b))
+        digest.update(dumps_canonical(machine_to_json(product)).encode())
+    return digest.hexdigest()
+
+
+def test_builder_outputs_are_pinned():
+    # Recorded before the joins and the Buchi product moved onto the id table.
+    expected = (GOLDEN / "builders.sha256").read_text(encoding="utf-8").strip()
+    assert builder_digest() == expected
 
 
 def test_buchi_intersect():

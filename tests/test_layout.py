@@ -1,8 +1,9 @@
 """Source layout: every module-level private name of the library is used,
 no module of the library or the tests imports a name it never reads, the
 library never reads ``base``, no private function takes a parameter that
-every caller sets to the same literal, and of the language decisions only
-complementation enumerates the alphabet."""
+every caller sets to the same literal, of the language decisions only
+complementation enumerates the alphabet, and the joins and the language
+decisions read a machine's edges and final sets through its id table."""
 
 import ast
 from pathlib import Path
@@ -77,15 +78,19 @@ def readers_of(src: Path, name: str) -> list:
     ]
 
 
-def readers_in(path: Path, name: str) -> list:
+def readers_in(path: Path, name: str, attribute: bool = False) -> list:
     """The top-level statements of one module that read ``name``, each by
-    the first name it defines, or by its line when it defines none."""
+    the first name it defines, or by its line when it defines none.  With
+    ``attribute``, only reads of ``name`` as an attribute, such as
+    ``m.transitions``, count."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [
-        (_defined(stmt) or [f"line {stmt.lineno}"])[0]
-        for stmt in tree.body
-        if name in _referenced(stmt)
-    ]
+    if attribute:
+        reads = lambda stmt: any(
+            isinstance(node, ast.Attribute) and node.attr == name for node in ast.walk(stmt)
+        )
+    else:
+        reads = lambda stmt: name in _referenced(stmt)
+    return [(_defined(stmt) or [f"line {stmt.lineno}"])[0] for stmt in tree.body if reads(stmt)]
 
 
 def _passed_literal(call, param, position):
@@ -227,6 +232,31 @@ def test_a_stray_enumeration_is_reported(tmp_path):
         "print(enumerate_alphabet(['A'], ['0']))\n"
     )
     assert readers_in(path, "enumerate_alphabet") == ["buchi_complement", "_union_letters", "line 16"]
+
+
+def test_walks_read_edges_and_final_sets_through_the_id_table():
+    # _indexed is the one place that turns a machine's transitions and final
+    # sets into ids.  _reachable rebuilds a machine from its own edges;
+    # finite_targets is the set form of the table's targets, and degeneralize
+    # numbers states and family copies together.
+    assert readers_in(SRC / "join.py", "transitions", attribute=True) == []
+    assert readers_in(SRC / "languages.py", "transitions", attribute=True) == ["_reachable"]
+    readers = [r for path in sorted(SRC.glob("*.py")) for r in readers_in(path, "_final_sets")]
+    assert sorted(readers) == ["_indexed", "degeneralize", "finite_targets"]
+
+
+def test_a_stray_read_of_edges_or_final_sets_is_reported(tmp_path):
+    path = tmp_path / "join.py"
+    path.write_text(
+        "def _joined_base(m1, m2):\n"
+        "    transitions = set()\n    return Ltsr(transitions=frozenset(transitions))\n\n\n"
+        "def _moves_by_label(m):\n    return [(p, q) for p, _, q in m.transitions]\n\n\n"
+        "def _finals(m):\n    return _final_sets(m)\n\n\n"
+        "EDGES = len(machine.transitions)\n"
+    )
+    assert readers_in(path, "transitions", attribute=True) == ["_moves_by_label", "EDGES"]
+    assert readers_in(path, "transitions") == ["_joined_base", "_moves_by_label", "EDGES"]
+    assert readers_in(path, "_final_sets") == ["_finals"]
 
 
 def test_no_private_function_takes_a_constant_argument():
