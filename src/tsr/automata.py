@@ -217,16 +217,14 @@ def reach(m: Machine, from_states: Iterable[str], w: FiniteWord) -> frozenset:
     current = frozenset(from_states)
     if not w.symbols:
         return current
-    order = _indexed(m).order
-    return frozenset(order[i] for i in _ids(_read(m, current, w.symbols)))
-
-
-def _read(m: Machine, states, symbols) -> int:
-    """The ids reached from the named ``states`` by reading ``symbols``, as a
-    bit mask stepped over ``_indexed``'s masks; states the machine lacks are
-    dropped."""
     table = _indexed(m)
-    mask = _state_mask(table.index, states)
+    start = sum(1 << i for i, q in enumerate(table.order) if q in current)
+    return frozenset(table.order[i] for i in _ids(_read(table, start, w.symbols)))
+
+
+def _read(table: _Table, mask: int, symbols) -> int:
+    """The ids reached from the ids in ``mask`` by reading ``symbols``, as a
+    bit mask stepped over the table's masks."""
     for r in symbols:
         if not mask:
             break
@@ -235,7 +233,8 @@ def _read(m: Machine, states, symbols) -> int:
 
 
 def traceable(m: Machine, w: FiniteWord) -> bool:
-    return bool(_read(m, m.initial, w.symbols))
+    table = _indexed(m)
+    return bool(_read(table, table.initial, w.symbols))
 
 
 def _final_sets(m: Machine) -> tuple:
@@ -272,29 +271,31 @@ def finite_targets(m: Machine) -> frozenset:
 
 
 def accepts_finite(m: Machine, w: FiniteWord) -> bool:
-    return bool(_read(m, m.initial, w.symbols) & _indexed(m).targets)
+    table = _indexed(m)
+    return bool(_read(table, table.initial, w.symbols) & table.targets)
 
 
 def trap_states(m: Machine) -> frozenset:
     """States with no outgoing transition at all; runs entering them die."""
-    alive = {src for src, _, _ in m.transitions}
-    return frozenset(m.states - alive)
+    table = _indexed(m)
+    return frozenset(q for q, row in zip(table.order, table.moves) if not row)
 
 
 class _Table(NamedTuple):
     """A machine on dense state ids, as the library's walks read it.
 
-    ``order`` lists the states sorted, ``index`` maps a state to its position
-    there, and ``succ[letter][i]`` lists the ids reached from state ``i`` on
-    that letter, while ``masks[letter][i]`` holds them as a bit mask (letters
-    that label no transition are absent from both).  ``moves[i]`` lists the
-    ids reached from state ``i`` on any letter.  ``finals`` holds each of
+    ``order`` lists the states sorted; a state's id is its position there.
+    ``initial`` holds the initial states as a bit mask of ids.
+    ``succ[letter][i]`` lists the ids reached from state ``i`` on that
+    letter, while ``masks[letter][i]`` holds them as a bit mask (letters that
+    label no transition are absent from both).  ``moves[i]`` lists the ids
+    reached from state ``i`` on any letter.  ``finals`` holds each of
     ``_final_sets`` as a bit mask of ids, and ``targets`` their AND, the
     ``finite_targets``.
     """
 
     order: list
-    index: dict
+    initial: int
     succ: dict
     masks: dict
     moves: list
@@ -319,7 +320,8 @@ def _indexed(m: Machine) -> _Table:
         masks[label][i] |= 1 << j
         moves[i].append(j)
     finals = tuple(_state_mask(index, f) for f in _final_sets(m))
-    return _Table(order, index, succ, masks, moves, finals, reduce(int.__and__, finals))
+    initial = _state_mask(index, m.initial)
+    return _Table(order, initial, succ, masks, moves, finals, reduce(int.__and__, finals))
 
 
 def _state_mask(index: dict, states) -> int:
@@ -512,7 +514,8 @@ def accepts_lasso(m: Machine, l: Lasso) -> bool:
     The prefix is read like a finite word; the lasso is accepted when it
     leads to a state from which reading the period forever can accept.
     """
-    current = _read(m, m.initial, l.prefix)
+    table = _indexed(m)
+    current = _read(table, table.initial, l.prefix)
     if not current:
         return False
     loop = _loop_ids(m, l.period)
@@ -570,31 +573,29 @@ def degeneralize(g: Gba) -> Bar:
     is seen infinitely often also accepts, finitely, infinitely many prefixes
     of every accepted infinite word.)
     """
-    family = _final_sets(g)
-    k = len(family)
-
-    def cname(q: str, i: int) -> str:
-        return f"({q},{i})"
-
-    states = frozenset(cname(q, i) for q in g.states for i in range(1, k + 1))
+    table = _indexed(g)
+    order, finals = table.order, table.finals
+    n, k = len(order), len(finals)
+    # Node c*n + v is state v in copy c + 1, named names[c][v].  A move from
+    # it goes on to copy nxt[c][v] + 1, the next copy when v lies in member c.
+    names = [[f"({q},{c})" for q in order] for c in range(1, k + 1)]
+    nxt = [[(c + 1) % k if f >> v & 1 else c for v in range(n)] for c, f in enumerate(finals)]
+    states = frozenset(q for copy in names for q in copy)
     transitions = set()
-    # The cycle search below runs on ids: node (i-1)*n + index[q] is (q, i).
-    order = list(g.states)
-    index = {q: v for v, q in enumerate(order)}
-    n = len(order)
-    rows = [[] for _ in range(n * k)]
-    for src, label, dst in g.transitions:
-        for i in range(1, k + 1):
-            j = (i % k) + 1 if src in family[i - 1] else i
-            transitions.add((cname(src, i), label, cname(dst, j)))
-            rows[(i - 1) * n + index[src]].append((j - 1) * n + index[dst])
-    initial = frozenset(cname(q, 1) for q in g.initial)
+    for label, rows in table.succ.items():
+        for v, row in enumerate(rows):
+            if row:
+                for c, copy in enumerate(names):
+                    target = names[nxt[c][v]]
+                    transitions.update((copy[v], label, target[j]) for j in row)
+    rows = [[nxt[c][v] * n + j for j in table.moves[v]] for c in range(k) for v in range(n)]
+    initial = frozenset(names[0][v] for v in _ids(table.initial))
 
-    final = {cname(q, i) for q in finite_targets(g) for i in range(1, k + 1)}
+    final = {copy[v] for copy in names for v in _ids(table.targets)}
 
-    for scc in _sccs(rows, [index[q] for q in g.initial]):
+    for scc in _sccs(rows, list(_ids(table.initial))):
         if _cyclic(scc, rows):
-            final.update(cname(order[v], 1) for v in scc if v < n and order[v] in family[0])
+            final.update(names[0][v] for v in scc if v < n and finals[0] >> v & 1)
 
     if not final:
         # Nothing accepts, but a Buchi automaton needs a non-empty final set;

@@ -99,11 +99,7 @@ def cmd_join(args) -> int:
     elif type(m1) is Ltsr and type(m2) is Ltsr:
         result = join_lts(m1, m2)
     else:
-        print(
-            "error: join needs two Buchi automata or two plain transition systems",
-            file=sys.stderr,
-        )
-        return 2
+        raise TsrError("join needs two Buchi automata or two plain transition systems")
     _emit(dumps_canonical(machine_to_json(result)), args.output)
     return 0
 
@@ -113,8 +109,7 @@ def cmd_equiv(args) -> int:
     m2 = _load_valid(args.right)
     rel = args.relation
     if rel in ("f", "b") and not all(isinstance(m, (Bar, Gba)) for m in (m1, m2)):
-        print(f"error: relation {rel} compares (generalized) Buchi automata", file=sys.stderr)
-        return 2
+        raise TsrError(f"relation {rel} compares (generalized) Buchi automata")
     if rel == "it":
         for path, m in ((args.left, m1), (args.right, m2)):
             if trap_states(m):
@@ -196,8 +191,7 @@ def cmd_distinguish(args) -> int:
     m1 = _load_valid(args.left)
     m2 = _load_valid(args.right)
     if not (isinstance(m1, Bar) and isinstance(m2, Bar)):
-        print("error: distinguish compares two Buchi automata", file=sys.stderr)
-        return 2
+        raise TsrError("distinguish compares two Buchi automata")
     result = distinguish_by_context(m1, m2)
     if result is None:
         payload = {"distinguishable": False, "context": None, "witness": None}
@@ -291,10 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TsrError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (TsrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

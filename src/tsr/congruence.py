@@ -37,7 +37,7 @@ from .automata import (
     base_of,
     trap_states,
 )
-from .errors import SizeBoundError, TrapStateError, TsrError
+from .errors import AlphabetLimitError, SizeBoundError, TrapStateError, TsrError
 from .join import distinguishing_context, fresh_name, join, join_lts
 from .languages import (
     buchi_equiv,
@@ -113,7 +113,7 @@ def random_machine(params: GenParams, kind: str = "bar") -> Machine:
     rng = random.Random(f"machine:{params.seed}")
     n = rng.randint(1, params.max_states)
     states = tuple(f"q{i}" for i in range(n))
-    letters = sorted(enumerate_alphabet(params.name_pool, params.data_pool))
+    letters = enumerate_alphabet(params.name_pool, params.data_pool)
     transitions = set()
     for src in states:
         for r in letters:
@@ -193,9 +193,14 @@ def _duplicate_state(m: Machine, rng: random.Random) -> Machine:
     )
 
 
-def _add_unreachable(m: Machine, rng: random.Random) -> Machine:
+def _add_unreachable(m: Machine, rng: random.Random) -> Optional[Machine]:
+    # The new state's loop letter is drawn from the whole alphabet; above the
+    # enumeration limit there is no candidate, as when no cycle can be shifted.
     extra = fresh_name(m.states, "u")
-    letters = sorted(enumerate_alphabet(m.names, m.data))
+    try:
+        letters = enumerate_alphabet(m.names, m.data)
+    except AlphabetLimitError:
+        return None
     return _rebuilt(
         m,
         states=m.states | {extra},
@@ -256,8 +261,8 @@ def language_preserving_mutate(m: Machine, seed, relation: str = "f") -> Machine
     """A machine equivalent to ``m`` under the given relation.
 
     Mutations are structural (rename, twin a state, add an unreachable
-    state, and for the lasso relation a final-marker shift along an even
-    cycle); each candidate is re-verified with the relation's decision
+    state when the alphabet can be enumerated, and for the lasso relation a
+    final-marker shift along an even cycle); each candidate is re-verified with the relation's decision
     procedure and discarded on failure.  A renaming, which cannot change any
     language, is always among them, so ``TsrError`` is raised when every
     candidate fails: the decision procedure is then broken.

@@ -27,6 +27,7 @@ from .automata import (
     Machine,
     _canonical_family,
     _component,
+    _ids,
     _indexed,
     degeneralize,
 )
@@ -43,24 +44,25 @@ def product_state(left: str, right: str) -> str:
     return f"({_component(left)},{_component(right)})"
 
 
-def _joined_base(m1: Machine, m2: Machine) -> Ltsr:
-    """The composed transition system, acceptance left out.
+def _joined_base(m1: Machine, m2: Machine) -> tuple:
+    """The composed transition system, acceptance left out, and its names.
 
     Whether a move may go alone (rule 2 or 3) or with which partner (rule 1)
     depends only on the labels and the name sets, so it is decided once per
     label or label pair, and each joined label is built once.  Both sides
-    are read from their ``_indexed`` rows; ``pair[i][k]`` names ids i and k.
+    are read from their ``_indexed`` tables; the returned ``pair[i][k]``
+    names the pair of ids i and k.
     """
     if m1.data != m2.data:
         raise DataSetMismatchError(
             f"join requires one shared data set, got {sorted(m1.data)} and {sorted(m2.data)}"
         )
     n1, n2 = m1.names, m2.names
-    t1, t2 = _indexed(m1), _indexed(m2)
-    pair = [[product_state(s1, s2) for s2 in t2.order] for s1 in t1.order]
+    table1, table2 = _indexed(m1), _indexed(m2)
+    pair = [[product_state(s1, s2) for s2 in table2.order] for s1 in table1.order]
     moves1, moves2 = (
-        {r: [(i, j) for i, row in enumerate(rows) for j in row] for r, rows in t.succ.items()}
-        for t in (t1, t2)
+        {r: [(i, j) for i, row in enumerate(rows) for j in row] for r, rows in table.succ.items()}
+        for table in (table1, table2)
     )
     transitions = set()
     for r1, edges1 in moves1.items():
@@ -82,8 +84,8 @@ def _joined_base(m1: Machine, m2: Machine) -> Ltsr:
                     for k, l in edges2:
                         transitions.add((source[k], r, target[l]))
     states = frozenset(q for row in pair for q in row)
-    initial = frozenset(product_state(s1, s2) for s1 in m1.initial for s2 in m2.initial)
-    return Ltsr(states, n1 | n2, m1.data, frozenset(transitions), initial)
+    initial = frozenset(pair[i][k] for i in _ids(table1.initial) for k in _ids(table2.initial))
+    return Ltsr(states, n1 | n2, m1.data, frozenset(transitions), initial), pair
 
 
 def join(b1: Bar, b2: Bar) -> Gba:
@@ -96,19 +98,16 @@ def join(b1: Bar, b2: Bar) -> Gba:
     """
     if not isinstance(b1, Bar) or not isinstance(b2, Bar):
         raise TsrError("join is defined on two Buchi automata; see join_lts for plain systems")
-    joined = _joined_base(b1, b2)
-    left_final = frozenset(
-        product_state(f1, s2) for f1 in b1.final for s2 in b2.states
-    )
-    right_final = frozenset(
-        product_state(s1, f2) for s1 in b1.states for f2 in b2.final
-    )
+    joined, pair = _joined_base(b1, b2)
+    (final1,), (final2,) = _indexed(b1).finals, _indexed(b2).finals
+    left_final = frozenset(q for i in _ids(final1) for q in pair[i])
+    right_final = frozenset(row[k] for row in pair for k in _ids(final2))
     return Gba(**vars(joined), final_family=_canonical_family((left_final, right_final)))
 
 
 def join_lts(m1: Machine, m2: Machine) -> Ltsr:
     """Join two transition systems, ignoring any acceptance structure."""
-    return _joined_base(m1, m2)
+    return _joined_base(m1, m2)[0]
 
 
 def join_bar_flat(b1: Bar, b2: Bar) -> Bar:

@@ -54,7 +54,6 @@ from .automata import (
     _reached,
     _rebuilt,
     _sccs,
-    _state_mask,
     _step,
     accepts_finite,
     accepts_lasso,
@@ -143,7 +142,7 @@ def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
     names, letters = _union_letters(x1, x2)
     table1, table2 = _indexed(x1), _indexed(x2)
     t1, t2 = table1.targets, table2.targets
-    start = (_state_mask(table1.index, x1.initial), _state_mask(table2.index, x2.initial))
+    start = (table1.initial, table2.initial)
     for (s1, s2), word in _subset_pairs(table1.masks, table2.masks, start, letters):
         if stop(bool(s1 & t1), bool(s2 & t2)):
             return FiniteWord(word, names)
@@ -177,7 +176,7 @@ def _reachable(b: Union[Bar, Gba]) -> Union[Bar, Gba]:
     restricted.
     """
     table = _indexed(b)
-    seen = _reached(table.moves, [table.index[q] for q in b.initial])
+    seen = _reached(table.moves, list(_ids(table.initial)))
     if all(seen):
         return b
     states = frozenset(q for q, keep in zip(table.order, seen) if keep)
@@ -248,7 +247,6 @@ class _ProfileSpace:
     frow: int              # the low n bits at every member offset
     unit: Profile
     letter_rows: dict      # Record -> Rows of that profile
-    initial_mask: int
 
     def columns(self, a: Profile):
         """Column i of R and of every F member, each shifted down to bit p*n of row p."""
@@ -322,7 +320,6 @@ def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpa
         frow,
         (unit_r, unit_f),
         letter_rows,
-        _state_mask(table.index, b.initial),
     )
 
 
@@ -386,8 +383,8 @@ def _simulated(a: Union[Bar, Gba], b: Union[Bar, Gba]) -> bool:
         for p in range(n_a)
     ]
     finals_a, finals_b = table_a.finals, table_b.finals
-    starts_a = list(_ids(_state_mask(table_a.index, a.initial)))
-    start_b = _state_mask(table_b.index, b.initial)
+    starts_a = list(_ids(table_a.initial))
+    start_b = table_b.initial
     every_b = (1 << n_b) - 1
     for stand_in in product(range(len(finals_a)), repeat=len(finals_b)):
         sim = []
@@ -454,8 +451,9 @@ def buchi_equiv(
     if _simulated(b1, b2) and _simulated(b2, b1):
         return Verdict(True)
     spaces = (_profile_space(b1, letters), _profile_space(b2, letters))
-    start = (spaces[0].initial_mask, spaces[1].initial_mask)
-    pairs = list(_subset_pairs(_indexed(b1).masks, _indexed(b2).masks, start, letters))
+    table1, table2 = _indexed(b1), _indexed(b2)
+    start = (table1.initial, table2.initial)
+    pairs = list(_subset_pairs(table1.masks, table2.masks, start, letters))
 
     # A period matters only through the states from which reading it forever
     # accepts, so one idempotent per such pair of state sets is scanned: the
@@ -508,7 +506,7 @@ def buchi_complement(b: Bar) -> Bar:
             f"complementation is limited to {DEFAULT_COMPLEMENT_STATE_LIMIT} states, "
             f"got {len(b.states)}"
         )
-    letters = sorted(enumerate_alphabet(b.names, b.data))
+    letters = enumerate_alphabet(b.names, b.data)
     space = _profile_space(b, letters)
     nonempty = dict(_joint_closure((space,), letters, COMPLEMENT_MONOID_LIMIT))
 
@@ -522,12 +520,12 @@ def buchi_complement(b: Bar) -> Bar:
     # by stepping along the closure, which reaches every element from the unit.
     # rhos[id of sigma]: the ids of the periods rho such that (sigma, rho) is
     # a linked, non-accepting pair.
-    masks = _indexed(b).masks
-    reach = {0: space.initial_mask}
+    table = _indexed(b)
+    reach = {0: table.initial}
     for x, row in enumerate(succ):
         for r, y in zip(letters, row):
             if y not in reach:
-                reach[y] = _step(masks.get(r), reach[x])
+                reach[y] = _step(table.masks.get(r), reach[x])
     columns = [space.columns(x) for x in order]
     rhos = {}
     for e in nonempty:
@@ -622,7 +620,7 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
                     for q2 in targets2:
                         yield r, (q1, q2, nxt)
 
-    roots = [(table1.index[q1], table2.index[q2], 1) for q1 in b1.initial for q2 in b2.initial]
+    roots = [(q1, q2, 1) for q1 in _ids(table1.initial) for q2 in _ids(table2.initial)]
     found, rows = _explore(roots, edges)
     order1, order2 = table1.order, table2.order
     names = [
@@ -655,7 +653,7 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
     (final,) = table.finals
     edges = lambda q: ((r, j) for r, rows in steps for j in _ids(rows[q]))
 
-    roots = sorted(table.index[q] for q in b.initial)
+    roots = list(_ids(table.initial))
     found, rows = _explore(roots, edges)
     succ = [[j for _, j in row] for row in rows]
     looping = [v for scc in _sccs(succ) if _cyclic(scc, succ) for v in scc if final >> found[v] & 1]
@@ -710,7 +708,7 @@ def _productive(m: Machine) -> tuple:
     table = _indexed(m)
     keep = sum(1 << i for i, live in enumerate(_live_ids(table.moves)) if live)
     masks = {r: [row & keep for row in rows] for r, rows in table.masks.items()}
-    return masks, _state_mask(table.index, m.initial) & keep
+    return masks, table.initial & keep
 
 
 def _extend_to_lasso(prefix_word, mask, masks, names) -> Lasso:

@@ -1,6 +1,8 @@
 """Machines: stepping, validation, acceptance, degeneralization."""
 
+import hashlib
 import random
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,8 +43,10 @@ from tsr.automata import _final_sets, _ids, _indexed, _live_ids, _loop_ids
 from tsr.congruence import GenParams, random_machine
 from tsr.join import join
 from tsr.records import TAU, FiniteWord, Lasso, enumerate_alphabet
+from tsr.serialize import dumps_canonical, machine_to_json
 
 A = rec(A="0")
+GOLDEN = Path(__file__).parent / "golden"
 F = rec(zz0="0")
 
 
@@ -359,7 +363,7 @@ def test_the_id_table_holds_the_rows_masks_and_final_masks_of_a_machine(machines
         table = _indexed(m)
         order = table.order
         assert order == sorted(m.states)
-        assert table.index == {q: i for i, q in enumerate(order)}
+        assert table.initial == sum(1 << order.index(q) for q in m.initial)
         # A letter of the alphabet that no transition carries has no rows.
         labels = {r for _, r, _ in m.transitions}
         assert table.succ.keys() == table.masks.keys() == labels
@@ -377,6 +381,7 @@ def test_the_id_table_holds_the_rows_masks_and_final_masks_of_a_machine(machines
         as_set = lambda mask: frozenset(order[i] for i in _ids(mask))
         assert tuple(map(as_set, table.finals)) == _final_sets(m)
         assert as_set(table.targets) == finite_targets(m)
+        assert trap_states(m) == m.states - {src for src, _, _ in m.transitions}
 
 
 @given(digraphs())
@@ -511,6 +516,40 @@ def test_degeneralize_pads_a_family_with_no_common_state_and_no_cycle():
     assert flat.states == {"(q0,1)", "(q0,2)", "(q1,1)", "(q1,2)", "(pad,0)"}
     for pre, per in lassos_up_to([TAU, A], 1, 1):
         assert not accepts_lasso(flat, Lasso.of(pre, per, names={"A"}))
+
+
+def degeneralize_digest(seeds=range(80)) -> str:
+    """sha256 of ``degeneralize`` on seeded Gbas, as canonical JSON.
+
+    Seed s draws a Gba of one to four states over port A and data {0, 1},
+    with a family of s % 4 members; state names are drawn from a pool whose
+    names hold ``,``, ``(``, ``)`` and ``\\``.  Members may be empty, and
+    the edges are sparse enough that some seeds reach no cycle.
+    """
+    pool = ["q0", "a,b", "(x", "p\\", "(u,v)", ")", "s\\,t", "(q1,2)"]
+    letters = [TAU, rec(A="0"), rec(A="1")]
+    digest = hashlib.sha256()
+    for seed in seeds:
+        rng = random.Random(f"degeneralize:{seed}")
+        states = rng.sample(pool, rng.randint(1, 4))
+        edges = [
+            (src, r, dst)
+            for src in states
+            for r in letters
+            for dst in states
+            if rng.random() < 0.25
+        ]
+        initial = [q for q in states if rng.random() < 0.4] or [states[0]]
+        family = [[q for q in states if rng.random() < 0.5] for _ in range(seed % 4)]
+        flat = degeneralize(gba(states, ["A"], ["0", "1"], edges, initial, family))
+        digest.update(dumps_canonical(machine_to_json(flat)).encode())
+    return digest.hexdigest()
+
+
+def test_degeneralize_outputs_are_pinned():
+    # Recorded before degeneralize moved onto the id table.
+    expected = (GOLDEN / "degeneralize.sha256").read_text(encoding="utf-8").strip()
+    assert degeneralize_digest() == expected
 
 
 def test_verdict_witness_kind():

@@ -122,7 +122,8 @@ def test_join_mixed_kinds_is_an_error(tmp_path, capsys):
     gp = str(GOLDEN / "joined.json")
     for left, right in ((lp, bp), (bp, lp), (gp, gp)):
         assert main(["join", left, right]) == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: join needs two Buchi automata or two plain transition systems\n"
 
 
 def test_equiv_exit_codes(parity_files, capsys):
@@ -164,6 +165,7 @@ def test_equiv_b_requires_acceptance(tmp_path, capsys):
     m = lts(["s0"], ["A"], ["0"], [("s0", A, "s0")], ["s0"])
     path = write_machine(tmp_path, "m.json", m)
     assert main(["equiv", "--relation", "b", path, path]) == 2
+    assert capsys.readouterr().err == "error: relation b compares (generalized) Buchi automata\n"
 
 
 def test_equiv_f_and_b_compare_generalized_automata(tmp_path, capsys):
@@ -278,7 +280,7 @@ def test_distinguish_a_plain_system_exits_two(parity_files, tmp_path, capsys):
     left, _ = parity_files
     plain = write_machine(tmp_path, "m.json", lts(["s0"], ["A"], ["0"], [("s0", A, "s0")], ["s0"]))
     assert main(["distinguish", left, plain]) == 2
-    assert "distinguish compares two Buchi automata" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: distinguish compares two Buchi automata\n"
 
 
 def test_usage_errors_exit_two(capsys):

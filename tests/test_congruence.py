@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import lts, rec
+from helpers import four_port_join, lts, rec
 from tsr import congruence
 from tsr.automata import (
     Bar,
@@ -79,6 +79,16 @@ def test_language_preserving_mutate_refuses_when_no_candidate_is_equal(monkeypat
         m = random_machine(GenParams(seed=1), "lts" if rel in ("ft", "it") else "bar")
         with pytest.raises(TsrError, match="renaming was judged non-equivalent"):
             language_preserving_mutate(m, 0, rel)
+
+
+def test_mutating_a_machine_over_more_letters_than_enumeration_allows():
+    # The 4-port join has 81 letters, more than enumeration allows, so adding
+    # an unreachable state gives no candidate; on these seeds the shuffle
+    # tries it first, and another mutation must give the mate.
+    m = four_port_join("bar")
+    for seed in (0, 2, 4, 5, 8):
+        mate = language_preserving_mutate(m, seed, "b")
+        assert relation_equiv("b", m, mate).equal
 
 
 def test_parity_bars_facts():

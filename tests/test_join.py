@@ -147,7 +147,7 @@ def test_joined_base_matches_the_per_transition_pair_rules(relation, data):
     m1 = data.draw(small_lts(names1))
     m2 = data.draw(small_lts(names2))
     for left, right in ((m1, m2), (m2, m1), (m1, lts(["c"], names2, ["0", "1"], [], ["c"]))):
-        j = _joined_base(left, right)
+        j = _joined_base(left, right)[0]
         assert j.transitions == naive_join_edges(left, right)
         assert j.states == {product_state(a, b) for a in left.states for b in right.states}
         assert j.initial == {product_state(a, b) for a in left.initial for b in right.initial}

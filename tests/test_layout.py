@@ -3,7 +3,8 @@ no module of the library or the tests imports a name it never reads, the
 library never reads ``base``, no private function takes a parameter that
 every caller sets to the same literal, of the language decisions only
 complementation enumerates the alphabet, and the joins and the language
-decisions read a machine's edges and final sets through its id table."""
+decisions read a machine's edges, initial states and final sets through its
+id table."""
 
 import ast
 from pathlib import Path
@@ -78,15 +79,26 @@ def readers_of(src: Path, name: str) -> list:
     ]
 
 
+def _off_table(node: ast.Attribute) -> bool:
+    """Whether an attribute is read off an id table: off a name that starts
+    with ``table``, or off a call of ``_indexed``."""
+    obj = node.value
+    if isinstance(obj, ast.Call):
+        return isinstance(obj.func, ast.Name) and obj.func.id == "_indexed"
+    return isinstance(obj, ast.Name) and obj.id.startswith("table")
+
+
 def readers_in(path: Path, name: str, attribute: bool = False) -> list:
     """The top-level statements of one module that read ``name``, each by
     the first name it defines, or by its line when it defines none.  With
-    ``attribute``, only reads of ``name`` as an attribute, such as
-    ``m.transitions``, count."""
+    ``attribute``, only reads of ``name`` as an attribute of a machine, such
+    as ``m.transitions``, count; reads off an id table, such as
+    ``table.initial``, do not."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     if attribute:
         reads = lambda stmt: any(
-            isinstance(node, ast.Attribute) and node.attr == name for node in ast.walk(stmt)
+            isinstance(node, ast.Attribute) and node.attr == name and not _off_table(node)
+            for node in ast.walk(stmt)
         )
     else:
         reads = lambda stmt: name in _referenced(stmt)
@@ -236,13 +248,41 @@ def test_a_stray_enumeration_is_reported(tmp_path):
 
 def test_walks_read_edges_and_final_sets_through_the_id_table():
     # _indexed is the one place that turns a machine's transitions and final
-    # sets into ids.  _reachable rebuilds a machine from its own edges;
-    # finite_targets is the set form of the table's targets, and degeneralize
-    # numbers states and family copies together.
+    # sets into ids.  _reachable rebuilds a machine from its own edges, and
+    # finite_targets is the set form of the table's targets.
     assert readers_in(SRC / "join.py", "transitions", attribute=True) == []
     assert readers_in(SRC / "languages.py", "transitions", attribute=True) == ["_reachable"]
     readers = [r for path in sorted(SRC.glob("*.py")) for r in readers_in(path, "_final_sets")]
-    assert sorted(readers) == ["_indexed", "degeneralize", "finite_targets"]
+    assert sorted(readers) == ["_indexed", "finite_targets"]
+
+
+def test_walks_start_from_the_id_table():
+    # Every walk starts from the table's initial mask, and trap_states and
+    # degeneralize read the table's rows; in automata.py only validation,
+    # base_of, _indexed and the two edge filters read a machine's edges.
+    for module in ("join.py", "languages.py"):
+        assert readers_in(SRC / module, "initial", attribute=True) == []
+    assert readers_in(SRC / "automata.py", "transitions", attribute=True) == [
+        "base_of",
+        "validate",
+        "_indexed",
+        "without_invisible_edges",
+        "with_idle_loops",
+    ]
+
+
+def test_a_stray_read_of_initial_states_is_reported(tmp_path):
+    path = tmp_path / "languages.py"
+    path.write_text(
+        "def _pair_search(x1, x2):\n"
+        "    table1, table2 = _indexed(x1), _indexed(x2)\n"
+        "    return (table1.initial, _indexed(x2).initial)\n\n\n"
+        "def _reachable(b):\n    table = _indexed(b)\n    return [q for q in b.initial]\n\n\n"
+        "def trap_states(m):\n    t = _indexed(m)\n    return t.initial, m.transitions\n\n\n"
+        "START = machine.initial\n"
+    )
+    assert readers_in(path, "initial", attribute=True) == ["_reachable", "trap_states", "START"]
+    assert readers_in(path, "transitions", attribute=True) == ["trap_states"]
 
 
 def test_a_stray_read_of_edges_or_final_sets_is_reported(tmp_path):
