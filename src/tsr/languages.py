@@ -491,11 +491,14 @@ def buchi_complement(b: Bar) -> Bar:
     States are named by monoid element ids, in the closure's breadth-first
     order: reader ``r<sigma>``, block ``b<rho>_<profile so far>`` and cut
     ``c<rho>``.  Only the initial reader and the reachable states that can
-    still reach an accepting cycle are kept.  The trim keeps the lasso
+    still reach an accepting cycle are built.  The trim keeps the lasso
     language, whose accepting runs stay among such states.  It keeps the
     finite-word language too: the final states are the cuts, each cut
     ``c<rho>`` lies on a cycle because rho is realized by a non-empty word,
     so every state that can reach a final state can reach an accepting cycle.
+    They are found on the reversed Cayley graph before exploring: block
+    ``b<rho>_x`` is live when x reaches rho, and reader ``r<x>`` when x
+    reaches a reader with a commitment.
     When no cut is reachable, a lone final state ``never`` pads the result.
     """
     if not isinstance(b, Bar):
@@ -539,28 +542,39 @@ def buchi_complement(b: Bar) -> Bar:
                 continue
             rhos.setdefault(sigma_id, []).append(ids[rho])
 
+    # Every predecessor of a live state is live, so exploring only live
+    # states finds them all.  The initial reader, id 0, is kept regardless.
+    preds = [[] for _ in order]
+    for x, row in enumerate(succ):
+        for y in row:
+            preds[y].append(x)
+    committed = {rho_id for row in rhos.values() for rho_id in row}
+    block_live = {rho_id: _reached(preds, [rho_id]) for rho_id in committed}
+    reader_live = _reached(preds, list(rhos))
+    reader_live[0] = True
+
     def edges(state):
         # Blocks are nearly every state, so they take the first branch; a
         # commitment and a cut have the edges of the block at the unit, id 0.
         if state[0] == "b":
             _, rho_id, x = state
+            live = block_live[rho_id]
             for r, y in zip(letters, succ[x]):
-                yield r, ("b", rho_id, y)
+                if live[y]:
+                    yield r, ("b", rho_id, y)
                 if y == rho_id:
                     yield r, ("c", rho_id)
         elif state[0] == "r":
             x = state[1]
             for r, y in zip(letters, succ[x]):
-                yield r, ("r", y)
+                if reader_live[y]:
+                    yield r, ("r", y)
             for rho_id in rhos.get(x, ()):
                 yield from edges(("b", rho_id, 0))
         else:
             yield from edges(("b", state[1], 0))
 
-    # The initial reader is id 0 and is always kept.
     found, rows = _explore([("r", 0)], edges)
-    live = _live_ids([[j for _, j in row] for row in rows], [q[0] == "c" for q in found])
-    live[0] = True
 
     def name(state):
         if state[0] == "r":
@@ -569,14 +583,10 @@ def buchi_complement(b: Bar) -> Bar:
             return f"b{state[1]}_{state[2]}"
         return f"c{state[1]}"
 
-    names = [name(q) if keep else None for q, keep in zip(found, live)]
-    states = frozenset(q for q in names if q is not None)
-    transitions = frozenset(
-        (names[i], r, names[j])
-        for i, row in enumerate(rows) if live[i]
-        for r, j in row if live[j]
-    )
-    final = frozenset(names[i] for i, q in enumerate(found) if live[i] and q[0] == "c")
+    names = [name(q) for q in found]
+    states = frozenset(names)
+    transitions = frozenset((names[i], r, names[j]) for i, row in enumerate(rows) for r, j in row)
+    final = frozenset(names[i] for i, q in enumerate(found) if q[0] == "c")
     if not final:
         states = states | {"never"}
         final = frozenset({"never"})

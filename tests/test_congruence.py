@@ -1,5 +1,8 @@
 """Random machines, language-preserving mutation, congruence checking."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from helpers import four_port_join, lts, rec
@@ -28,8 +31,9 @@ from tsr.congruence import (
 from tsr.errors import TrapStateError, TsrError
 from tsr.join import join
 from tsr.records import Lasso
-from tsr.serialize import report_to_json
+from tsr.serialize import dumps_canonical, machine_to_json, report_to_json
 
+GOLDEN = Path(__file__).parent / "golden"
 A = rec(A="0")
 
 
@@ -71,6 +75,34 @@ def test_language_preserving_mutate_is_verified_per_relation():
             )
             mutated = language_preserving_mutate(m, seed, rel)
             assert relation_equiv(rel, m, mutated).equal
+
+
+def generator_digest(seeds=range(60)) -> str:
+    """sha256 of the fuzz generators' outputs, as canonical JSON.
+
+    For each seed: ``random_machine`` with default parameters as a Buchi
+    automaton, as a plain system and as a trapless plain system, and the mate
+    ``language_preserving_mutate`` gives, under each relation, the machine
+    that relation's fuzzer draws (plain for ft, trapless plain for it, Buchi
+    for f and b).
+    """
+    digest = hashlib.sha256()
+    for seed in seeds:
+        buchi = random_machine(GenParams(seed=seed), "bar")
+        plain = random_machine(GenParams(seed=seed), "lts")
+        trapless = random_machine(GenParams(seed=seed, trapless=True), "lts")
+        drawn = {"ft": plain, "it": trapless, "f": buchi, "b": buchi}
+        machines = [buchi, plain, trapless]
+        machines += [language_preserving_mutate(drawn[rel], seed, rel) for rel in RELATIONS]
+        digest.update("\n".join(dumps_canonical(machine_to_json(m)) for m in machines).encode())
+    return digest.hexdigest()
+
+
+def test_fuzz_generators_are_pinned():
+    # A fuzz report carries no seed and no per-trial machines, so an unchanged
+    # report cannot show that the drawn machines and mates are unchanged.
+    expected = (GOLDEN / "generators.sha256").read_text(encoding="utf-8").strip()
+    assert generator_digest() == expected
 
 
 def test_language_preserving_mutate_refuses_when_no_candidate_is_equal(monkeypatch):

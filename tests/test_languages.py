@@ -27,6 +27,7 @@ from helpers import (
     states_reaching_accepting_cycles,
     words_up_to,
 )
+from tsr import languages
 from tsr.automata import (
     Bar,
     Ltsr,
@@ -401,6 +402,49 @@ def test_buchi_complement_keeps_only_live_states():
         assert comp.base.states - live <= comp.base.initial | {"never"}
 
 
+def universal_bars():
+    """A one-state Bar whose final state loops on every letter of {A}x{0},
+    and the same with a second, unreachable state that loops on every letter.
+    """
+    letters = enumerate_alphabet(frozenset({"A"}), frozenset({"0"}))
+    loops = [("q0", r, "q0") for r in letters]
+    spare = [("q1", r, "q1") for r in letters]
+    return (
+        bar(["q0"], ["A"], ["0"], loops, ["q0"], ["q0"]),
+        bar(["q0", "q1"], ["A"], ["0"], loops + spare, ["q0"], ["q0"]),
+    )
+
+
+def test_complement_of_a_universal_bar_keeps_the_initial_readers_loops():
+    # No pair (sigma, rho) is non-accepting, so nothing is committed and the
+    # initial reader reaches no cut; it is kept all the same, with its loops.
+    letters = enumerate_alphabet(frozenset({"A"}), frozenset({"0"}))
+    for b in universal_bars():
+        comp = buchi_complement(b)
+        assert comp.states == {"r0", "never"}
+        assert comp.initial == {"r0"}
+        assert comp.final == {"never"}
+        assert comp.transitions == {("r0", r, "r0") for r in letters}
+
+
+def test_buchi_complement_explores_only_live_states(monkeypatch):
+    explored = []
+    real_explore = languages._explore
+
+    def counting_explore(roots, edges):
+        found, rows = real_explore(roots, edges)
+        explored.append(len(found))
+        return found, rows
+
+    params = GenParams(max_states=5, name_pool=frozenset({"A"}), data_pool=frozenset({"0", "1"}))
+    kept = 0
+    monkeypatch.setattr(languages, "_explore", counting_explore)
+    for seed in range(12):
+        comp = buchi_complement(random_machine(replace(params, seed=seed), "bar"))
+        kept += len(comp.states - {"never"})
+    assert sum(explored) == kept == 3155
+
+
 def test_buchi_complement_state_guard_counts_reachable_states():
     def ring(n, *unreachable):
         states = [f"q{i}" for i in range(n)]
@@ -444,6 +488,36 @@ def test_complement_path_outputs_are_pinned():
     # Recorded before the complement path moved onto the int SCC kernel.
     expected = (GOLDEN / "complement.sha256").read_text(encoding="utf-8").strip()
     assert complement_path_digest() == expected
+
+
+def wide_complement_digest(seeds=range(100, 160)) -> str:
+    """sha256 of ``buchi_complement`` as canonical JSON, or the name of the
+    error it raises, on seeded machines over three alphabets and on
+    ``universal_bars``.
+
+    The settings are (max states, ports, data): (4, {A}, {0, 1}),
+    (3, {A, B}, {0}) and (3, {A}, {0, 1, 2}).
+    """
+    settings = ((4, {"A"}, {"0", "1"}), (3, {"A", "B"}, {"0"}), (3, {"A"}, {"0", "1", "2"}))
+    machines = [
+        random_machine(GenParams(n, frozenset(names), frozenset(data), seed=seed), "bar")
+        for n, names, data in settings
+        for seed in seeds
+    ]
+    digest = hashlib.sha256()
+    for b in machines + list(universal_bars()):
+        try:
+            line = dumps_canonical(machine_to_json(buchi_complement(b)))
+        except TsrError as exc:
+            line = type(exc).__name__
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_complements_over_wider_alphabets_are_pinned():
+    # Recorded before the complement stopped exploring dead blocks and readers.
+    expected = (GOLDEN / "complement_wide.sha256").read_text(encoding="utf-8").strip()
+    assert wide_complement_digest() == expected
 
 
 def decision_digest(seeds=range(90)) -> str:
