@@ -24,8 +24,8 @@ this module ever skips or inserts steps on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
-from typing import Iterable, NamedTuple, Optional, Union
+from functools import cached_property, reduce
+from typing import Iterable, Optional, Union
 
 from .errors import InvalidRecordError
 from .records import FiniteWord, Lasso, Record, check_token
@@ -281,47 +281,92 @@ def trap_states(m: Machine) -> frozenset:
     return frozenset(q for q, row in zip(table.order, table.moves) if not row)
 
 
-class _Table(NamedTuple):
+class _Table:
     """A machine on dense state ids, as the library's walks read it.
 
     ``order`` lists the states sorted; a state's id is its position there.
     ``initial`` holds the initial states as a bit mask of ids.
-    ``succ[letter][i]`` lists the ids reached from state ``i`` on that
-    letter, while ``masks[letter][i]`` holds them as a bit mask (letters that
-    label no transition are absent from both).  ``moves[i]`` lists the ids
-    reached from state ``i`` on any letter.  ``finals`` holds each of
-    ``_final_sets`` as a bit mask of ids, and ``targets`` their AND, the
-    ``finite_targets``.
+    ``masks[letter][i]`` holds the ids reached from state ``i`` on that
+    letter as a bit mask (letters that label no transition are absent).
+    ``finals`` holds each of ``_final_sets`` as a bit mask of ids, and
+    ``targets`` their AND, the ``finite_targets``.  ``succ[letter][i]`` and
+    ``moves[i]`` hold the ids reached from state ``i``, lowest first, on that
+    letter and on any letter, as tuples; they are built from the masks when
+    first read, as most decisions step on the masks alone.  Tables are shared
+    through the caches, so no caller changes one.
     """
 
-    order: list
-    initial: int
-    succ: dict
-    masks: dict
-    moves: list
-    finals: tuple
-    targets: int
+    def __init__(self, order: list, initial: int, masks: dict, finals: tuple, targets: int):
+        self.order = order
+        self.initial = initial
+        self.masks = masks
+        self.finals = finals
+        self.targets = targets
+
+    @cached_property
+    def succ(self) -> dict:
+        return {r: _id_rows(rows) for r, rows in self.masks.items()}
+
+    @cached_property
+    def moves(self) -> list:
+        anywhere = [0] * len(self.order)
+        for rows in self.masks.values():
+            anywhere = list(map(int.__or__, anywhere, rows))
+        return _id_rows(anywhere)
 
 
-@lru_cache(maxsize=512)
+def _id_rows(rows) -> list:
+    """Each mask of ``rows`` as the tuple of its ids, lowest first."""
+    out = []
+    for mask in rows:
+        ids = []
+        while mask:  # _ids inlined: rows are built for every state and letter
+            low = mask & -mask
+            ids.append(low.bit_length() - 1)
+            mask ^= low
+        out.append(tuple(ids))
+    return out
+
+
+# _indexed's memo of the last _TABLES_KEPT tables, oldest first.  The join
+# builders enter the table each join is named from, so a join is never
+# parsed back into ids.
+_tables: dict = {}
+_TABLES_KEPT = 512
+
+
 def _indexed(m: Machine) -> _Table:
+    """The ``_Table`` of a machine, built once per machine kept in the memo."""
+    table = _tables.get(m)
+    if table is None:
+        table = _remember(m, _index(m))
+    return table
+
+
+_indexed.cache_clear = _tables.clear
+
+
+def _remember(m: Machine, table: _Table) -> _Table:
+    """Keep ``table`` as ``_indexed(m)``; it must equal what ``_index`` builds."""
+    if len(_tables) >= _TABLES_KEPT:
+        del _tables[next(iter(_tables))]
+    _tables[m] = table
+    return table
+
+
+def _index(m: Machine) -> _Table:
     """The ``_Table`` of a machine, built in one pass over its transitions."""
     order = sorted(m.states)
     index = {q: i for i, q in enumerate(order)}
-    succ, masks = {}, {}
-    moves = [[] for _ in order]
+    masks = {}
     for src, label, dst in m.transitions:
-        i, j = index[src], index[dst]
-        rows = succ.get(label)
+        rows = masks.get(label)
         if rows is None:
-            rows = succ[label] = [[] for _ in order]
-            masks[label] = [0] * len(order)
-        rows[i].append(j)
-        masks[label][i] |= 1 << j
-        moves[i].append(j)
+            rows = masks[label] = [0] * len(order)
+        rows[index[src]] |= 1 << index[dst]
     finals = tuple(_state_mask(index, f) for f in _final_sets(m))
     initial = _state_mask(index, m.initial)
-    return _Table(order, initial, succ, masks, moves, finals, reduce(int.__and__, finals))
+    return _Table(order, initial, masks, finals, reduce(int.__and__, finals))
 
 
 def _state_mask(index: dict, states) -> int:
@@ -480,9 +525,10 @@ def strongly_connected_components(nodes, succ) -> list:
     return [[order[i] for i in scc] for scc in _sccs([[j for _, j in row] for row in rows])]
 
 
-def _loop_ids(m: Machine, period) -> list:
-    """Per ``_indexed`` id, whether reading ``period`` forever from that state
-    can accept: some run over it visits every final set infinitely often.
+def _loop_ids(table: _Table, period) -> list:
+    """Per id of a machine's table, whether reading ``period`` forever from
+    that state can accept: some run over it visits every final set
+    infinitely often.
 
     Decided on the finite product of the machine with the period's positions
     rather than by following runs, because with nondeterminism an accepting
@@ -490,7 +536,6 @@ def _loop_ids(m: Machine, period) -> list:
     period.  Node ``i*n + q`` of the product is state ``q`` about to read
     ``period[i]``; after the last symbol the position wraps back to 0.
     """
-    table = _indexed(m)
     succ, n = table.succ, len(table.order)
     rows = []
     for i, r in enumerate(period):
@@ -518,7 +563,7 @@ def accepts_lasso(m: Machine, l: Lasso) -> bool:
     current = _read(table, table.initial, l.prefix)
     if not current:
         return False
-    loop = _loop_ids(m, l.period)
+    loop = _loop_ids(table, l.period)
     return any(loop[i] for i in _ids(current))
 
 
@@ -573,29 +618,33 @@ def degeneralize(g: Gba) -> Bar:
     is seen infinitely often also accepts, finitely, infinitely many prefixes
     of every accepted infinite word.)
     """
-    table = _indexed(g)
+    return _degeneralized(_indexed(g), g.names, g.data)
+
+
+def _degeneralized(table: _Table, names, data) -> Bar:
+    """``degeneralize`` on the id table of a machine over ``names`` and ``data``."""
     order, finals = table.order, table.finals
     n, k = len(order), len(finals)
-    # Node c*n + v is state v in copy c + 1, named names[c][v].  A move from
+    # Node c*n + v is state v in copy c + 1, named copies[c][v].  A move from
     # it goes on to copy nxt[c][v] + 1, the next copy when v lies in member c.
-    names = [[f"({q},{c})" for q in order] for c in range(1, k + 1)]
+    copies = [[f"({q},{c})" for q in order] for c in range(1, k + 1)]
     nxt = [[(c + 1) % k if f >> v & 1 else c for v in range(n)] for c, f in enumerate(finals)]
-    states = frozenset(q for copy in names for q in copy)
+    states = frozenset(q for copy in copies for q in copy)
     transitions = set()
     for label, rows in table.succ.items():
         for v, row in enumerate(rows):
             if row:
-                for c, copy in enumerate(names):
-                    target = names[nxt[c][v]]
+                for c, copy in enumerate(copies):
+                    target = copies[nxt[c][v]]
                     transitions.update((copy[v], label, target[j]) for j in row)
     rows = [[nxt[c][v] * n + j for j in table.moves[v]] for c in range(k) for v in range(n)]
-    initial = frozenset(names[0][v] for v in _ids(table.initial))
+    initial = frozenset(copies[0][v] for v in _ids(table.initial))
 
-    final = {copy[v] for copy in names for v in _ids(table.targets)}
+    final = {copy[v] for copy in copies for v in _ids(table.targets)}
 
     for scc in _sccs(rows, list(_ids(table.initial))):
         if _cyclic(scc, rows):
-            final.update(names[0][v] for v in scc if v < n and finals[0] >> v & 1)
+            final.update(copies[0][v] for v in scc if v < n and finals[0] >> v & 1)
 
     if not final:
         # Nothing accepts, but a Buchi automaton needs a non-empty final set;
@@ -605,7 +654,7 @@ def degeneralize(g: Gba) -> Bar:
         states = states | {"(pad,0)"}
         final = {"(pad,0)"}
 
-    return Bar(states, g.names, g.data, frozenset(transitions), initial, frozenset(final))
+    return Bar(states, names, data, frozenset(transitions), initial, frozenset(final))
 
 
 def without_invisible_edges(m: Machine) -> Machine:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 from .automata import (
@@ -129,15 +130,20 @@ def random_machine(params: GenParams, kind: str = "bar") -> Machine:
         for q in states:
             if q not in with_out:
                 transitions.add((q, rng.choice(letters), q))
-    fields = (states, params.name_pool, params.data_pool, transitions, initial)
+    # Field-wise construction: the transition triples are hashed once, here.
+    fields = (frozenset(states), frozenset(params.name_pool), frozenset(params.data_pool),
+              frozenset(transitions), frozenset(initial))
     if kind == "lts":
-        return Ltsr.make(*fields)
+        return Ltsr(*fields)
     final = {q for q in states if rng.random() < FINAL_DENSITY}
     if not final:
         final = {rng.choice(states)}
-    return Bar.make(*fields, final)
+    return Bar(*fields, frozenset(final))
 
 
+# The last verdict is kept: a fuzz trial decides its premise right after
+# language_preserving_mutate has judged the same pair equal.
+@lru_cache(maxsize=1)
 def relation_equiv(rel: str, a: Machine, b: Machine) -> Verdict:
     """Decide ``a ~ b`` for one of the relations ``ft``, ``f``, ``it``, ``b``."""
     if rel == "ft":
@@ -288,7 +294,8 @@ def check_instance(rel: str, a: Machine, b: Machine, c: Machine) -> CongruenceIn
     Join is commutative up to renaming, so composing on one side suffices.
     For the infinite-trace relation all three machines must be trapless; the
     joins themselves may still contain traps, which the infinite-trace
-    decision handles by pruning.
+    decision handles by pruning.  The joins keep the id tables they were
+    named from, so the conclusion reads those without parsing the joins.
     """
     if rel == "it":
         for label, machine in (("left", a), ("right", b), ("context", c)):
@@ -389,6 +396,30 @@ def distinguish_by_context(b1: Bar, b2: Bar) -> Optional[Tuple[Bar, Lasso]]:
     return None
 
 
+def _trial_inputs(rel: str, params: GenParams, t: int) -> tuple:
+    """The machines a, b and c of trial ``t`` of ``fuzz_congruence``: a
+    random machine, its verified mate under ``rel`` and a random context.
+    Trial 0 of the lasso relation is the built-in counterexample."""
+    if rel == "b" and t == 0:
+        a, b = parity_bars()
+        return a, b, distinguishing_context(a.names, b.names, a.data)
+    kind = "lts" if rel in ("ft", "it") else "bar"
+    master = random.Random(f"fuzz:{rel}:{params.seed}:{t}")
+    a = random_machine(replace(params, seed=master.getrandbits(64)), kind)
+    b = language_preserving_mutate(a, master.getrandbits(64), rel)
+    roll = master.random()
+    if roll < 1 / 3:
+        context_names = frozenset({f"cx{master.getrandbits(8) % 2}"})
+    elif roll < 2 / 3:
+        context_names = params.name_pool
+    else:
+        context_names = frozenset({min(params.name_pool), "cx0"})
+    c = random_machine(
+        replace(params, seed=master.getrandbits(64), name_pool=context_names), kind
+    )
+    return a, b, c
+
+
 def fuzz_congruence(rel: str, params: GenParams, trials: int) -> FuzzReport:
     """Randomized congruence checking for one relation.
 
@@ -405,31 +436,11 @@ def fuzz_congruence(rel: str, params: GenParams, trials: int) -> FuzzReport:
         raise TsrError("trials must be non-negative")
     if rel == "it":
         params = replace(params, trapless=True)
-    kind = "lts" if rel in ("ft", "it") else "bar"
     passed = vacuous = failed = 0
     failures = []
     join_traps = 0
     for t in range(trials):
-        master = random.Random(f"fuzz:{rel}:{params.seed}:{t}")
-        if rel == "b" and t == 0:
-            a, b = parity_bars()
-            c = distinguishing_context(a.names, b.names, a.data)
-        else:
-            a = random_machine(
-                replace(params, seed=master.getrandbits(64)), kind
-            )
-            b = language_preserving_mutate(a, master.getrandbits(64), rel)
-            roll = master.random()
-            if roll < 1 / 3:
-                context_names = frozenset({f"cx{master.getrandbits(8) % 2}"})
-            elif roll < 2 / 3:
-                context_names = params.name_pool
-            else:
-                context_names = frozenset({min(params.name_pool), "cx0"})
-            c = random_machine(
-                replace(params, seed=master.getrandbits(64), name_pool=context_names),
-                kind,
-            )
+        a, b, c = _trial_inputs(rel, params, t)
         try:
             instance = check_instance(rel, a, b, c)
         except SizeBoundError:

@@ -20,6 +20,8 @@ amounts to pairing component edges with compatible labels.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .automata import (
     Bar,
     Gba,
@@ -27,9 +29,11 @@ from .automata import (
     Machine,
     _canonical_family,
     _component,
+    _degeneralized,
     _ids,
     _indexed,
-    degeneralize,
+    _remember,
+    _Table,
 )
 from .errors import DataSetMismatchError, TsrError
 from .records import Record, comp, union
@@ -44,48 +48,97 @@ def product_state(left: str, right: str) -> str:
     return f"({_component(left)},{_component(right)})"
 
 
-def _joined_base(m1: Machine, m2: Machine) -> tuple:
-    """The composed transition system, acceptance left out, and its names.
+def _joined_table(m1: Machine, m2: Machine) -> _Table:
+    """The ``_Table`` of the join of two machines, built from theirs.
 
     Whether a move may go alone (rule 2 or 3) or with which partner (rule 1)
     depends only on the labels and the name sets, so it is decided once per
-    label or label pair, and each joined label is built once.  Both sides
-    are read from their ``_indexed`` tables; the returned ``pair[i][k]``
-    names the pair of ids i and k.
+    label or label pair, and each joined label is built once.  The pair of
+    left id i and right id k is first numbered i*n2 + k, which makes each
+    rule's successor mask an int product: a left mask spread to stride n2
+    times a right mask.  Ids must follow the sorted product names, and
+    ``(i, k)`` order does not when a component name holds a character below
+    ``,`` or ``)``, such as ``!`` or ``(``, so the ids are then renumbered.
+
+    The final sets are the join's family when both machines are Buchi
+    automata (see ``join``), and one set holding every state otherwise.
     """
     if m1.data != m2.data:
         raise DataSetMismatchError(
             f"join requires one shared data set, got {sorted(m1.data)} and {sorted(m2.data)}"
         )
-    n1, n2 = m1.names, m2.names
+    names1, names2 = m1.names, m2.names
     table1, table2 = _indexed(m1), _indexed(m2)
-    pair = [[product_state(s1, s2) for s2 in table2.order] for s1 in table1.order]
-    moves1, moves2 = (
-        {r: [(i, j) for i, row in enumerate(rows) for j in row] for r, rows in table.succ.items()}
-        for table in (table1, table2)
-    )
-    transitions = set()
-    for r1, edges1 in moves1.items():
-        if not r1.domain & n2:
-            for i, j in edges1:
-                for p, q in zip(pair[i], pair[j]):
-                    transitions.add((p, r1, q))
-    for r2, edges2 in moves2.items():
-        if not r2.domain & n1:
-            for k, l in edges2:
-                for row in pair:
-                    transitions.add((row[k], r2, row[l]))
-    for r1, edges1 in moves1.items():
-        for r2, edges2 in moves2.items():
-            if comp(r1, n1, r2, n2):
-                r = union(r1, r2)
-                for i, j in edges1:
-                    source, target = pair[i], pair[j]
-                    for k, l in edges2:
-                        transitions.add((source[k], r, target[l]))
-    states = frozenset(q for row in pair for q in row)
-    initial = frozenset(pair[i][k] for i in _ids(table1.initial) for k in _ids(table2.initial))
-    return Ltsr(states, n1 | n2, m1.data, frozenset(transitions), initial), pair
+    n1, n2 = len(table1.order), len(table2.order)
+    size = n1 * n2
+    stride = [1 << (i * n2) for i in range(n1)]
+    spread = lambda mask: sum(stride[i] for i in _ids(mask))
+    wide1 = {r: list(map(spread, rows)) for r, rows in table1.masks.items()}
+    masks2 = table2.masks
+    masks = {}
+
+    def add(r, rows):
+        known = masks.get(r)
+        masks[r] = rows if known is None else list(map(int.__or__, known, rows))
+
+    for r1, wide in wide1.items():  # rule 2: the right id k stays put
+        if names2.isdisjoint(r1.domain):
+            add(r1, [w << k for w in wide for k in range(n2)])
+    for r2, rows2 in masks2.items():  # rule 3: the left id i stays put
+        if names1.isdisjoint(r2.domain):
+            add(r2, [row * s for s in stride for row in rows2])
+    for r1, wide in wide1.items():  # rule 1: both move
+        for r2, rows2 in masks2.items():
+            if comp(r1, names1, r2, names2):
+                add(union(r1, r2), [w * row for w in wide for row in rows2])
+    initial = spread(table1.initial) * table2.initial
+    if isinstance(m1, Bar) and isinstance(m2, Bar):
+        (final1,), (final2,) = table1.finals, table2.finals
+        finals = [spread(final1) * ((1 << n2) - 1), sum(stride) * final2]
+    else:
+        finals = [(1 << size) - 1]
+
+    # product_state's names, each component escaped once.
+    right = [_component(q) for q in table2.order]
+    order = [f"({left},{q})" for left in map(_component, table1.order) for q in right]
+    if not all(map(str.__lt__, order, order[1:])):
+        rank = [0] * size
+        for new, old in enumerate(sorted(range(size), key=order.__getitem__)):
+            rank[old] = new
+        moved = lambda mask: sum(1 << rank[p] for p in _ids(mask))
+        for r, rows in masks.items():
+            masks[r] = renumbered = [0] * size
+            for p, row in enumerate(rows):
+                renumbered[rank[p]] = moved(row)
+        initial = moved(initial)
+        finals = list(map(moved, finals))
+        order.sort()
+
+    # The family in _canonical_family's order: ids follow the sorted names.
+    finals = tuple(sorted(set(finals), key=lambda f: tuple(_ids(f))))
+    return _Table(order, initial, masks, finals, reduce(int.__and__, finals))
+
+
+def _named(table: _Table, names, data) -> Ltsr:
+    """The transition system of a joined table over ``names`` and ``data``,
+    acceptance left out."""
+    order = table.order
+    transitions = []
+    for r, rows in table.masks.items():
+        for source, mask in zip(order, rows):
+            while mask:  # _ids inlined: a product has many edges to name
+                low = mask & -mask
+                transitions.append((source, r, order[low.bit_length() - 1]))
+                mask ^= low
+    initial = frozenset(order[p] for p in _ids(table.initial))
+    return Ltsr(frozenset(order), names, data, frozenset(transitions), initial)
+
+
+def _buchi_joined_table(b1: Bar, b2: Bar) -> _Table:
+    """``_joined_table`` of two Buchi automata; any other kind is refused."""
+    if not isinstance(b1, Bar) or not isinstance(b2, Bar):
+        raise TsrError("join is defined on two Buchi automata; see join_lts for plain systems")
+    return _joined_table(b1, b2)
 
 
 def join(b1: Bar, b2: Bar) -> Gba:
@@ -95,28 +148,39 @@ def join(b1: Bar, b2: Bar) -> Gba:
     pruned), and the final family has one member per component: pairs whose
     left state is left-final, and pairs whose right state is right-final.
     An accepting run must revisit both components' final states forever.
+    The machine names the states, transitions and final sets of
+    ``_joined_table``, which is kept as its ``_indexed`` table.
     """
-    if not isinstance(b1, Bar) or not isinstance(b2, Bar):
-        raise TsrError("join is defined on two Buchi automata; see join_lts for plain systems")
-    joined, pair = _joined_base(b1, b2)
-    (final1,), (final2,) = _indexed(b1).finals, _indexed(b2).finals
-    left_final = frozenset(q for i in _ids(final1) for q in pair[i])
-    right_final = frozenset(row[k] for row in pair for k in _ids(final2))
-    return Gba(**vars(joined), final_family=_canonical_family((left_final, right_final)))
+    table = _buchi_joined_table(b1, b2)
+    joined = _named(table, b1.names | b2.names, b1.data)
+    family = (frozenset(table.order[p] for p in _ids(f)) for f in table.finals)
+    gba = Gba(**vars(joined), final_family=_canonical_family(family))
+    _remember(gba, table)
+    return gba
 
 
 def join_lts(m1: Machine, m2: Machine) -> Ltsr:
-    """Join two transition systems, ignoring any acceptance structure."""
-    return _joined_base(m1, m2)[0]
+    """Join two transition systems, ignoring any acceptance structure.
+
+    The machine names ``_joined_table``, which is kept as its ``_indexed``
+    table with every state final.
+    """
+    table = _joined_table(m1, m2)
+    everything = (1 << len(table.order)) - 1
+    table = _Table(table.order, table.initial, table.masks, (everything,), everything)
+    joined = _named(table, m1.names | m2.names, m1.data)
+    _remember(joined, table)
+    return joined
 
 
 def join_bar_flat(b1: Bar, b2: Bar) -> Bar:
     """Join two Buchi automata and collapse the result to a plain one.
 
     The collapse preserves the lasso language exactly; finite acceptance may
-    gain prefixes of accepted infinite words (see degeneralize).
+    gain prefixes of accepted infinite words (see degeneralize).  It is
+    ``degeneralize`` of ``join``, taken on the joined table.
     """
-    return degeneralize(join(b1, b2))
+    return _degeneralized(_buchi_joined_table(b1, b2), b1.names | b2.names, b1.data)
 
 
 def fresh_name(taken, stem: str = "zz") -> str:

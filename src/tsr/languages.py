@@ -52,9 +52,9 @@ from .automata import (
     _live_ids,
     _loop_ids,
     _reached,
-    _rebuilt,
     _sccs,
     _step,
+    _Table,
     accepts_finite,
     accepts_lasso,
     base_of,
@@ -95,16 +95,21 @@ class LassoWitness:
 # Finite-word languages
 
 
-def _union_letters(x1: Machine, x2: Machine) -> Tuple[frozenset, List[Record]]:
-    """The union of the two name sets, and the labels that occur in either
-    machine, sorted: the letters the decisions step on."""
+def _union_names(x1: Machine, x2: Machine) -> frozenset:
+    """The union of the two name sets, over which witnesses are words; the
+    machines must share one data set."""
     if x1.data != x2.data:
         raise DataSetMismatchError(
             "finite/omega language comparison requires one shared data set, "
             f"got {sorted(x1.data)} and {sorted(x2.data)}"
         )
-    names = x1.names | x2.names
-    return names, sorted(_indexed(x1).succ.keys() | _indexed(x2).succ.keys())
+    return x1.names | x2.names
+
+
+def _union_letters(table1: _Table, table2: _Table) -> List[Record]:
+    """The labels that occur in either table, sorted: the letters the
+    decisions step on."""
+    return sorted(table1.masks.keys() | table2.masks.keys())
 
 
 def _subset_pairs(masks1, masks2, start, letters):
@@ -135,14 +140,13 @@ def _subset_pairs(masks1, masks2, start, letters):
                 queue.append(found)
 
 
-def _pair_search(x1: Machine, x2: Machine, stop) -> Optional[FiniteWord]:
+def _pair_search(table1: _Table, table2: _Table, names, stop) -> Optional[FiniteWord]:
     """The first word of ``_subset_pairs`` over the occurring labels at which
     ``stop``, given the pair of acceptance flags, returns True: a shortest
-    witness."""
-    names, letters = _union_letters(x1, x2)
-    table1, table2 = _indexed(x1), _indexed(x2)
+    witness, over the name set ``names``."""
     t1, t2 = table1.targets, table2.targets
     start = (table1.initial, table2.initial)
+    letters = _union_letters(table1, table2)
     for (s1, s2), word in _subset_pairs(table1.masks, table2.masks, start, letters):
         if stop(bool(s1 & t1), bool(s2 & t2)):
             return FiniteWord(word, names)
@@ -156,7 +160,8 @@ def finite_equiv(x1: Machine, x2: Machine) -> Verdict:
     words, so this doubles as the finite-trace equivalence on those.  The
     witness, when present, is a shortest word in exactly one language.
     """
-    witness = _pair_search(x1, x2, lambda a1, a2: a1 != a2)
+    names = _union_names(x1, x2)
+    witness = _pair_search(_indexed(x1), _indexed(x2), names, lambda a1, a2: a1 != a2)
     if witness is None:
         return Verdict(True)
     return Verdict(False, witness)
@@ -164,24 +169,33 @@ def finite_equiv(x1: Machine, x2: Machine) -> Verdict:
 
 def shortest_accept_difference(x1: Machine, x2: Machine) -> Optional[FiniteWord]:
     """Shortest finite word accepted by x1 but not x2, if any."""
-    return _pair_search(x1, x2, lambda a1, a2: a1 and not a2)
+    names = _union_names(x1, x2)
+    return _pair_search(_indexed(x1), _indexed(x2), names, lambda a1, a2: a1 and not a2)
 
 
-def _reachable(b: Union[Bar, Gba]) -> Union[Bar, Gba]:
-    """Restrict a (generalized) Buchi automaton to states reachable from its initial set.
+def _reachable(table: _Table) -> _Table:
+    """A table restricted to the states reachable from its initial ones.
 
     Language-preserving, and essential before profile construction: joins
     carry every state pair, so distinct behaviour on dead states would
-    otherwise multiply the monoid.  A ``Gba`` has every family member
-    restricted.
+    otherwise multiply the monoid.  The kept states keep their relative
+    order, so ids still follow the sorted state names; every final set is
+    restricted, and a label that no kept state moves on is dropped.
     """
-    table = _indexed(b)
     seen = _reached(table.moves, list(_ids(table.initial)))
     if all(seen):
-        return b
-    states = frozenset(q for q, keep in zip(table.order, seen) if keep)
-    kept = frozenset(t for t in b.transitions if t[0] in states)
-    return _rebuilt(b, lambda final: final & states, states=states, transitions=kept)
+        return table
+    kept = [i for i, keep in enumerate(seen) if keep]
+    new = {old: i for i, old in enumerate(kept)}
+    cut = lambda mask: sum(1 << new[i] for i in _ids(mask) if i in new)
+    masks = {}
+    for r, rows in table.masks.items():
+        rows = [cut(rows[i]) for i in kept]
+        if any(rows):
+            masks[r] = rows
+    order = [table.order[i] for i in kept]
+    finals = tuple(map(cut, table.finals))
+    return _Table(order, cut(table.initial), masks, finals, cut(table.targets))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +303,7 @@ class _ProfileSpace:
         return out
 
 
-def _profile_space(b: Union[Bar, Gba], letters: Iterable[Record]) -> _ProfileSpace:
-    table = _indexed(b)
+def _profile_space(table: _Table, letters: Iterable[Record]) -> _ProfileSpace:
     n = len(table.order)
     nn = n * n
     fmasks = table.finals  # one per member of F
@@ -359,10 +372,10 @@ def _idempotent(spaces, e) -> bool:
     return all(s.mult(x, x) == x for s, x in zip(spaces, e))
 
 
-def _simulated(a: Union[Bar, Gba], b: Union[Bar, Gba]) -> bool:
-    """Whether ``b`` directly simulates ``a`` from every initial state of
-    ``a``, which proves that ``b`` accepts every lasso ``a`` accepts (Dill,
-    Hu and Wong-Toi, CAV 1991).
+def _simulated(table_a: _Table, table_b: _Table) -> bool:
+    """Whether machine ``b`` directly simulates machine ``a``, given their id
+    tables, from every initial state of ``a``, which proves that ``b``
+    accepts every lasso ``a`` accepts (Dill, Hu and Wong-Toi, CAV 1991).
 
     A state q of ``b`` simulates a state p of ``a`` when q lies in each
     final set of ``b`` whose stand-in among ``a``'s final sets holds p, and
@@ -374,7 +387,6 @@ def _simulated(a: Union[Bar, Gba], b: Union[Bar, Gba]) -> bool:
     the bit mask of the ids of ``b`` that simulate p, refined from that
     acceptance seed to the greatest fixpoint.
     """
-    table_a, table_b = _indexed(a), _indexed(b)
     n_a, n_b = len(table_a.order), len(table_b.order)
     # moves[p]: per letter p moves on, b's successor rows and p's targets.
     stuck = [0] * n_b
@@ -445,13 +457,12 @@ def buchi_equiv(
     """
     if not isinstance(b1, (Bar, Gba)) or not isinstance(b2, (Bar, Gba)):
         raise TsrError("buchi_equiv compares two Buchi or generalized Buchi automata")
-    b1 = _reachable(b1)
-    b2 = _reachable(b2)
-    names, letters = _union_letters(b1, b2)
-    if _simulated(b1, b2) and _simulated(b2, b1):
+    names = _union_names(b1, b2)
+    table1, table2 = _reachable(_indexed(b1)), _reachable(_indexed(b2))
+    letters = _union_letters(table1, table2)
+    if _simulated(table1, table2) and _simulated(table2, table1):
         return Verdict(True)
-    spaces = (_profile_space(b1, letters), _profile_space(b2, letters))
-    table1, table2 = _indexed(b1), _indexed(b2)
+    spaces = (_profile_space(table1, letters), _profile_space(table2, letters))
     start = (table1.initial, table2.initial)
     pairs = list(_subset_pairs(table1.masks, table2.masks, start, letters))
 
@@ -503,14 +514,14 @@ def buchi_complement(b: Bar) -> Bar:
     """
     if not isinstance(b, Bar):
         raise TsrError("buchi_complement takes a Buchi automaton")
-    b = _reachable(b)
-    if len(b.states) > DEFAULT_COMPLEMENT_STATE_LIMIT:
+    table = _reachable(_indexed(b))
+    if len(table.order) > DEFAULT_COMPLEMENT_STATE_LIMIT:
         raise SizeBoundError(
             f"complementation is limited to {DEFAULT_COMPLEMENT_STATE_LIMIT} states, "
-            f"got {len(b.states)}"
+            f"got {len(table.order)}"
         )
     letters = enumerate_alphabet(b.names, b.data)
-    space = _profile_space(b, letters)
+    space = _profile_space(table, letters)
     nonempty = dict(_joint_closure((space,), letters, COMPLEMENT_MONOID_LIMIT))
 
     # Work on single profiles indexed by element id; ids follow the closure
@@ -523,7 +534,6 @@ def buchi_complement(b: Bar) -> Bar:
     # by stepping along the closure, which reaches every element from the unit.
     # rhos[id of sigma]: the ids of the periods rho such that (sigma, rho) is
     # a linked, non-accepting pair.
-    table = _indexed(b)
     reach = {0: table.initial}
     for x, row in enumerate(succ):
         for r, y in zip(letters, row):
@@ -706,16 +716,16 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
         raise TsrError("accepting_loop_states takes a Buchi automaton")
     if not period:
         raise TsrError("period must be non-empty")
-    return frozenset(q for q, keep in zip(_indexed(b).order, _loop_ids(b, period)) if keep)
+    table = _indexed(b)
+    return frozenset(q for q, keep in zip(table.order, _loop_ids(table, period)) if keep)
 
 
 # ---------------------------------------------------------------------------
 # Infinite traceability
 
-def _productive(m: Machine) -> tuple:
-    """``_indexed``'s masks cut down to the productive states, those starting
+def _productive(table: _Table) -> tuple:
+    """A table's masks cut down to the productive states, those starting
     some infinite run, and the productive initial states as a mask."""
-    table = _indexed(m)
     keep = sum(1 << i for i, live in enumerate(_live_ids(table.moves)) if live)
     masks = {r: [row & keep for row in rows] for r, rows in table.masks.items()}
     return masks, table.initial & keep
@@ -751,8 +761,10 @@ def infinite_traceable_equiv(m1: Machine, m2: Machine) -> Verdict:
     pruned machines reaches a pair where one side is dead and the other
     alive, and any infinite continuation of the live side is a witness.
     """
-    names, letters = _union_letters(m1, m2)
-    (masks1, start1), (masks2, start2) = _productive(m1), _productive(m2)
+    names = _union_names(m1, m2)
+    table1, table2 = _indexed(m1), _indexed(m2)
+    letters = _union_letters(table1, table2)
+    (masks1, start1), (masks2, start2) = _productive(table1), _productive(table2)
     live = 0  # pairs with both sides alive; the all-dead pair is not counted
     for (s1, s2), word in _subset_pairs(masks1, masks2, (start1, start2), letters):
         if bool(s1) != bool(s2):

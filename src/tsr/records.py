@@ -175,7 +175,8 @@ def enumerate_alphabet(names: Iterable[str], data: Iterable[str]):
 
     The alphabet has (|data|+1) ** |names| letters; enumeration refuses above
     the configured limit because every guarded algorithm downstream would blow
-    up with it.
+    up with it.  Each name and data value is checked once, and every record
+    is built from checked entries.
     """
     ns = sorted(frozenset(names))
     ds = sorted(frozenset(data))
@@ -187,12 +188,17 @@ def enumerate_alphabet(names: Iterable[str], data: Iterable[str]):
         raise AlphabetLimitError(
             f"alphabet has {count} letters which exceeds the limit of {cap}"
         )
-    letters = []
-    for choice in product([None] + ds, repeat=len(ns)):
-        entries = tuple((n, v) for n, v in zip(ns, choice) if v is not None)
-        letters.append(Record(entries))
-    letters.sort()
-    return letters
+    if ns:  # with no names the one record is TAU, which reads no token
+        for n in ns:
+            check_token(n, "port name")
+        for v in ds:
+            check_token(v, "data value")
+    # Entry tuples sort as their records do.
+    rows = sorted(
+        tuple((n, v) for n, v in zip(ns, choice) if v is not None)
+        for choice in product([None] + ds, repeat=len(ns))
+    )
+    return [Record._trusted(entries) for entries in rows]
 
 
 def _check_symbols(symbols: tuple, names: frozenset) -> None:

@@ -374,10 +374,12 @@ def test_the_id_table_holds_the_rows_masks_and_final_masks_of_a_machine(machines
             for j in row
         }
         assert edges == m.transitions
+        # Rows list their ids once each, lowest first.
         for r, rows in table.succ.items():
             assert table.masks[r] == [sum(1 << j for j in row) for row in rows]
+            assert all(list(row) == sorted(set(row)) for row in rows)
         for i, row in enumerate(table.moves):
-            assert sorted(row) == sorted(j for rows in table.succ.values() for j in rows[i])
+            assert list(row) == sorted({j for rows in table.succ.values() for j in rows[i]})
         as_set = lambda mask: frozenset(order[i] for i in _ids(mask))
         assert tuple(map(as_set, table.finals)) == _final_sets(m)
         assert as_set(table.targets) == finite_targets(m)
@@ -427,8 +429,9 @@ def test_gba_lasso_acceptance_matches_batched_loop_states():
         family = [{q for q in sorted(b.states) if rng.random() < 0.5} or set(b.final)
                   for _ in range(2)]
         g = Gba.make(b.states, b.names, b.data, b.transitions, b.initial, family)
+        table = _indexed(g)
         for per in words_up_to(letters, 2)[1:]:
-            loop = {q for q, ok in zip(_indexed(g).order, _loop_ids(g, per)) if ok}
+            loop = {q for q, ok in zip(table.order, _loop_ids(table, per)) if ok}
             for pre in words_up_to(letters, 2):
                 l = Lasso(pre, per, names)
                 batched = bool(reach(g, g.initial, FiniteWord(pre, names)) & loop)

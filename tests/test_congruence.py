@@ -1,16 +1,18 @@
 """Random machines, language-preserving mutation, congruence checking."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from helpers import four_port_join, lts, rec
+from helpers import four_port_join, lts, rec, rename_machine
 from tsr import congruence
 from tsr.automata import (
     Bar,
     Gba,
     Verdict,
+    _indexed,
     gba_accepts_lasso,
     trap_states,
     validate,
@@ -29,9 +31,15 @@ from tsr.congruence import (
     random_machine,
 )
 from tsr.errors import TrapStateError, TsrError
-from tsr.join import join
+from tsr.join import join, join_lts
 from tsr.records import Lasso
-from tsr.serialize import dumps_canonical, machine_to_json, report_to_json
+from tsr.serialize import (
+    dumps_canonical,
+    instance_to_json,
+    machine_to_json,
+    report_to_json,
+    verdict_to_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 A = rec(A="0")
@@ -103,6 +111,66 @@ def test_fuzz_generators_are_pinned():
     # report cannot show that the drawn machines and mates are unchanged.
     expected = (GOLDEN / "generators.sha256").read_text(encoding="utf-8").strip()
     assert generator_digest() == expected
+
+
+def instance_digest(seeds=(1, 2, 3)) -> str:
+    """sha256 of ``check_instance`` on the fuzzers' trials, as canonical JSON.
+
+    For each seed: trials 0-99 of ``ft``, ``f`` and ``it`` and trials 0-39
+    of ``b``, each drawn as ``fuzz_congruence`` draws it; a trial that
+    raises a ``TsrError`` is recorded by the error's name.
+    """
+    digest = hashlib.sha256()
+    for rel, trials in (("ft", 100), ("f", 100), ("it", 100), ("b", 40)):
+        for seed in seeds:
+            params = GenParams(seed=seed, trapless=rel == "it")
+            for t in range(trials):
+                try:
+                    instance = check_instance(rel, *congruence._trial_inputs(rel, params, t))
+                    line = dumps_canonical(instance_to_json(instance))
+                except TsrError as exc:
+                    line = type(exc).__name__
+                digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_checked_instances_are_pinned():
+    # Recorded before the conclusions moved onto the joined id tables.
+    expected = (GOLDEN / "instances.sha256").read_text(encoding="utf-8").strip()
+    assert instance_digest() == expected
+
+
+# State names for a, b and c under which (left id, right id) order is not
+# the order of the pair names: "(a!,c)" and "(a(b),c)" sort before "(a,c)",
+# and "(a,c!)" before "(a,c)"; "a,b" is escaped in a pair.
+RENAMINGS = (("a", "a!", "a(b)"), ("a", "a!", "a,b"), ("c", "c!", "c(d)"))
+
+
+@pytest.mark.parametrize("rel", RELATIONS)
+def test_conclusions_on_kept_join_tables_match_the_parsed_joins(rel):
+    # Unrelated pairs, so that the conclusion's witness is a live one.
+    kind = "lts" if rel in ("ft", "it") else "bar"
+    compose = join_lts if kind == "lts" else join
+    differ = 0
+    for seed in range(40):
+        params = GenParams(seed=seed, trapless=rel == "it")
+        pools = (params.name_pool, params.name_pool, frozenset({"A", "cx0"}))
+        a, b, c = (
+            rename_machine(m, dict(zip(sorted(m.states), names)))
+            for m, names in zip(
+                (random_machine(replace(params, seed=seed + k, name_pool=pool), kind)
+                 for k, pool in zip((0, 1000, 2000), pools)),
+                RENAMINGS,
+            )
+        )
+        joins = compose(a, c), compose(b, c)
+        kept = relation_equiv(rel, *joins)  # on the tables the joins were named from
+        _indexed.cache_clear()
+        relation_equiv.cache_clear()
+        parsed = relation_equiv(rel, *joins)  # on tables read off the named joins
+        assert verdict_to_json(kept) == verdict_to_json(parsed)
+        differ += not parsed.equal
+    assert differ >= 10
 
 
 def test_language_preserving_mutate_refuses_when_no_candidate_is_equal(monkeypatch):

@@ -5,11 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bar, lts, naive_join_edges, rec, rename_machine
-from tsr.automata import Gba, accepts_finite, base_of, gba_accepts_lasso, validate
+from tsr.automata import Gba, _index, _indexed, accepts_finite, base_of, gba_accepts_lasso, validate
 from tsr.congruence import GenParams, random_machine
 from tsr.errors import DataSetMismatchError, TsrError
 from tsr.join import (
-    _joined_base,
+    _joined_table,
     distinguishing_context,
     fresh_name,
     join,
@@ -147,11 +147,59 @@ def test_joined_base_matches_the_per_transition_pair_rules(relation, data):
     m1 = data.draw(small_lts(names1))
     m2 = data.draw(small_lts(names2))
     for left, right in ((m1, m2), (m2, m1), (m1, lts(["c"], names2, ["0", "1"], [], ["c"]))):
-        j = _joined_base(left, right)[0]
+        j = join_lts(left, right)
         assert j.transitions == naive_join_edges(left, right)
         assert j.states == {product_state(a, b) for a in left.states for b in right.states}
         assert j.initial == {product_state(a, b) for a in left.initial for b in right.initial}
         assert j.names == left.names | right.names
+
+
+def same_table(built, indexed):
+    """Two id tables are equal field by field, rows of ids as sets."""
+    assert built.order == indexed.order
+    assert built.initial == indexed.initial
+    assert built.masks == indexed.masks
+    assert built.finals == indexed.finals
+    assert built.targets == indexed.targets
+    as_sets = lambda rows: [set(row) for row in rows]
+    assert {r: as_sets(rows) for r, rows in built.succ.items()} == {
+        r: as_sets(rows) for r, rows in indexed.succ.items()
+    }
+    assert as_sets(built.moves) == as_sets(indexed.moves)
+
+
+# State names whose pairs do not sort in (left id, right id) order: "(a!,x)"
+# and "(a(b),x)" sort before "(a,x)"; the others are escaped in a pair.
+AWKWARD_STATES = ("a", "a!", "a(b)", "b", "x,y", "a)", "(b")
+
+
+def awkwardly_named(data, m):
+    """``m`` with its states renamed to names drawn from ``AWKWARD_STATES``."""
+    order = sorted(m.states)
+    names = data.draw(st.lists(
+        st.sampled_from(AWKWARD_STATES), min_size=len(order), max_size=len(order), unique=True
+    ))
+    return rename_machine(m, dict(zip(order, names)))
+
+
+@pytest.mark.parametrize("relation", sorted(NAME_SET_PAIRS))
+@given(data=st.data())
+def test_joined_table_is_the_id_table_of_the_named_join(relation, data):
+    names1, names2 = NAME_SET_PAIRS[relation]
+    m1 = awkwardly_named(data, data.draw(small_lts(names1)))
+    m2 = awkwardly_named(data, data.draw(small_lts(names2)))
+    joined = join_lts(m1, m2)
+    assert joined.transitions == naive_join_edges(m1, m2)
+    # The table the join keeps for _indexed against the one read off it.
+    same_table(_indexed(joined), _index(joined))
+    same_table(_joined_table(m1, m2), _index(joined))
+    b1, b2 = (
+        bar(m.states, m.names, m.data, m.transitions, m.initial,
+            data.draw(st.sets(st.sampled_from(sorted(m.states)), min_size=1)))
+        for m in (m1, m2)
+    )
+    for joined in (join(b1, b2), join_lts(b1, b2)):
+        same_table(_indexed(joined), _index(joined))
 
 
 def test_join_with_inert_context_is_a_tagged_copy():

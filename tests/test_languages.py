@@ -31,6 +31,7 @@ from tsr import languages
 from tsr.automata import (
     Bar,
     Ltsr,
+    _indexed,
     accepts_finite,
     accepts_lasso,
     base_of,
@@ -78,6 +79,11 @@ from tsr.serialize import dumps_canonical, machine_to_json, verdict_to_json, wit
 GOLDEN = Path(__file__).parent / "golden"
 A = rec(A="0")
 F = rec(zz0="0")
+
+
+def simulated(a, b) -> bool:
+    """``_simulated`` on the id tables of two machines."""
+    return _simulated(_indexed(a), _indexed(b))
 
 
 def parity_left():
@@ -228,7 +234,7 @@ def _pack(n, profile):
 @given(profile_triples())
 def test_packed_profile_product_is_relational_composition(case):
     n, machine, finals, (a, b, c) = case
-    space = _profile_space(machine, [])
+    space = _profile_space(_indexed(machine), [])
     pa, pb, pc = (_pack(n, x) for x in (a, b, c))
     assert space.mult(pa, pb) == _pack(n, naive_profile_compose(a, b))
     assert space.mult(space.mult(pa, pb), pc) == space.mult(pa, space.mult(pb, pc))
@@ -242,7 +248,7 @@ def test_packed_profile_product_is_relational_composition(case):
 @given(profile_triples())
 def test_loop_entries_need_every_members_diagonal(case):
     n, machine, _, profiles = case
-    space = _profile_space(machine, [])
+    space = _profile_space(_indexed(machine), [])
     for reach, fins in profiles:
         loops = {q for q in range(n) if all((q, q) in fin for fin in fins)}
         entries = {p for (p, q) in reach if q in loops}
@@ -324,8 +330,8 @@ def included(a, b) -> bool:
 def test_simulation_proves_inclusion_and_equiv_is_inclusion_both_ways(pair):
     x, y = pair
     inclusions = [included(a, b) for a, b in ((x, y), (y, x))]
-    assert _simulated(x, y) <= inclusions[0]
-    assert _simulated(y, x) <= inclusions[1]
+    assert simulated(x, y) <= inclusions[0]
+    assert simulated(y, x) <= inclusions[1]
     assert buchi_equiv(x, y).equal == all(inclusions)
 
 
@@ -333,7 +339,7 @@ def test_simulation_proves_inclusion_and_equiv_is_inclusion_both_ways(pair):
 def test_simulation_on_joins_agrees_with_the_flattened_joins(pair):
     g1, g2 = pair
     assume(len(g1.final_family) == len(g2.final_family) == 2)
-    if _simulated(g1, g2) and _simulated(g2, g1):
+    if simulated(g1, g2) and simulated(g2, g1):
         assert buchi_equiv(degeneralize(g1), degeneralize(g2)).equal
 
 
@@ -342,7 +348,7 @@ def test_simulation_on_joins_maps_every_final_set():
     # their final sets, so simulation must not settle them.
     j1, j2 = buchi_counterexample().joins
     assert len(j1.final_family) == len(j2.final_family) == 2
-    assert not (_simulated(j1, j2) and _simulated(j2, j1))
+    assert not (simulated(j1, j2) and simulated(j2, j1))
     assert not buchi_equiv(degeneralize(j1), degeneralize(j2)).equal
     # A join with its state names reversed is the same machine, but whose
     # final set sorts first can flip, so only a map that swaps them works.
@@ -359,7 +365,7 @@ def test_simulation_on_joins_maps_every_final_set():
         mapping = dict(zip(order, reversed(order)))
         renamed = rename_machine(g, mapping)
         flipped += renamed.final_family[0] == frozenset(map(mapping.get, g.final_family[1]))
-        assert _simulated(g, renamed) and _simulated(renamed, g)
+        assert simulated(g, renamed) and simulated(renamed, g)
         assert buchi_equiv(degeneralize(g), degeneralize(renamed)).equal
     assert flipped
 

@@ -2,9 +2,9 @@
 no module of the library or the tests imports a name it never reads, the
 library never reads ``base``, no private function takes a parameter that
 every caller sets to the same literal, of the language decisions only
-complementation enumerates the alphabet, and the joins and the language
+complementation enumerates the alphabet, the joins and the language
 decisions read a machine's edges, initial states and final sets through its
-id table."""
+id table, and only the join builders hand a table to ``_indexed``'s memo."""
 
 import ast
 from pathlib import Path
@@ -247,25 +247,24 @@ def test_a_stray_enumeration_is_reported(tmp_path):
 
 
 def test_walks_read_edges_and_final_sets_through_the_id_table():
-    # _indexed is the one place that turns a machine's transitions and final
-    # sets into ids.  _reachable rebuilds a machine from its own edges, and
-    # finite_targets is the set form of the table's targets.
+    # _index is the one place that turns a machine's transitions and final
+    # sets into ids, and finite_targets is the set form of the table's targets.
     assert readers_in(SRC / "join.py", "transitions", attribute=True) == []
-    assert readers_in(SRC / "languages.py", "transitions", attribute=True) == ["_reachable"]
+    assert readers_in(SRC / "languages.py", "transitions", attribute=True) == []
     readers = [r for path in sorted(SRC.glob("*.py")) for r in readers_in(path, "_final_sets")]
-    assert sorted(readers) == ["_indexed", "finite_targets"]
+    assert sorted(readers) == ["_index", "finite_targets"]
 
 
 def test_walks_start_from_the_id_table():
     # Every walk starts from the table's initial mask, and trap_states and
     # degeneralize read the table's rows; in automata.py only validation,
-    # base_of, _indexed and the two edge filters read a machine's edges.
+    # base_of, _index and the two edge filters read a machine's edges.
     for module in ("join.py", "languages.py"):
         assert readers_in(SRC / module, "initial", attribute=True) == []
     assert readers_in(SRC / "automata.py", "transitions", attribute=True) == [
         "base_of",
         "validate",
-        "_indexed",
+        "_index",
         "without_invisible_edges",
         "with_idle_loops",
     ]
@@ -297,6 +296,16 @@ def test_a_stray_read_of_edges_or_final_sets_is_reported(tmp_path):
     assert readers_in(path, "transitions", attribute=True) == ["_moves_by_label", "EDGES"]
     assert readers_in(path, "transitions") == ["_joined_base", "_moves_by_label", "EDGES"]
     assert readers_in(path, "_final_sets") == ["_finals"]
+
+
+def test_only_the_join_builders_hand_a_table_to_the_memo():
+    # A kept table must be the one _index would build from the machine, which
+    # test_joined_table_is_the_id_table_of_the_named_join checks for joins.
+    readers = {path.name: readers_in(path, "_remember") for path in sorted(SRC.glob("*.py"))}
+    assert {name: r for name, r in readers.items() if r} == {
+        "automata.py": ["_indexed"],
+        "join.py": ["join", "join_lts"],
+    }
 
 
 def test_no_private_function_takes_a_constant_argument():

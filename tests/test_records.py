@@ -163,6 +163,22 @@ def test_alphabet_limit_guard(monkeypatch):
         enumerate_alphabet(names, ["0"])
 
 
+def test_a_lowered_limit_refuses_an_alphabet_already_enumerated(monkeypatch):
+    names = ["A", "B", "C"]
+    assert len(enumerate_alphabet(names, ["0"])) == 8
+    monkeypatch.setenv(ALPHABET_LIMIT_ENV, "7")
+    with pytest.raises(AlphabetLimitError, match="8 letters which exceeds the limit of 7"):
+        enumerate_alphabet(names, ["0"])
+
+
+def test_mutating_an_enumerated_alphabet_leaves_the_next_one_alone():
+    letters = enumerate_alphabet(["A", "B"], ["0", "1"])
+    expected = list(letters)
+    letters.clear()
+    again = enumerate_alphabet(("B", "A"), ("1", "0"))
+    assert again == expected and again is not letters
+
+
 def test_finite_word():
     w = FiniteWord.of([A1, TAU, B2])
     assert w.names == {"A", "B"}
