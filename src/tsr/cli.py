@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a machine file against all invariants")
     p.add_argument("machine", help="machine JSON file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("join", help="compose two machine files")
     p.add_argument("left")
@@ -228,20 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="collapse the generalized result to a plain Buchi automaton",
     )
     p.add_argument("-o", "--output", help="write the result here instead of stdout")
-    p.set_defaults(func=cmd_join)
 
     p = sub.add_parser("equiv", help="compare two machine files under a relation")
     p.add_argument("--relation", required=True, choices=RELATIONS)
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("member", help="test a word or lasso against a machine")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--word", help="finite word JSON file (array of records)")
     group.add_argument("--lasso", help='lasso JSON file ({"prefix": [...], "period": [...]})')
     p.add_argument("machine")
-    p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("fuzz", help="randomized congruence checking for one relation")
     p.add_argument("--relation", required=True, choices=RELATIONS)
@@ -261,13 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="succeed only when at least one violation is found",
     )
     p.add_argument("-o", "--output", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_fuzz)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "counterexample",
         help="print the built-in proof that lasso equivalence is not a congruence",
     )
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser(
         "distinguish",
@@ -275,16 +269,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_distinguish)
 
     return parser
 
 
+# Built by the first call of ``main``; it holds nothing derived from inputs.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a wrapper installed on ``cmd_<name>``
+        # after the parser was built is the function that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (TsrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -8,7 +8,8 @@ record being {}.  A finite word is an array of records; a lasso is
 "final_family" for a generalized one; a plain transition system has
 neither.  Output is canonical: sorted keys, sorted lists, two-space
 indentation, LF newlines, so identical machines serialize byte-for-byte
-identically.
+identically.  Its bytes equal ``json.dumps(obj, indent=2, sort_keys=True)``
+plus a newline, with non-ASCII characters written as ASCII escapes.
 """
 
 from __future__ import annotations
@@ -187,8 +188,52 @@ def report_to_json(r: FuzzReport) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(obj, indent: str, out: list) -> None:
+    """Append ``obj`` to ``out`` as ``json.dumps(obj, indent=2, sort_keys=True)``
+    would write it, ``indent`` being a newline and the current level's spaces.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
+    writer quotes strings with the C encoder's escaping.  A key that is not a
+    string raises TypeError.
+    """
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json(path: str):
@@ -199,6 +244,10 @@ def load_json(path: str):
             raise MachineFormatError(
                 f"{path}: line {e.lineno}, column {e.colno}: {e.msg}"
             ) from e
+        except UnicodeDecodeError as e:
+            raise MachineFormatError(f"{path}: not UTF-8 text ({e.reason})") from e
+        except RecursionError as e:
+            raise MachineFormatError(f"{path}: JSON nested too deeply") from e
 
 
 def load_machine(path: str) -> Machine:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from helpers import bar, four_port_join, lts, rec
+from tsr import cli
 from tsr.cli import main
 from tsr.congruence import parity_bars
 from tsr.join import distinguishing_context, join
@@ -295,6 +296,56 @@ def test_usage_errors_exit_two(capsys):
 def test_missing_file_is_reported(capsys):
     assert main(["validate", "/no/such/file.json"]) == 2
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b"[" * 200_000 + b"]" * 200_000],
+    ids=["not-utf-8", "nested-200000-deep"],
+)
+def test_unreadable_json_is_an_input_error(parity_files, tmp_path, capsys, content):
+    left, _ = parity_files
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid: {path}: ")
+    for argv in (["equiv", "--relation", "ft", left, str(path)], ["member", "--word", str(path), left]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_no_state_is_carried_between_calls(parity_files, tmp_path, capsys):
+    left, right = parity_files
+    report = tmp_path / "report.json"
+    fuzz = ["fuzz", "--relation", "ft", "--trials", "3"]
+    assert main(fuzz + ["-o", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    parser = cli._parser
+    assert main(fuzz) == 0
+    assert capsys.readouterr().out == report.read_text(encoding="utf-8")
+    assert cli._parser is parser
+
+    assert main(["join", "--flatten", left, right]) == 0
+    assert "final" in json.loads(capsys.readouterr().out)
+    assert main(["join", left, right]) == 0
+    joined = json.loads(capsys.readouterr().out)
+    assert "final_family" in joined and "final" not in joined
+
+    with pytest.raises(SystemExit) as info:
+        main(["fuzz", "--relation", "zz"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(["equiv", "--relation", "b", left, right]) == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
+
+
+def test_main_calls_the_command_function_the_module_holds_now(monkeypatch, capsys):
+    assert main(["counterexample"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_counterexample", lambda args: seen.append(args.command) or 7)
+    assert main(["counterexample"]) == 7
+    assert seen == ["counterexample"]
 
 
 # Outputs of the commands that exercise the profile monoid and the Ramsey

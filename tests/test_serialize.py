@@ -1,5 +1,8 @@
 """JSON round-trips and format errors."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from helpers import bar, gba, lts, rec
@@ -195,3 +198,51 @@ def test_load_json_and_load_machine(tmp_path):
 def test_dumps_canonical_is_stable():
     text = dumps_canonical({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent / "golden").glob("*.json")), ids=lambda p: p.name
+)
+def test_dumps_canonical_matches_json_dumps_on_golden_files(path):
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert dumps_canonical(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("relation", ["ft", "f", "it", "b"])
+def test_dumps_canonical_matches_json_dumps_on_fuzz_reports(relation):
+    report = report_to_json(fuzz_congruence(relation, GenParams(seed=3), 20))
+    assert dumps_canonical(report) == _reference(report)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {},
+        [[], {}, [[]], [{}], {"a": {}, "b": []}],
+        {"x": [[[]]], "y": {"z": {}}},
+        (1, ("a", ()), [()]),
+        [True, False, None],
+        {"t": True, "f": False, "n": None},
+        [0, -3, 7, 10**30, -(10**30)],
+        [0.5, 1e300, -0.0, 0.0, 1e-300, 2.5e-5, 123456789.125],
+        "plain",
+        "h\u00e9llo \u2603 \U0001f600 \u00ff",
+        "\x00\x01\x1f\t\n\r\b\f\"\\/\x7f\u2028",
+        {"\n\"k\u00e9\x01": 1, "a": [True, None], "": {"\U0001f600": "\\"}},
+        {"b": 1, "a": 2, "B": 3, "\u00e9": 4, "aa": 5},
+    ],
+)
+def test_dumps_canonical_matches_json_dumps_on_chosen_values(obj):
+    assert dumps_canonical(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, [{("a",): 1}]])
+def test_dumps_canonical_refuses_a_key_that_is_not_a_string(obj):
+    # The wire formats only have string keys; json.dumps would write 1 as "1".
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
