@@ -292,8 +292,12 @@ class _Table:
     ``targets`` their AND, the ``finite_targets``.  ``succ[letter][i]`` and
     ``moves[i]`` hold the ids reached from state ``i``, lowest first, on that
     letter and on any letter, as tuples; they are built from the masks when
-    first read, as most decisions step on the masks alone.  Tables are shared
-    through the caches, so no caller changes one.
+    first read, as most decisions step on the masks alone.  ``loops`` is
+    ``_loop_ids``' memo: it maps the least rotation of a primitive period to
+    one id mask per position.  It is the one part of a table that fills as
+    periods are asked, and what it holds depends on the machine and the
+    period alone, never on which caller asked first; it goes with its table.
+    Tables are shared through the caches, so no caller changes one otherwise.
     """
 
     def __init__(self, order: list, initial: int, masks: dict, finals: tuple, targets: int):
@@ -302,6 +306,7 @@ class _Table:
         self.masks = masks
         self.finals = finals
         self.targets = targets
+        self.loops = {}
 
     @cached_property
     def succ(self) -> dict:
@@ -380,6 +385,16 @@ def _ids(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _flags_mask(flags) -> int:
+    """The positions of the set entries of a list of flags, as a bit mask.
+    Read as a binary numeral, highest position first, which takes time linear
+    in the length where adding up the bits one by one does not."""
+    return int(b"0" + bytes(reversed(flags)).translate(_BINARY_DIGITS), 2)
 
 
 def _step(rows, mask: int) -> int:
@@ -525,30 +540,44 @@ def strongly_connected_components(nodes, succ) -> list:
     return [[order[i] for i in scc] for scc in _sccs([[j for _, j in row] for row in rows])]
 
 
-def _loop_ids(table: _Table, period) -> list:
-    """Per id of a machine's table, whether reading ``period`` forever from
-    that state can accept: some run over it visits every final set
-    infinitely often.
+def _loop_ids(table: _Table, period) -> int:
+    """The ids of a machine's table from which reading ``period`` forever can
+    accept, as a bit mask: some run over it visits every final set infinitely
+    often.
 
-    Decided on the finite product of the machine with the period's positions
+    Decided on the finite product of the machine with a period's positions
     rather than by following runs, because with nondeterminism an accepting
     run may have to make different choices on different passes through the
-    period.  Node ``i*n + q`` of the product is state ``q`` about to read
-    ``period[i]``; after the last symbol the position wraps back to 0.
+    period.  A period reads as its primitive root does, and every rotation of
+    the root reads the same product from another position.  So the product is
+    built and searched once per table, for ``key``, the least rotation of the
+    root: node ``i*n + q`` is state ``q`` about to read ``key[i]``, and after
+    the last symbol the position wraps back to 0.  The table's ``loops`` keeps
+    the answer as one id mask per position, and the period's answer is the
+    mask at the position where its root starts.
     """
-    succ, n = table.succ, len(table.order)
-    rows = []
-    for i, r in enumerate(period):
-        shift = ((i + 1) % len(period)) * n
-        letter_rows = succ.get(r)
-        if letter_rows is None:
-            rows.extend([()] * n)
-        elif shift:
-            rows.extend([d + shift for d in row] for row in letter_rows)
-        else:
-            rows.extend(letter_rows)
-    accepting = ([f >> q & 1 for q in range(n)] * len(period) for f in table.finals)
-    return _live_ids(rows, *accepting)[:n]
+    k = len(period)
+    d = next(d for d in range(1, k + 1) if not k % d and period == period[:d] * (k // d))
+    root = tuple(period[:d])
+    s = min(range(d), key=lambda i: root[i:] + root[:i])
+    key = root[s:] + root[:s]
+    masks = table.loops.get(key)
+    if masks is None:
+        succ, n = table.succ, len(table.order)
+        rows = []
+        for i, r in enumerate(key):
+            shift = ((i + 1) % d) * n
+            letter_rows = succ.get(r)
+            if letter_rows is None:
+                rows.extend([()] * n)
+            elif shift:
+                rows.extend([v + shift for v in row] for row in letter_rows)
+            else:
+                rows.extend(letter_rows)
+        accepting = ([f >> q & 1 for q in range(n)] * d for f in table.finals)
+        live = _live_ids(rows, *accepting)
+        masks = table.loops[key] = [_flags_mask(live[i * n:(i + 1) * n]) for i in range(d)]
+    return masks[-s % d]
 
 
 def accepts_lasso(m: Machine, l: Lasso) -> bool:
@@ -563,8 +592,7 @@ def accepts_lasso(m: Machine, l: Lasso) -> bool:
     current = _read(table, table.initial, l.prefix)
     if not current:
         return False
-    loop = _loop_ids(table, l.period)
-    return any(loop[i] for i in _ids(current))
+    return bool(current & _loop_ids(table, l.period))
 
 
 gba_accepts_lasso = accepts_lasso

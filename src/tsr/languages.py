@@ -47,6 +47,7 @@ from .automata import (
     _component,
     _cyclic,
     _explore,
+    _flags_mask,
     _ids,
     _indexed,
     _live_ids,
@@ -70,6 +71,7 @@ from .records import (
     FiniteWord,
     Lasso,
     Record,
+    _check_records,
     enumerate_alphabet,
     restrict_lasso,
     restrict_word,
@@ -710,14 +712,19 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
 
     A lasso (u, v) is accepted exactly when some state reached on u lies in
     accepting_loop_states(b, v); batching many prefixes against one period
-    this way avoids rebuilding the same product graph per lasso.
+    this way avoids rebuilding the same product graph per lasso.  The
+    batching also spans periods: every rotation and power of one primitive
+    period reads the product built for the first of them asked of ``b``.
+    A symbol that is not a Record raises ``InvalidRecordError``; a record
+    over ports ``b`` lacks is a letter it never reads.
     """
     if not isinstance(b, Bar):
         raise TsrError("accepting_loop_states takes a Buchi automaton")
     if not period:
         raise TsrError("period must be non-empty")
+    _check_records(period)
     table = _indexed(b)
-    return frozenset(q for q, keep in zip(table.order, _loop_ids(table, period)) if keep)
+    return frozenset(table.order[i] for i in _ids(_loop_ids(table, period)))
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +733,7 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
 def _productive(table: _Table) -> tuple:
     """A table's masks cut down to the productive states, those starting
     some infinite run, and the productive initial states as a mask."""
-    keep = sum(1 << i for i, live in enumerate(_live_ids(table.moves)) if live)
+    keep = _flags_mask(_live_ids(table.moves))
     masks = {r: [row & keep for row in rows] for r, rows in table.masks.items()}
     return masks, table.initial & keep
 

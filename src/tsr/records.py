@@ -201,10 +201,15 @@ def enumerate_alphabet(names: Iterable[str], data: Iterable[str]):
     return [Record._trusted(entries) for entries in rows]
 
 
-def _check_symbols(symbols: tuple, names: frozenset) -> None:
+def _check_records(symbols) -> None:
     for r in symbols:
         if not isinstance(r, Record):
             raise InvalidRecordError(f"word symbol is not a Record: {r!r}")
+
+
+def _check_symbols(symbols: tuple, names: frozenset) -> None:
+    _check_records(symbols)
+    for r in symbols:
         if not r.domain <= names:
             raise InvalidRecordError(
                 f"symbol {r} uses ports outside the declared name set {sorted(names)}"

@@ -39,9 +39,11 @@ from tsr.automata import (
     with_idle_loops,
     without_invisible_edges,
 )
-from tsr.automata import _final_sets, _ids, _indexed, _live_ids, _loop_ids
+from tsr import automata
+from tsr.automata import _final_sets, _ids, _index, _indexed, _live_ids, _loop_ids
 from tsr.congruence import GenParams, random_machine
 from tsr.join import join
+from tsr.languages import accepting_loop_states
 from tsr.records import TAU, FiniteWord, Lasso, enumerate_alphabet
 from tsr.serialize import dumps_canonical, machine_to_json
 
@@ -417,9 +419,15 @@ def test_live_ids_are_the_nodes_reaching_an_accepting_cycle(graph, data):
 def test_gba_lasso_acceptance_matches_batched_loop_states():
     # For each period the loop states are found once, and every prefix is
     # judged by the states it reaches, as accepting_loop_states does for a
-    # Bar; a family of two sets makes the second set matter too.
+    # Bar; a family of two sets makes the second set matter too.  Each
+    # period's answer is first taken from a table of its own; then every
+    # period is asked again of one warm table, reversed and shuffled, so an
+    # answer read at the wrong position of a shared rotation shows.
     names = frozenset({"A"})
     letters = sorted(enumerate_alphabet(names, frozenset({"0", "1"})))
+    periods = words_up_to(letters, 3)[1:]
+    periods += [per * k for per in words_up_to(letters, 2)[1:] for k in (2, 3)]
+    prefixes = words_up_to(letters, 2)
     for seed in range(40):
         b = random_machine(
             GenParams(max_states=4, name_pool=names, data_pool=frozenset({"0", "1"}), seed=seed),
@@ -429,13 +437,45 @@ def test_gba_lasso_acceptance_matches_batched_loop_states():
         family = [{q for q in sorted(b.states) if rng.random() < 0.5} or set(b.final)
                   for _ in range(2)]
         g = Gba.make(b.states, b.names, b.data, b.transitions, b.initial, family)
-        table = _indexed(g)
-        for per in words_up_to(letters, 2)[1:]:
-            loop = {q for q, ok in zip(table.order, _loop_ids(table, per)) if ok}
-            for pre in words_up_to(letters, 2):
+        cold = {m: {per: _loop_ids(_index(m), per) for per in periods} for m in (g, b)}
+        order = _index(g).order
+        for per in periods:
+            loop = {order[i] for i in _ids(cold[g][per])}
+            # Prefixes of up to one letter for the longer periods keep the
+            # naive search quick.
+            for pre in prefixes if len(per) < 3 else prefixes[:4]:
                 l = Lasso(pre, per, names)
                 batched = bool(reach(g, g.initial, FiniteWord(pre, names)) & loop)
                 assert accepts_lasso(g, l) == batched == naive_lasso_accepts(g, g.final_family, l)
+        shuffled = list(periods)
+        rng.shuffle(shuffled)
+        for asked in (periods[::-1], shuffled):
+            warm = _index(g)
+            assert [_loop_ids(warm, per) for per in asked] == [cold[g][per] for per in asked]
+        order = _index(b).order
+        for per in shuffled:
+            expected = {order[i] for i in _ids(cold[b][per])}
+            assert accepting_loop_states(b, per) == expected
+
+
+def test_rotations_and_powers_of_a_period_share_one_product(monkeypatch):
+    # Reading (a b)^w accepts from q0 only and (b a)^w from q1 only, so an
+    # answer read at the wrong position of the shared product shows.
+    a, b = rec(A="0"), rec(A="1")
+    m = bar(["q0", "q1"], ["A"], ["0", "1"], [("q0", a, "q1"), ("q1", b, "q0")], ["q0"], ["q0"])
+    periods = [(a, b), (b, a), (a, b, a, b), (b, a, b, a)]
+    expected = [_loop_ids(_index(m), per) for per in periods]
+    built = []
+    monkeypatch.setattr(automata, "_live_ids", lambda *args: built.append(args) or _live_ids(*args))
+    _indexed.cache_clear()
+    table = _indexed(m)
+    assert [_loop_ids(table, per) for per in periods] == expected == [0b01, 0b10, 0b01, 0b10]
+    assert accepting_loop_states(m, (b, a)) == {"q1"}
+    assert accepts_lasso(m, Lasso((a,), (b, a, b, a), frozenset({"A"})))
+    assert len(built) == 1
+    _indexed.cache_clear()
+    assert accepting_loop_states(m, (a, b, a, b)) == {"q0"}
+    assert len(built) == 2
 
 
 def test_degeneralize_single_member_family():

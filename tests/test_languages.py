@@ -54,6 +54,7 @@ from tsr.errors import (
     AlphabetLimitError,
     AlphabetMismatchError,
     DataSetMismatchError,
+    InvalidRecordError,
     SizeBoundError,
     TsrError,
 )
@@ -685,6 +686,16 @@ def test_accepting_loop_states():
     assert accepting_loop_states(left, (A,)) == {"q0", "q1"}
     assert accepting_loop_states(left, (TAU,)) == frozenset()
     assert accepting_loop_states(left, (A, A)) == {"q0", "q1"}
+
+
+def test_accepting_loop_states_refuses_a_period_symbol_that_is_not_a_record():
+    # As a Lasso's period would; a record over ports the machine lacks is
+    # still a letter that dies.
+    left = parity_left()
+    for period in (("x",), (A, "x"), ("x", A), (A, None)):
+        with pytest.raises(InvalidRecordError):
+            accepting_loop_states(left, period)
+    assert accepting_loop_states(left, (rec(Z="0"),)) == frozenset()
 
 
 def test_buchi_helpers_refuse_machines_without_one_final_set():
