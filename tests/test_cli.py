@@ -382,6 +382,13 @@ GOLDEN_CASES += [
         codes,
     )
 ]
+# join of the parity pair (a Gba), the same join flattened (a Bar), and the
+# plain system joined with itself (an Ltsr).
+GOLDEN_CASES += [
+    ("parity.join", ["join", "parity_left.json", "parity_right.json"], 0),
+    ("parity.join_flatten", ["join", "--flatten", "parity_left.json", "parity_right.json"], 0),
+    ("plain.join", ["join", "plain.json", "plain.json"], 0),
+]
 
 
 @pytest.mark.parametrize("name,argv,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
