@@ -37,6 +37,7 @@ from .languages import finite_equiv
 from .records import ALPHABET_LIMIT_ENV
 from .serialize import (
     dumps_canonical,
+    dumps_machine,
     instance_to_json,
     lasso_from_json,
     lasso_to_json,
@@ -100,7 +101,7 @@ def cmd_join(args) -> int:
         result = join_lts(m1, m2)
     else:
         raise TsrError("join needs two Buchi automata or two plain transition systems")
-    _emit(dumps_canonical(machine_to_json(result)), args.output)
+    _emit(dumps_machine(result), args.output)
     return 0
 
 

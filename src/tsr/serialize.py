@@ -10,6 +10,12 @@ neither.  Output is canonical: sorted keys, sorted lists, two-space
 indentation, LF newlines, so identical machines serialize byte-for-byte
 identically.  Its bytes equal ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, with non-ASCII characters written as ASCII escapes.
+
+``dumps_canonical`` writes any payload.  ``dumps_machine`` writes one
+machine, as ``tsr join`` does, straight from the machine and with the same
+bytes as ``dumps_canonical(machine_to_json(m))``; ``_rows`` and
+``_final_field`` give both paths the one canonical order and acceptance
+field.
 """
 
 from __future__ import annotations
@@ -37,14 +43,19 @@ def record_from_json(obj) -> Record:
 
 
 def _label_from_json(obj, labels: dict) -> Record:
-    """``record_from_json(obj)``, built once per distinct label in ``labels``."""
+    """``record_from_json(obj)``, built once per distinct label in ``labels``.
+
+    ``labels`` maps each item tuple seen to its record, and each record to
+    itself, so that equal labels written in another key order share one."""
     try:
-        return labels[frozenset(obj.items())]
-    except (AttributeError, KeyError, TypeError):
-        pass  # not a dict, an unhashable value, or a new label
-    record = record_from_json(obj)
-    labels[frozenset(obj.items())] = record
-    return record
+        key = tuple(obj.items())
+        return labels[key]
+    except KeyError:
+        record = record_from_json(obj)
+        record = labels[key] = labels.setdefault(record, record)
+        return record
+    except (AttributeError, TypeError):  # not a dict, or an unhashable value
+        return record_from_json(obj)
 
 
 def word_to_json(w: FiniteWord) -> list:
@@ -92,28 +103,34 @@ def verdict_to_json(v: Verdict) -> dict:
     }
 
 
-def _transition_key(t: dict):
-    return (t["from"], sorted(t["label"].items()), t["to"])
+def _rows(m: Machine) -> list:
+    """The transitions of ``m`` as ``(src, label entries, dst)`` rows in
+    canonical order.  Entries are sorted by port, so this is the order of
+    the labels' sorted JSON items."""
+    return sorted([(src, r.entries, dst) for src, r, dst in m.transitions])
+
+
+def _final_field(m: Machine) -> dict:
+    """The acceptance field of a machine's JSON: "final" for a Bar,
+    "final_family" for a Gba, none for a plain transition system."""
+    if isinstance(m, Bar):
+        return {"final": sorted(m.final)}
+    if isinstance(m, Gba):
+        return {"final_family": [sorted(member) for member in m.final_family]}
+    return {}
 
 
 def machine_to_json(m: Machine) -> dict:
-    transitions = [
-        {"from": src, "label": record_to_json(r), "to": dst}
-        for (src, r, dst) in m.transitions
-    ]
-    transitions.sort(key=_transition_key)
-    out = {
+    return {
         "names": sorted(m.names),
         "data": sorted(m.data),
         "states": sorted(m.states),
         "initial": sorted(m.initial),
-        "transitions": transitions,
+        "transitions": [
+            {"from": src, "label": dict(entries), "to": dst} for src, entries, dst in _rows(m)
+        ],
+        **_final_field(m),
     }
-    if isinstance(m, Bar):
-        out["final"] = sorted(m.final)
-    elif isinstance(m, Gba):
-        out["final_family"] = [sorted(member) for member in m.final_family]
-    return out
 
 
 def _string_list(obj, key) -> list:
@@ -233,6 +250,44 @@ def dumps_canonical(obj) -> str:
     out = []
     _write(obj, "\n", out)
     out.append("\n")
+    return "".join(out)
+
+
+def _strings(values) -> str:
+    """A set of strings as ``_write`` writes its sorted list as a field of a
+    top-level object."""
+    if not values:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(_quote, sorted(values))) + "\n  ]"
+
+
+def dumps_machine(m: Machine) -> str:
+    """``dumps_canonical(machine_to_json(m))``, written from the machine
+    without building its dicts: the rows are sorted once, each distinct
+    label is rendered once, and the pre-quoted parts are joined."""
+    labels = {}
+    rows = []
+    for src, entries, dst in _rows(m):
+        label = labels.get(entries)
+        if label is None:
+            items = [_quote(port) + ": " + _quote(value) for port, value in entries]
+            label = "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
+            labels[entries] = label
+        rows.append(
+            '{\n      "from": ' + _quote(src) + ',\n      "label": ' + label
+            + ',\n      "to": ' + _quote(dst) + "\n    }"
+        )
+    out = ['{\n  "data": ', _strings(m.data)]
+    for key, value in _final_field(m).items():
+        out += [",\n  ", _quote(key), ": "]
+        _write(value, "\n  ", out)
+    out += [
+        ',\n  "initial": ', _strings(m.initial),
+        ',\n  "names": ', _strings(m.names),
+        ',\n  "states": ', _strings(m.states),
+        ',\n  "transitions": ', "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]",
+        "\n}\n",
+    ]
     return "".join(out)
 
 

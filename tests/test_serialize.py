@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 
 from helpers import bar, gba, lts, rec
-from tsr.automata import Verdict
+from tsr.automata import Verdict, base_of
 from tsr.congruence import GenParams, fuzz_congruence, random_machine
 from tsr.errors import MachineFormatError
+from tsr.join import join, join_bar_flat, join_lts
 from tsr.records import FiniteWord, Lasso, Record
 from tsr.serialize import (
     dumps_canonical,
+    dumps_machine,
     lasso_from_json,
     lasso_to_json,
     load_json,
@@ -246,3 +248,58 @@ def test_dumps_canonical_refuses_a_key_that_is_not_a_string(obj):
     # The wire formats only have string keys; json.dumps would write 1 as "1".
     with pytest.raises(TypeError):
         dumps_canonical(obj)
+
+
+# dumps_machine writes a machine's canonical text without building its dicts;
+# these pin it byte for byte to the generic writer.
+GOLDEN_MACHINES = [
+    path for path in sorted((Path(__file__).parent / "golden").glob("*.json"))
+    if "states" in json.loads(path.read_text(encoding="utf-8"))
+]
+
+
+@pytest.mark.parametrize("path", GOLDEN_MACHINES, ids=lambda p: p.name)
+def test_dumps_machine_is_pinned_to_dumps_canonical_on_golden_machines(path):
+    m = load_machine(str(path))
+    assert dumps_machine(m) == dumps_canonical(machine_to_json(m))
+
+
+def _renamed(m, seed):
+    """``m`` with its states renamed; every fourth seed picks names that
+    need escaping or look like product states."""
+    odd = seed % 4 == 0
+    name = {q: f'{q}"\\\u00e9,({{' if odd else q for q in m.states}.get
+    return bar(
+        map(name, m.states), m.names, m.data,
+        [(name(src), r, name(dst)) for src, r, dst in m.transitions],
+        map(name, m.initial), map(name, m.final),
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dumps_machine_is_pinned_to_dumps_canonical_on_seeded_joins(seed):
+    data = frozenset({"0", "1"})
+    a = _renamed(random_machine(GenParams(4, frozenset("AB"), data, seed=seed)), seed)
+    c = random_machine(GenParams(4, frozenset("BC"), data, seed=seed + 100))
+    for m in (join(a, c), join_bar_flat(a, c), join_lts(base_of(a), base_of(c))):
+        assert dumps_machine(m) == dumps_canonical(machine_to_json(m))
+
+
+ODD = '"q\\\u00e9,({'
+EDGES = [("s0", TAU, ODD), (ODD, rec(A="0", B="1"), "s0"), ("s0", rec({"\u00e9\"": "\\"}), "s0")]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        lts(["s0", ODD], ["A", "B", "\u00e9\""], ["0", "1", "\\"], EDGES, ["s0"]),
+        bar(["s0", ODD], ["A", "B"], ["0", "1"], EDGES[:2], [ODD], []),
+        gba(["s0", ODD], ["A", "B"], ["0", "1"], EDGES[:2], ["s0"], [[], [ODD, "s0"]]),
+        gba(["s0", ODD], ["A", "B"], ["0", "1"], EDGES[:2], ["s0"], []),
+        lts(["s0"], [], [], [], []),
+        bar(["s0"], ["A"], ["0"], [], ["s0"], ["s0"]),
+    ],
+    ids=["lts", "bar-empty-final", "gba-empty-member", "gba-empty-family", "lts-bare", "bar-no-edges"],
+)
+def test_dumps_machine_is_pinned_to_dumps_canonical_on_edge_cases(m):
+    assert dumps_machine(m) == dumps_canonical(machine_to_json(m))
