@@ -284,12 +284,13 @@ def trap_states(m: Machine) -> frozenset:
 class _Table:
     """A machine on dense state ids, as the library's walks read it.
 
-    ``order`` lists the states sorted; a state's id is its position there.
-    ``initial`` holds the initial states as a bit mask of ids.
-    ``masks[letter][i]`` holds the ids reached from state ``i`` on that
-    letter as a bit mask (letters that label no transition are absent).
-    ``finals`` holds each of ``_final_sets`` as a bit mask of ids, and
-    ``targets`` their AND, the ``finite_targets``.  ``succ[letter][i]`` and
+    ``order`` lists the state names; a state's id is its position there, and
+    ``_indexed`` tables list them sorted.  ``initial`` holds the initial
+    states as a bit mask of ids.  ``masks[letter][i]`` holds the ids reached
+    from state ``i`` on that letter as a bit mask (letters that label no
+    transition are absent).  ``finals`` holds each final set as a bit mask of
+    ids (``_final_sets`` for an ``_indexed`` table), and ``targets``, derived
+    from them, their AND: the ``finite_targets``.  ``succ[letter][i]`` and
     ``moves[i]`` hold the ids reached from state ``i``, lowest first, on that
     letter and on any letter, as tuples; they are built from the masks when
     first read, as most decisions step on the masks alone.  ``loops`` is
@@ -300,12 +301,12 @@ class _Table:
     Tables are shared through the caches, so no caller changes one otherwise.
     """
 
-    def __init__(self, order: list, initial: int, masks: dict, finals: tuple, targets: int):
+    def __init__(self, order: list, initial: int, masks: dict, finals: tuple):
         self.order = order
         self.initial = initial
         self.masks = masks
         self.finals = finals
-        self.targets = targets
+        self.targets = reduce(int.__and__, finals)
         self.loops = {}
 
     @cached_property
@@ -371,7 +372,22 @@ def _index(m: Machine) -> _Table:
         rows[index[src]] |= 1 << index[dst]
     finals = tuple(_state_mask(index, f) for f in _final_sets(m))
     initial = _state_mask(index, m.initial)
-    return _Table(order, initial, masks, finals, reduce(int.__and__, finals))
+    return _Table(order, initial, masks, finals)
+
+
+def _named(table: _Table, names, data) -> Ltsr:
+    """The transition system of a mask table over ``names`` and ``data``,
+    acceptance left out: state ``i`` is named ``table.order[i]``."""
+    order = table.order
+    transitions = []
+    for r, rows in table.masks.items():
+        for source, mask in zip(order, rows):
+            while mask:  # _ids inlined: a product has many edges to name
+                low = mask & -mask
+                transitions.append((source, r, order[low.bit_length() - 1]))
+                mask ^= low
+    initial = frozenset(order[p] for p in _ids(table.initial))
+    return Ltsr(frozenset(order), names, data, frozenset(transitions), initial)
 
 
 def _state_mask(index: dict, states) -> int:
@@ -653,36 +669,37 @@ def _degeneralized(table: _Table, names, data) -> Bar:
     """``degeneralize`` on the id table of a machine over ``names`` and ``data``."""
     order, finals = table.order, table.finals
     n, k = len(order), len(finals)
-    # Node c*n + v is state v in copy c + 1, named copies[c][v].  A move from
-    # it goes on to copy nxt[c][v] + 1, the next copy when v lies in member c.
-    copies = [[f"({q},{c})" for q in order] for c in range(1, k + 1)]
+    # Node c*n + v is state v in copy c + 1.  A move from it goes on to copy
+    # nxt[c][v] + 1, the next copy when v lies in member c, so its row is v's
+    # row shifted into that copy.
     nxt = [[(c + 1) % k if f >> v & 1 else c for v in range(n)] for c, f in enumerate(finals)]
-    states = frozenset(q for copy in copies for q in copy)
-    transitions = set()
-    for label, rows in table.succ.items():
-        for v, row in enumerate(rows):
-            if row:
-                for c, copy in enumerate(copies):
-                    target = copies[nxt[c][v]]
-                    transitions.update((copy[v], label, target[j]) for j in row)
+    masks = {
+        r: [rows[v] << nxt[c][v] * n for c in range(k) for v in range(n)]
+        for r, rows in table.masks.items()
+    }
     rows = [[nxt[c][v] * n + j for j in table.moves[v]] for c in range(k) for v in range(n)]
-    initial = frozenset(copies[0][v] for v in _ids(table.initial))
-
-    final = {copy[v] for copy in copies for v in _ids(table.targets)}
-
+    final = sum(table.targets << c * n for c in range(k))
     for scc in _sccs(rows, list(_ids(table.initial))):
         if _cyclic(scc, rows):
-            final.update(copies[0][v] for v in scc if v < n and finals[0] >> v & 1)
+            final |= sum(1 << v for v in scc if v < n and finals[0] >> v & 1)
+    # Every state is (q,i) with i >= 1, and i holds no comma, so none reads
+    # as the padding state (pad,0).
+    copies = [f"({q},{c})" for c in range(1, k + 1) for q in order]
+    flat = _named(_Table(copies, table.initial, masks, (final,)), names, data)
+    return _buchi(flat, frozenset(copies[p] for p in _ids(final)), "(pad,0)")
 
+
+def _buchi(m: Ltsr, final: frozenset, pad: str) -> Bar:
+    """``m`` as a Buchi automaton with final set ``final``.
+
+    When nothing is final, the fresh state ``pad`` is added as the one final
+    state: a Buchi automaton needs a non-empty final set, and a state that
+    nothing reaches changes neither language.  ``pad`` must name no state of
+    ``m``.
+    """
     if not final:
-        # Nothing accepts, but a Buchi automaton needs a non-empty final set;
-        # an unreachable padding state changes neither language.  The name is
-        # always free: every other state is (q,i) with i >= 1, and i holds no
-        # comma, so none reads as (pad,0).
-        states = states | {"(pad,0)"}
-        final = {"(pad,0)"}
-
-    return Bar(states, names, data, frozenset(transitions), initial, frozenset(final))
+        m, final = replace(m, states=m.states | {pad}), frozenset({pad})
+    return Bar(**vars(m), final=final)
 
 
 def without_invisible_edges(m: Machine) -> Machine:

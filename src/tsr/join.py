@@ -20,8 +20,6 @@ amounts to pairing component edges with compatible labels.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .automata import (
     Bar,
     Gba,
@@ -32,8 +30,10 @@ from .automata import (
     _degeneralized,
     _ids,
     _indexed,
+    _named,
     _remember,
     _Table,
+    base_of,
 )
 from .errors import DataSetMismatchError, TsrError
 from .records import Record, comp, union
@@ -60,8 +60,10 @@ def _joined_table(m1: Machine, m2: Machine) -> _Table:
     ``(i, k)`` order does not when a component name holds a character below
     ``,`` or ``)``, such as ``!`` or ``(``, so the ids are then renumbered.
 
-    The final sets are the join's family when both machines are Buchi
-    automata (see ``join``), and one set holding every state otherwise.
+    The final sets are those of both components, each spread over the other
+    component's states: the join's family when both machines are Buchi
+    automata (see ``join``).  A plain system's one set holds every state, so
+    the join of two plain systems has one set holding every state.
     """
     if m1.data != m2.data:
         raise DataSetMismatchError(
@@ -92,11 +94,8 @@ def _joined_table(m1: Machine, m2: Machine) -> _Table:
             if comp(r1, names1, r2, names2):
                 add(union(r1, r2), [w * row for w in wide for row in rows2])
     initial = spread(table1.initial) * table2.initial
-    if isinstance(m1, Bar) and isinstance(m2, Bar):
-        (final1,), (final2,) = table1.finals, table2.finals
-        finals = [spread(final1) * ((1 << n2) - 1), sum(stride) * final2]
-    else:
-        finals = [(1 << size) - 1]
+    full1, full2 = sum(stride), (1 << n2) - 1
+    finals = [spread(f) * full2 for f in table1.finals] + [full1 * f for f in table2.finals]
 
     # product_state's names, each component escaped once.
     right = [_component(q) for q in table2.order]
@@ -116,22 +115,7 @@ def _joined_table(m1: Machine, m2: Machine) -> _Table:
 
     # The family in _canonical_family's order: ids follow the sorted names.
     finals = tuple(sorted(set(finals), key=lambda f: tuple(_ids(f))))
-    return _Table(order, initial, masks, finals, reduce(int.__and__, finals))
-
-
-def _named(table: _Table, names, data) -> Ltsr:
-    """The transition system of a joined table over ``names`` and ``data``,
-    acceptance left out."""
-    order = table.order
-    transitions = []
-    for r, rows in table.masks.items():
-        for source, mask in zip(order, rows):
-            while mask:  # _ids inlined: a product has many edges to name
-                low = mask & -mask
-                transitions.append((source, r, order[low.bit_length() - 1]))
-                mask ^= low
-    initial = frozenset(order[p] for p in _ids(table.initial))
-    return Ltsr(frozenset(order), names, data, frozenset(transitions), initial)
+    return _Table(order, initial, masks, finals)
 
 
 def _buchi_joined_table(b1: Bar, b2: Bar) -> _Table:
@@ -162,12 +146,10 @@ def join(b1: Bar, b2: Bar) -> Gba:
 def join_lts(m1: Machine, m2: Machine) -> Ltsr:
     """Join two transition systems, ignoring any acceptance structure.
 
-    The machine names ``_joined_table``, which is kept as its ``_indexed``
-    table with every state final.
+    The machine names ``_joined_table`` of the two plain systems, which is
+    kept as its ``_indexed`` table.
     """
-    table = _joined_table(m1, m2)
-    everything = (1 << len(table.order)) - 1
-    table = _Table(table.order, table.initial, table.masks, (everything,), everything)
+    table = _joined_table(base_of(m1), base_of(m2))
     joined = _named(table, m1.names | m2.names, m1.data)
     _remember(joined, table)
     return joined

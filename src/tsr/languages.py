@@ -42,8 +42,10 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .automata import (
     Bar,
     Gba,
+    Ltsr,
     Machine,
     Verdict,
+    _buchi,
     _component,
     _cyclic,
     _explore,
@@ -83,14 +85,6 @@ DEFAULT_COMPLEMENT_STATE_LIMIT = 8
 DEFAULT_MONOID_LIMIT = 20000
 COMPLEMENT_MONOID_LIMIT = 4000
 PAIR_SEARCH_LIMIT = 500000
-
-
-@dataclass(frozen=True)
-class LassoWitness:
-    """A lasso together with which machine of an analysis accepts it."""
-
-    lasso: Lasso
-    accepted_by: str
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +191,7 @@ def _reachable(table: _Table) -> _Table:
             masks[r] = rows
     order = [table.order[i] for i in kept]
     finals = tuple(map(cut, table.finals))
-    return _Table(order, cut(table.initial), masks, finals, cut(table.targets))
+    return _Table(order, cut(table.initial), masks, finals)
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +590,8 @@ def buchi_complement(b: Bar) -> Bar:
         return f"c{state[1]}"
 
     names = [name(q) for q in found]
-    states = frozenset(names)
-    transitions = frozenset((names[i], r, names[j]) for i, row in enumerate(rows) for r, j in row)
     final = frozenset(names[i] for i, q in enumerate(found) if q[0] == "c")
-    if not final:
-        states = states | {"never"}
-        final = frozenset({"never"})
-    return Bar(states, b.names, b.data, transitions, frozenset({names[0]}), final)
+    return _buchi(_named_rows(names, rows, 1, b), final, "never")
 
 
 def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
@@ -648,19 +637,21 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
     names = [
         f"({_component(order1[q1])},{_component(order2[q2])},{copy})" for q1, q2, copy in found
     ]
-    states = frozenset(names)
-    transitions = frozenset((names[i], r, names[j]) for i, row in enumerate(rows) for r, j in row)
-    initial = frozenset(names[: len(roots)])
     final = frozenset(
         name for name, (q1, _, copy) in zip(names, found) if copy == 1 and final1 >> q1 & 1
     )
-    if not final:
-        states = states | {"never"}
-        final = frozenset({"never"})
-    return Bar(states, b1.names, b1.data, transitions, initial, final)
+    return _buchi(_named_rows(names, rows, len(roots), b1), final, "never")
 
 
-def buchi_empty(b: Bar) -> Optional[LassoWitness]:
+def _named_rows(names: list, rows: list, roots: int, m: Machine) -> Ltsr:
+    """The transition system over ``m``'s alphabet whose state ``i`` is
+    ``names[i]`` and whose edges are ``_explore``'s ``rows``, started from
+    its first ``roots`` states."""
+    transitions = frozenset((names[i], r, names[j]) for i, row in enumerate(rows) for r, j in row)
+    return Ltsr(frozenset(names), m.names, m.data, transitions, frozenset(names[:roots]))
+
+
+def buchi_empty(b: Bar) -> Optional[Lasso]:
     """None when the lasso language is empty, else a witness lasso.
 
     A witness exists exactly when some final state is reachable and lies on a
@@ -688,7 +679,7 @@ def buchi_empty(b: Bar) -> Optional[LassoWitness]:
     back = _explore([found[f]], edges)[1]
     last, r = next((i, r) for i, row in enumerate(back) for r, j in row if j == 0)
     period = _labels_to(back, 1, last) + [r]
-    return LassoWitness(Lasso(tuple(prefix), tuple(period), b.names), "machine")
+    return Lasso(tuple(prefix), tuple(period), b.names)
 
 
 def _labels_to(rows, roots: int, node: int) -> list:

@@ -5,7 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bar, lts, naive_join_edges, rec, rename_machine
-from tsr.automata import Gba, _index, _indexed, accepts_finite, base_of, gba_accepts_lasso, validate
+from tsr.automata import (
+    Gba,
+    _index,
+    _indexed,
+    accepts_finite,
+    base_of,
+    degeneralize,
+    gba_accepts_lasso,
+    validate,
+)
 from tsr.congruence import GenParams, random_machine
 from tsr.errors import DataSetMismatchError, TsrError
 from tsr.join import (
@@ -170,7 +179,7 @@ def same_table(built, indexed):
 
 # State names whose pairs do not sort in (left id, right id) order: "(a!,x)"
 # and "(a(b),x)" sort before "(a,x)"; the others are escaped in a pair.
-AWKWARD_STATES = ("a", "a!", "a(b)", "b", "x,y", "a)", "(b")
+AWKWARD_STATES = ("a", "a!", "a(b)", "b", "x,y", "a)", "(b", "a\\")
 
 
 def awkwardly_named(data, m):
@@ -193,13 +202,21 @@ def test_joined_table_is_the_id_table_of_the_named_join(relation, data):
     # The table the join keeps for _indexed against the one read off it.
     same_table(_indexed(joined), _index(joined))
     same_table(_joined_table(m1, m2), _index(joined))
+
+
+@pytest.mark.parametrize("relation", sorted(NAME_SET_PAIRS))
+@given(data=st.data())
+def test_flat_and_plain_joins_of_renumbered_bars_match_their_definitions(relation, data):
     b1, b2 = (
         bar(m.states, m.names, m.data, m.transitions, m.initial,
             data.draw(st.sets(st.sampled_from(sorted(m.states)), min_size=1)))
-        for m in (m1, m2)
+        for m in (awkwardly_named(data, data.draw(small_lts(names)))
+                  for names in NAME_SET_PAIRS[relation])
     )
+    assert join_bar_flat(b1, b2) == degeneralize(join(b1, b2))
     for joined in (join(b1, b2), join_lts(b1, b2)):
         same_table(_indexed(joined), _index(joined))
+    assert join_lts(b1, b2) == join_lts(base_of(b1), base_of(b2))
 
 
 def test_join_with_inert_context_is_a_tagged_copy():

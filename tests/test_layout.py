@@ -4,7 +4,8 @@ library never reads ``base``, no private function takes a parameter that
 every caller sets to the same literal, of the language decisions only
 complementation enumerates the alphabet, the joins and the language
 decisions read a machine's edges, initial states and final sets through its
-id table, and only the join builders hand a table to ``_indexed``'s memo."""
+id table, only the period products and the intersection read the table's
+tuple rows, and only the join builders hand a table to ``_indexed``'s memo."""
 
 import argparse
 import ast
@@ -105,6 +106,17 @@ def readers_in(path: Path, name: str, attribute: bool = False) -> list:
     else:
         reads = lambda stmt: name in _referenced(stmt)
     return [(_defined(stmt) or [f"line {stmt.lineno}"])[0] for stmt in tree.body if reads(stmt)]
+
+
+def attribute_readers(src: Path, name: str) -> list:
+    """The top-level statements of the package that read ``name`` as an
+    attribute of anything, each by the first name it defines, or by its
+    line when it defines none."""
+    return [
+        (_defined(stmt) or [f"line {stmt.lineno}"])[0]
+        for _, stmt in _statements(src)
+        if any(isinstance(node, ast.Attribute) and node.attr == name for node in ast.walk(stmt))
+    ]
 
 
 def _passed_literal(call, param, position):
@@ -267,8 +279,9 @@ def test_walks_read_edges_and_final_sets_through_the_id_table():
 
 def test_walks_start_from_the_id_table():
     # Every walk starts from the table's initial mask, and trap_states and
-    # degeneralize read the table's rows; in automata.py only validation,
-    # base_of, _index and the two edge filters read a machine's edges.
+    # degeneralize read the table's masks and moves; in automata.py only
+    # validation, base_of, _index and the two edge filters read a machine's
+    # edges.
     for module in ("join.py", "languages.py"):
         assert readers_in(SRC / module, "initial", attribute=True) == []
     assert readers_in(SRC / "automata.py", "transitions", attribute=True) == [
@@ -306,6 +319,22 @@ def test_a_stray_read_of_edges_or_final_sets_is_reported(tmp_path):
     assert readers_in(path, "transitions", attribute=True) == ["_moves_by_label", "EDGES"]
     assert readers_in(path, "transitions") == ["_joined_base", "_moves_by_label", "EDGES"]
     assert readers_in(path, "_final_sets") == ["_finals"]
+
+
+def test_only_period_products_and_the_intersection_read_the_tables_tuple_rows():
+    # Walks step on the masks; degeneralize shifts mask rows into its copies.
+    # The period product and the intersection's edge lists read succ's tuples.
+    assert attribute_readers(SRC, "succ") == ["_loop_ids", "buchi_intersect"]
+
+
+def test_a_stray_read_of_tuple_rows_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _loop_ids(table):\n    return table.succ\n\n\n"
+        "def _sccs(succ):\n    return len(succ)\n\n\n"
+        "def _degeneralized(t):\n    return _indexed(t).succ.items()\n"
+    )
+    (tmp_path / "b.py").write_text("ROWS = table.succ\n")
+    assert attribute_readers(tmp_path, "succ") == ["_loop_ids", "_degeneralized", "ROWS"]
 
 
 def test_only_the_join_builders_hand_a_table_to_the_memo():
