@@ -160,6 +160,10 @@ def validate(m: Machine) -> list:
         out.append("initial states must be states of the machine")
     reports = []  # (report order, violations) of each transition that has some
     for t in m.transitions:
+        if not (isinstance(t, tuple) and len(t) == 3):
+            what = f"transition {t!r} is not a (source, label, target) triple"
+            reports.append((_transition_key(t), [what]))
+            continue
         src, label, dst = t
         found = []
         if src not in m.states or dst not in m.states:
@@ -197,8 +201,10 @@ def _token_key(token) -> tuple:
 
 def _transition_key(t) -> tuple:
     """``validate``'s report order: by source, then label, then target.
-    States sort as ``_token_key`` has them.  Records sort among themselves;
-    a label that is not one sorts after them, by its repr."""
+    States sort as ``_token_key`` has them.  Records sort among themselves,
+    then other labels by repr; transitions that are not triples go last."""
+    if not (isinstance(t, tuple) and len(t) == 3):
+        return ((2, repr(t)),)
     src, label, dst = t
     if isinstance(label, Record):
         return (_token_key(src), 0, label, _token_key(dst))
@@ -285,19 +291,20 @@ class _Table:
     """A machine on dense state ids, as the library's walks read it.
 
     ``order`` lists the state names; a state's id is its position there, and
-    ``_indexed`` tables list them sorted.  ``initial`` holds the initial
-    states as a bit mask of ids.  ``masks[letter][i]`` holds the ids reached
-    from state ``i`` on that letter as a bit mask (letters that label no
-    transition are absent).  ``finals`` holds each final set as a bit mask of
-    ids (``_final_sets`` for an ``_indexed`` table), and ``targets``, derived
-    from them, their AND: the ``finite_targets``.  ``succ[letter][i]`` and
-    ``moves[i]`` hold the ids reached from state ``i``, lowest first, on that
-    letter and on any letter, as tuples; they are built from the masks when
-    first read, as most decisions step on the masks alone.  ``loops`` is
-    ``_loop_ids``' memo: it maps the least rotation of a primitive period to
-    one id mask per position.  It is the one part of a table that fills as
-    periods are asked, and what it holds depends on the machine and the
-    period alone, never on which caller asked first; it goes with its table.
+    ``_indexed`` tables list them sorted; ``_kept`` alone cuts or renumbers
+    a table.  ``initial`` holds the initial states as a bit mask of ids.
+    ``masks[letter][i]`` holds the ids reached from state ``i`` on that
+    letter as a bit mask (letters that label no transition are absent).
+    ``finals`` holds each final set as a bit mask of ids (``_final_sets``
+    for an ``_indexed`` table), and ``targets``, derived from them, their
+    AND: the ``finite_targets``.  ``succ[letter][i]`` and ``moves[i]`` hold
+    the ids reached from state ``i``, lowest first, on that letter and on
+    any letter, as tuples; they are built from the masks when first read,
+    as most decisions step on the masks alone.  ``loops`` is ``_loop_ids``'
+    memo: it maps the least rotation of a primitive period to one id mask
+    per position.  It is the one part of a table that fills as periods are
+    asked, and what it holds depends on the machine and the period alone,
+    never on which caller asked first; it goes with its table.
     Tables are shared through the caches, so no caller changes one otherwise.
     """
 
@@ -373,6 +380,24 @@ def _index(m: Machine) -> _Table:
     finals = tuple(_state_mask(index, f) for f in _final_sets(m))
     initial = _state_mask(index, m.initial)
     return _Table(order, initial, masks, finals)
+
+
+def _kept(table: _Table, kept: list) -> _Table:
+    """``table`` cut down to the ids in ``kept``, old id ``kept[i]`` renumbered
+    to ``i``: every mask drops the other ids, and a letter left with no edge
+    is dropped.  ``table`` itself when every id stays in place."""
+    n = len(table.order)
+    if len(kept) == n and all(map(int.__eq__, kept, range(n))):
+        return table
+    new = dict(zip(kept, range(len(kept))))
+    cut = lambda mask: sum(1 << new[i] for i in _ids(mask) if i in new)
+    masks = {}
+    for r, rows in table.masks.items():
+        rows = [cut(rows[i]) for i in kept]
+        if any(rows):
+            masks[r] = rows
+    order = [table.order[i] for i in kept]
+    return _Table(order, cut(table.initial), masks, tuple(map(cut, table.finals)))
 
 
 def _named(table: _Table, names, data) -> Ltsr:
@@ -504,8 +529,7 @@ def _explore(roots, edges) -> tuple:
 
     ``found`` lists the nodes in the order they are found, roots first, and
     ``rows[i]`` the ``(label, id)`` pairs of ``edges(found[i])`` in the order
-    given, each node named by its position in ``found``.  A node's first
-    appearance in the rows is the edge that found it.
+    given, each node named by its position in ``found``.
     """
     found = list(dict.fromkeys(roots))
     ids = {node: i for i, node in enumerate(found)}
@@ -539,11 +563,16 @@ def _live_ids(succ, *accepting) -> list:
     for acc in accepting:
         components = [scc for scc in components if any(map(acc.__getitem__, scc))]
     cycles = [v for scc in components for v in scc]
+    return _reached(_reversed(succ), cycles)
+
+
+def _reversed(succ) -> list:
+    """``_sccs``'s graph with every edge turned around, in id order."""
     preds = [[] for _ in succ]
     for v, row in enumerate(succ):
         for child in row:
             preds[child].append(v)
-    return _reached(preds, cycles)
+    return preds
 
 
 def strongly_connected_components(nodes, succ) -> list:

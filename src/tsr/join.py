@@ -30,6 +30,7 @@ from .automata import (
     _degeneralized,
     _ids,
     _indexed,
+    _kept,
     _named,
     _remember,
     _Table,
@@ -58,7 +59,8 @@ def _joined_table(m1: Machine, m2: Machine) -> _Table:
     rule's successor mask an int product: a left mask spread to stride n2
     times a right mask.  Ids must follow the sorted product names, and
     ``(i, k)`` order does not when a component name holds a character below
-    ``,`` or ``)``, such as ``!`` or ``(``, so the ids are then renumbered.
+    ``,`` or ``)``, such as ``!`` or ``(``, so ``_kept`` renumbers them by
+    name; it keeps the table as built when they already follow.
 
     The final sets are those of both components, each spread over the other
     component's states: the join's family when both machines are Buchi
@@ -72,7 +74,6 @@ def _joined_table(m1: Machine, m2: Machine) -> _Table:
     names1, names2 = m1.names, m2.names
     table1, table2 = _indexed(m1), _indexed(m2)
     n1, n2 = len(table1.order), len(table2.order)
-    size = n1 * n2
     stride = [1 << (i * n2) for i in range(n1)]
     spread = lambda mask: sum(stride[i] for i in _ids(mask))
     wide1 = {r: list(map(spread, rows)) for r, rows in table1.masks.items()}
@@ -100,22 +101,11 @@ def _joined_table(m1: Machine, m2: Machine) -> _Table:
     # product_state's names, each component escaped once.
     right = [_component(q) for q in table2.order]
     order = [f"({left},{q})" for left in map(_component, table1.order) for q in right]
-    if not all(map(str.__lt__, order, order[1:])):
-        rank = [0] * size
-        for new, old in enumerate(sorted(range(size), key=order.__getitem__)):
-            rank[old] = new
-        moved = lambda mask: sum(1 << rank[p] for p in _ids(mask))
-        for r, rows in masks.items():
-            masks[r] = renumbered = [0] * size
-            for p, row in enumerate(rows):
-                renumbered[rank[p]] = moved(row)
-        initial = moved(initial)
-        finals = list(map(moved, finals))
-        order.sort()
-
+    by_name = sorted(range(n1 * n2), key=order.__getitem__)
+    table = _kept(_Table(order, initial, masks, finals), by_name)
     # The family in _canonical_family's order: ids follow the sorted names.
-    finals = tuple(sorted(set(finals), key=lambda f: tuple(_ids(f))))
-    return _Table(order, initial, masks, finals)
+    finals = tuple(sorted(set(table.finals), key=lambda f: tuple(_ids(f))))
+    return _Table(table.order, table.initial, table.masks, finals)
 
 
 def _buchi_joined_table(b1: Bar, b2: Bar) -> _Table:

@@ -49,12 +49,13 @@ from .automata import (
     _component,
     _cyclic,
     _explore,
-    _flags_mask,
     _ids,
     _indexed,
+    _kept,
     _live_ids,
     _loop_ids,
     _reached,
+    _reversed,
     _sccs,
     _step,
     _Table,
@@ -174,24 +175,11 @@ def _reachable(table: _Table) -> _Table:
 
     Language-preserving, and essential before profile construction: joins
     carry every state pair, so distinct behaviour on dead states would
-    otherwise multiply the monoid.  The kept states keep their relative
-    order, so ids still follow the sorted state names; every final set is
-    restricted, and a label that no kept state moves on is dropped.
+    otherwise multiply the monoid.  The states keep their relative order,
+    so ids still follow the sorted state names.
     """
     seen = _reached(table.moves, list(_ids(table.initial)))
-    if all(seen):
-        return table
-    kept = [i for i, keep in enumerate(seen) if keep]
-    new = {old: i for i, old in enumerate(kept)}
-    cut = lambda mask: sum(1 << new[i] for i in _ids(mask) if i in new)
-    masks = {}
-    for r, rows in table.masks.items():
-        rows = [cut(rows[i]) for i in kept]
-        if any(rows):
-            masks[r] = rows
-    order = [table.order[i] for i in kept]
-    finals = tuple(map(cut, table.finals))
-    return _Table(order, cut(table.initial), masks, finals)
+    return _kept(table, [i for i, keep in enumerate(seen) if keep])
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +514,11 @@ def buchi_complement(b: Bar) -> Bar:
     ids = {x: i for i, x in enumerate(order)}
     succ = [[ids[y] for y in space.successors(x, letters)] for x in order]
 
-    # reach[id of sigma]: the states sigma drives the initial states to, found
-    # by stepping along the closure, which reaches every element from the unit.
-    # rhos[id of sigma]: the ids of the periods rho such that (sigma, rho) is
-    # a linked, non-accepting pair.
-    reach = {0: table.initial}
-    for x, row in enumerate(succ):
-        for r, y in zip(letters, row):
-            if y not in reach:
-                reach[y] = _step(table.masks.get(r), reach[x])
+    # reach[id of sigma]: the states sigma drives the initial states to, read
+    # off sigma's relation rows.  rhos[id of sigma]: the ids of the periods
+    # rho such that (sigma, rho) is a linked, non-accepting pair.
+    n, full = space.n, (1 << space.n) - 1
+    reach = [_step([x[0] >> p * n & full for p in range(n)], table.initial) for x in order]
     columns = [space.columns(x) for x in order]
     rhos = {}
     for e in nonempty:
@@ -550,10 +534,7 @@ def buchi_complement(b: Bar) -> Bar:
 
     # Every predecessor of a live state is live, so exploring only live
     # states finds them all.  The initial reader, id 0, is kept regardless.
-    preds = [[] for _ in order]
-    for x, row in enumerate(succ):
-        for y in row:
-            preds[y].append(x)
+    preds = _reversed(succ)
     committed = {rho_id for row in rhos.values() for rho_id in row}
     block_live = {rho_id: _reached(preds, [rho_id]) for rho_id in committed}
     reader_live = _reached(preds, list(rhos))
@@ -655,47 +636,40 @@ def buchi_empty(b: Bar) -> Optional[Lasso]:
     """None when the lasso language is empty, else a witness lasso.
 
     A witness exists exactly when some final state is reachable and lies on a
-    cycle; the returned lasso follows a shortest path to the least such state
-    and a shortest cycle back to it.
+    cycle; the returned lasso follows ``_labels_into``'s shortest path to the
+    least such state and its shortest cycle back to it.
     """
     if not isinstance(b, Bar):
         raise TsrError("buchi_empty takes a Buchi automaton")
-    # Edges in (letter, id) order; ids follow the sorted state names.
     table = _indexed(b)
-    steps = sorted(table.masks.items())
     (final,) = table.finals
-    edges = lambda q: ((r, j) for r, rows in steps for j in _ids(rows[q]))
-
-    roots = list(_ids(table.initial))
-    found, rows = _explore(roots, edges)
-    succ = [[j for _, j in row] for row in rows]
-    looping = [v for scc in _sccs(succ) if _cyclic(scc, succ) for v in scc if final >> found[v] & 1]
+    moves, roots = table.moves, list(_ids(table.initial))
+    cycles = [v for scc in _sccs(moves, roots) if _cyclic(scc, moves) for v in scc]
+    looping = [v for v in cycles if final >> v & 1]
     if not looping:
         return None
-    f = min(looping, key=found.__getitem__)
-    prefix = _labels_to(rows, len(roots), f)
-    # Only members of f's component can reach f again, so the first edge back
-    # into f from f closes a shortest cycle that stays inside the component.
-    back = _explore([found[f]], edges)[1]
-    last, r = next((i, r) for i, row in enumerate(back) for r, j in row if j == 0)
-    period = _labels_to(back, 1, last) + [r]
-    return Lasso(tuple(prefix), tuple(period), b.names)
+    f = min(looping)
+    # Edges in (letter, id) order; ids follow the sorted state names.
+    steps = sorted(table.masks.items())
+    prefix = () if table.initial >> f & 1 else _labels_into(steps, roots, f)
+    return Lasso(prefix, _labels_into(steps, [f], f), b.names)
 
 
-def _labels_to(rows, roots: int, node: int) -> list:
-    """The labels along the edges of ``_explore``'s ``rows`` that found
-    ``node``, from one of the first ``roots`` ids.  The edge that found a
-    node is its first appearance in the rows, and leaves a lower id."""
-    found_by = {}
-    for i, row in enumerate(rows):
-        for r, j in row:
-            found_by.setdefault(j, (i, r))
-    labels = []
-    while node >= roots:
-        node, r = found_by[node]
-        labels.append(r)
-    labels.reverse()
-    return labels
+def _labels_into(steps, roots: list, goal: int) -> tuple:
+    """The labels along the first path of one or more edges from ``roots``
+    into ``goal``, which must be reachable, breadth first from the roots in
+    the order given, over each node's edges in the order of ``steps``, a
+    table's ``(letter, rows)`` pairs, then of ids: a least shortest path."""
+    paths = {v: () for v in roots}  # the labels of the path that found each node
+    queue = list(paths)
+    for node in queue:  # grows while it is read
+        for r, rows in steps:
+            for j in _ids(rows[node]):
+                if j == goal:
+                    return paths[node] + (r,)
+                if j not in paths:
+                    paths[j] = paths[node] + (r,)
+                    queue.append(j)
 
 
 def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
@@ -721,12 +695,11 @@ def accepting_loop_states(b: Bar, period: Tuple[Record, ...]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Infinite traceability
 
-def _productive(table: _Table) -> tuple:
-    """A table's masks cut down to the productive states, those starting
-    some infinite run, and the productive initial states as a mask."""
-    keep = _flags_mask(_live_ids(table.moves))
-    masks = {r: [row & keep for row in rows] for r, rows in table.masks.items()}
-    return masks, table.initial & keep
+def _productive(table: _Table) -> _Table:
+    """A table cut down to its productive states, those starting some
+    infinite run, in their relative order: ids follow the sorted names."""
+    live = _live_ids(table.moves)
+    return _kept(table, [i for i, keep in enumerate(live) if keep])
 
 
 def _extend_to_lasso(prefix_word, mask, masks, names) -> Lasso:
@@ -762,11 +735,12 @@ def infinite_traceable_equiv(m1: Machine, m2: Machine) -> Verdict:
     names = _union_names(m1, m2)
     table1, table2 = _indexed(m1), _indexed(m2)
     letters = _union_letters(table1, table2)
-    (masks1, start1), (masks2, start2) = _productive(table1), _productive(table2)
+    table1, table2 = _productive(table1), _productive(table2)
+    start = (table1.initial, table2.initial)
     live = 0  # pairs with both sides alive; the all-dead pair is not counted
-    for (s1, s2), word in _subset_pairs(masks1, masks2, (start1, start2), letters):
+    for (s1, s2), word in _subset_pairs(table1.masks, table2.masks, start, letters):
         if bool(s1) != bool(s2):
-            lasso = _extend_to_lasso(word, s1 or s2, masks1 if s1 else masks2, names)
+            lasso = _extend_to_lasso(word, s1 or s2, (table1 if s1 else table2).masks, names)
             return Verdict(False, lasso)
         if s1:
             live += 1

@@ -315,6 +315,23 @@ def test_validate_reports_tokens_that_are_not_strings_beside_strings():
     ]
 
 
+def test_validate_reports_a_transition_that_is_not_a_triple_last():
+    # Unpacking each transition into (source, label, target) once raised
+    # ValueError on a pair.
+    assert validate(Ltsr.make(["q0"], ["A"], ["0"], [("q0", A)], ["q0"])) == [
+        f"transition {('q0', A)!r} is not a (source, label, target) triple",
+    ]
+    odd = Ltsr(
+        frozenset({"s0"}), frozenset({"A"}), frozenset({"0"}),
+        frozenset({"s0", ("s0", A, "s0", "s0"), ("s0", A, "s9")}), frozenset({"s0"}),
+    )
+    assert validate(odd) == [
+        "transition s0 -{A=0}-> s9 uses undeclared states",
+        "transition 's0' is not a (source, label, target) triple",
+        f"transition {('s0', A, 's0', 's0')!r} is not a (source, label, target) triple",
+    ]
+
+
 def test_strongly_connected_components():
     edges = {"a": ["b"], "b": ["a", "c"], "c": []}
     sccs = strongly_connected_components(["a", "b", "c"], lambda n: edges[n])

@@ -1,14 +1,26 @@
 """The join composition: rules, structure, and known compositions."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bar, lts, naive_join_edges, rec, rename_machine
+from helpers import (
+    bar,
+    lts,
+    lts_to_bar,
+    naive_join_edges,
+    rec,
+    rename_machine,
+    states_reaching_accepting_cycles,
+)
 from tsr.automata import (
+    Bar,
     Gba,
     _index,
     _indexed,
+    _kept,
     accepts_finite,
     base_of,
     degeneralize,
@@ -26,7 +38,7 @@ from tsr.join import (
     join_lts,
     product_state,
 )
-from tsr.languages import buchi_intersect
+from tsr.languages import _productive, buchi_intersect
 from tsr.records import TAU, FiniteWord, Lasso, Record
 
 A = rec(A="0")
@@ -191,6 +203,13 @@ def awkwardly_named(data, m):
     return rename_machine(m, dict(zip(order, names)))
 
 
+def awkward_bar(data, names):
+    """A Buchi automaton over ``names`` with states drawn from ``AWKWARD_STATES``."""
+    m = awkwardly_named(data, data.draw(small_lts(names)))
+    final = data.draw(st.sets(st.sampled_from(sorted(m.states)), min_size=1))
+    return bar(m.states, m.names, m.data, m.transitions, m.initial, final)
+
+
 @pytest.mark.parametrize("relation", sorted(NAME_SET_PAIRS))
 @given(data=st.data())
 def test_joined_table_is_the_id_table_of_the_named_join(relation, data):
@@ -207,16 +226,47 @@ def test_joined_table_is_the_id_table_of_the_named_join(relation, data):
 @pytest.mark.parametrize("relation", sorted(NAME_SET_PAIRS))
 @given(data=st.data())
 def test_flat_and_plain_joins_of_renumbered_bars_match_their_definitions(relation, data):
-    b1, b2 = (
-        bar(m.states, m.names, m.data, m.transitions, m.initial,
-            data.draw(st.sets(st.sampled_from(sorted(m.states)), min_size=1)))
-        for m in (awkwardly_named(data, data.draw(small_lts(names)))
-                  for names in NAME_SET_PAIRS[relation])
-    )
+    b1, b2 = (awkward_bar(data, names) for names in NAME_SET_PAIRS[relation])
     assert join_bar_flat(b1, b2) == degeneralize(join(b1, b2))
     for joined in (join(b1, b2), join_lts(b1, b2)):
         same_table(_indexed(joined), _index(joined))
     assert join_lts(b1, b2) == join_lts(base_of(b1), base_of(b2))
+
+
+def restricted(m, states):
+    """``m`` cut down to ``states``: the edges between them, and its initial
+    and final states among them."""
+    keep = frozenset(states)
+    fields = dict(
+        states=keep,
+        transitions=frozenset(t for t in m.transitions if t[0] in keep and t[2] in keep),
+        initial=m.initial & keep,
+    )
+    if isinstance(m, Bar):
+        fields["final"] = m.final & keep
+    return replace(m, **fields)
+
+
+@pytest.mark.parametrize("relation", sorted(NAME_SET_PAIRS))
+@given(data=st.data())
+def test_kept_ids_in_order_give_the_table_of_the_restricted_machine(relation, data):
+    b1, b2 = (awkward_bar(data, names) for names in NAME_SET_PAIRS[relation])
+    for m in (b1, b2, join_lts(b1, b2)):
+        table = _indexed(m)
+        assert _kept(table, list(range(len(table.order)))) is table
+        ids = sorted(data.draw(st.sets(st.sampled_from(range(len(table.order))))))
+        same_table(_kept(table, ids), _index(restricted(m, [table.order[i] for i in ids])))
+
+
+@pytest.mark.parametrize("relation", sorted(NAME_SET_PAIRS))
+@given(data=st.data())
+def test_productive_keeps_exactly_the_states_with_an_infinite_run(relation, data):
+    b1, b2 = (awkward_bar(data, names) for names in NAME_SET_PAIRS[relation])
+    for m in (b1, join_lts(b1, b2)):
+        infinite = states_reaching_accepting_cycles(lts_to_bar(base_of(m)))
+        productive = _productive(_indexed(m))
+        assert productive.order == sorted(infinite)
+        same_table(productive, _index(restricted(m, infinite)))
 
 
 def test_join_with_inert_context_is_a_tagged_copy():
@@ -230,7 +280,7 @@ def test_join_with_inert_context_is_a_tagged_copy():
 
 
 def test_join_bar_flat_is_a_buchi_automaton_with_the_same_lasso_language():
-    from tsr.automata import Bar, accepts_lasso
+    from tsr.automata import accepts_lasso
 
     g = join(two_state_cycle(["q1"]), firing_context())
     flat = join_bar_flat(two_state_cycle(["q1"]), firing_context())

@@ -683,6 +683,40 @@ def test_buchi_intersect_builds_only_reachable_states(pair):
         assert accepts_lasso(both, l) == (accepts_lasso(b1, l) and accepts_lasso(b2, l))
 
 
+EMPTINESS_STATES = ("a", "a!", "a(b)", "b", "x,y", "a)", "(b", "a\\", "!", "q,(")
+
+
+def emptiness_digest(seeds=range(300)) -> str:
+    """sha256 of ``buchi_empty``'s witnesses, as canonical JSON, on seeded
+    Buchi automata named awkwardly.
+
+    Each seed draws a machine of up to six states over ports {A} and data
+    {0, 1}, with several initial states on some seeds and final states both
+    on and off cycles, and renames its states to names drawn from
+    ``EMPTINESS_STATES``, whose characters sort below ``,`` and ``)``.
+    Every fifth seed also covers the intersection of the machine with the
+    one drawn at the seed before.
+    """
+    params = GenParams(max_states=6, name_pool=frozenset({"A"}), data_pool=frozenset({"0", "1"}))
+    digest = hashlib.sha256()
+    previous = None
+    for seed in seeds:
+        m = random_machine(replace(params, seed=seed), "bar")
+        names = random.Random(f"emptiness:{seed}").sample(EMPTINESS_STATES, len(m.states))
+        b = rename_machine(m, dict(zip(sorted(m.states), names)))
+        machines = [b] if seed % 5 or previous is None else [b, buchi_intersect(b, previous)]
+        for x in machines:
+            digest.update(dumps_canonical(witness_to_json(buchi_empty(x))).encode())
+        previous = b
+    return digest.hexdigest()
+
+
+def test_emptiness_witnesses_are_pinned():
+    # Recorded before emptiness moved onto its machine's own id table.
+    expected = (GOLDEN / "emptiness.sha256").read_text(encoding="utf-8").strip()
+    assert emptiness_digest() == expected
+
+
 def test_buchi_empty():
     witness = buchi_empty(parity_left())
     assert isinstance(witness, Lasso)

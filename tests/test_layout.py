@@ -5,7 +5,9 @@ every caller sets to the same literal, of the language decisions only
 complementation enumerates the alphabet, the joins and the language
 decisions read a machine's edges, initial states and final sets through its
 id table, only the period products and the intersection read the table's
-tuple rows, and only the join builders hand a table to ``_indexed``'s memo."""
+tuple rows, only the join builders hand a table to ``_indexed``'s memo,
+only graphs with no id table are explored with ``_explore``, and only
+``_index``, ``_kept``, the join and the degeneralization build a table."""
 
 import argparse
 import ast
@@ -108,15 +110,35 @@ def readers_in(path: Path, name: str, attribute: bool = False) -> list:
     return [(_defined(stmt) or [f"line {stmt.lineno}"])[0] for stmt in tree.body if reads(stmt)]
 
 
+def _holders(src: Path, holds) -> list:
+    """The top-level statements of the package for which ``holds`` is true,
+    each by the first name it defines, or by its line when it defines none."""
+    return [
+        (_defined(stmt) or [f"line {stmt.lineno}"])[0] for _, stmt in _statements(src) if holds(stmt)
+    ]
+
+
 def attribute_readers(src: Path, name: str) -> list:
     """The top-level statements of the package that read ``name`` as an
-    attribute of anything, each by the first name it defines, or by its
-    line when it defines none."""
-    return [
-        (_defined(stmt) or [f"line {stmt.lineno}"])[0]
-        for _, stmt in _statements(src)
-        if any(isinstance(node, ast.Attribute) and node.attr == name for node in ast.walk(stmt))
-    ]
+    attribute of anything."""
+    return _holders(src, lambda stmt: any(
+        isinstance(node, ast.Attribute) and node.attr == name for node in ast.walk(stmt)
+    ))
+
+
+def name_readers(src: Path, name: str) -> list:
+    """The top-level statements of the package that read ``name``, as a
+    bare name or as an attribute; importing it does not count."""
+    return _holders(src, lambda stmt: name in _referenced(stmt))
+
+
+def callers(src: Path, name: str) -> list:
+    """The top-level statements of the package that call ``name`` by its
+    bare name."""
+    return _holders(src, lambda stmt: any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+        for node in ast.walk(stmt)
+    ))
 
 
 def _passed_literal(call, param, position):
@@ -335,6 +357,49 @@ def test_a_stray_read_of_tuple_rows_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("ROWS = table.succ\n")
     assert attribute_readers(tmp_path, "succ") == ["_loop_ids", "_degeneralized", "ROWS"]
+
+
+def test_only_discovered_graphs_are_explored():
+    # A machine's own graph is its id table; _explore discovers the graphs
+    # that have none yet: the complement, the intersection and the graph
+    # handed to strongly_connected_components.
+    assert sorted(name_readers(SRC, "_explore")) == [
+        "buchi_complement",
+        "buchi_intersect",
+        "strongly_connected_components",
+    ]
+
+
+def test_a_stray_exploration_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _explore(roots, edges):\n    return roots\n\n\n"
+        "def buchi_intersect(b1, b2):\n    return _explore([b1], b2)\n\n\n"
+        "def _explore_twice(x):\n    return x\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _explore\n\n\n"
+        "def buchi_empty(b):\n    table = _indexed(b)\n    return _explore, table\n\n\n"
+        "WALK = automata._explore\n"
+    )
+    assert name_readers(tmp_path, "_explore") == ["buchi_intersect", "buchi_empty", "WALK"]
+
+
+def test_tables_are_built_only_by_indexing_cutting_joining_and_degeneralizing():
+    # Any other table is one of these cut down or renumbered by _kept.
+    assert sorted(callers(SRC, "_Table")) == ["_degeneralized", "_index", "_joined_table", "_kept"]
+
+
+def test_a_stray_table_build_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class _Table:\n    pass\n\n\n"
+        "def _kept(table: _Table, kept) -> _Table:\n    return _Table()\n\n\n"
+        "def _reachable(table: _Table) -> _Table:\n    return _kept(table, [])\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "def _productive(table):\n    return _Table(table.order, 0, {}, ())\n\n\n"
+        "EMPTY = _Table([], 0, {}, (0,))\n"
+    )
+    assert callers(tmp_path, "_Table") == ["_kept", "_productive", "EMPTY"]
 
 
 def test_only_the_join_builders_hand_a_table_to_the_memo():
