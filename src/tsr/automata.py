@@ -505,9 +505,9 @@ def _sccs(succ, roots=None) -> list:
     return sccs
 
 
-def _cyclic(scc, succ) -> bool:
-    """Whether a component holds a cycle: two members, or one with a self-loop."""
-    return len(scc) > 1 or scc[0] in succ[scc[0]]
+def _cycles(succ, roots=None) -> list:
+    """``_sccs``'s components that hold a cycle: two members, or a self-loop."""
+    return [scc for scc in _sccs(succ, roots) if len(scc) > 1 or scc[0] in succ[scc[0]]]
 
 
 def _reached(succ, roots) -> list:
@@ -559,7 +559,7 @@ def _live_ids(succ, *accepting) -> list:
     components.
     """
     roots = [v for v, hit in enumerate(accepting[0]) if hit] if accepting else None
-    components = [scc for scc in _sccs(succ, roots) if _cyclic(scc, succ)]
+    components = _cycles(succ, roots)
     for acc in accepting:
         components = [scc for scc in components if any(map(acc.__getitem__, scc))]
     cycles = [v for scc in components for v in scc]
@@ -708,9 +708,8 @@ def _degeneralized(table: _Table, names, data) -> Bar:
     }
     rows = [[nxt[c][v] * n + j for j in table.moves[v]] for c in range(k) for v in range(n)]
     final = sum(table.targets << c * n for c in range(k))
-    for scc in _sccs(rows, list(_ids(table.initial))):
-        if _cyclic(scc, rows):
-            final |= sum(1 << v for v in scc if v < n and finals[0] >> v & 1)
+    for scc in _cycles(rows, list(_ids(table.initial))):
+        final |= sum(1 << v for v in scc if v < n and finals[0] >> v & 1)
     # Every state is (q,i) with i >= 1, and i holds no comma, so none reads
     # as the padding state (pad,0).
     copies = [f"({q},{c})" for c in range(1, k + 1) for q in order]

@@ -191,8 +191,6 @@ def cmd_counterexample(args) -> int:
 def cmd_distinguish(args) -> int:
     m1 = _load_valid(args.left)
     m2 = _load_valid(args.right)
-    if not (isinstance(m1, Bar) and isinstance(m2, Bar)):
-        raise TsrError("distinguish compares two Buchi automata")
     result = distinguish_by_context(m1, m2)
     if result is None:
         payload = {"distinguishable": False, "context": None, "witness": None}

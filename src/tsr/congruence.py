@@ -361,14 +361,18 @@ def buchi_counterexample() -> CongruenceInstance:
 def distinguish_by_context(b1: Bar, b2: Bar) -> Optional[Tuple[Bar, Lasso]]:
     """A context and lasso separating the joins, when the languages differ.
 
-    Machines equal in both finite and lasso language return None: no witness
-    is constructed (the general all-contexts claim is only ever supported by
-    fuzzing, not decided).  Otherwise the private-letter context is built
-    and a witness lasso is derived from a finite or lasso difference, then
-    re-verified against both joins; candidates that fail verification (which
-    can happen when invisible steps blur a finite difference) fall back to a
-    direct comparison of the two joins.
+    Any operand that is not a ``Bar`` is refused first.  Machines equal in
+    both finite and lasso language return None: no witness is constructed
+    (the general all-contexts claim is only ever supported by fuzzing, not
+    decided).  Otherwise the private-letter context is built and a witness
+    lasso is derived from a finite or lasso difference, then re-verified
+    against both joins; candidates that fail fall back to a direct
+    comparison of the two joins.  None is also returned when that finds the
+    joins equal, as it can when an invisible step blurs a finite difference:
+    the step fires together with the context's letter.
     """
+    if not (isinstance(b1, Bar) and isinstance(b2, Bar)):
+        raise TsrError("distinguish compares two Buchi automata")
     fin = finite_equiv(b1, b2)
     buc = buchi_equiv(b1, b2)
     if fin.equal and buc.equal:

@@ -25,7 +25,6 @@ from .automata import (
     Gba,
     Ltsr,
     Machine,
-    _canonical_family,
     _component,
     _degeneralized,
     _ids,
@@ -103,7 +102,7 @@ def _joined_table(m1: Machine, m2: Machine) -> _Table:
     order = [f"({left},{q})" for left in map(_component, table1.order) for q in right]
     by_name = sorted(range(n1 * n2), key=order.__getitem__)
     table = _kept(_Table(order, initial, masks, finals), by_name)
-    # The family in _canonical_family's order: ids follow the sorted names.
+    # _canonical_family's order, which join keeps: ids follow the sorted names.
     finals = tuple(sorted(set(table.finals), key=lambda f: tuple(_ids(f))))
     return _Table(table.order, table.initial, table.masks, finals)
 
@@ -128,7 +127,7 @@ def join(b1: Bar, b2: Bar) -> Gba:
     table = _buchi_joined_table(b1, b2)
     joined = _named(table, b1.names | b2.names, b1.data)
     family = (frozenset(table.order[p] for p in _ids(f)) for f in table.finals)
-    gba = Gba(**vars(joined), final_family=_canonical_family(family))
+    gba = Gba(**vars(joined), final_family=tuple(family))
     _remember(gba, table)
     return gba
 

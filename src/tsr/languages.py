@@ -47,7 +47,7 @@ from .automata import (
     Verdict,
     _buchi,
     _component,
-    _cyclic,
+    _cycles,
     _explore,
     _ids,
     _indexed,
@@ -56,7 +56,6 @@ from .automata import (
     _loop_ids,
     _reached,
     _reversed,
-    _sccs,
     _step,
     _Table,
     accepts_finite,
@@ -644,7 +643,7 @@ def buchi_empty(b: Bar) -> Optional[Lasso]:
     table = _indexed(b)
     (final,) = table.finals
     moves, roots = table.moves, list(_ids(table.initial))
-    cycles = [v for scc in _sccs(moves, roots) if _cyclic(scc, moves) for v in scc]
+    cycles = [v for scc in _cycles(moves, roots) for v in scc]
     looping = [v for v in cycles if final >> v & 1]
     if not looping:
         return None

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import four_port_join, lts, rec, rename_machine
+from helpers import bar, four_port_join, lts, rec, rename_machine
 from tsr import congruence
 from tsr.automata import (
     Bar,
     Gba,
     Verdict,
     _indexed,
+    base_of,
     gba_accepts_lasso,
     trap_states,
     validate,
@@ -30,9 +31,10 @@ from tsr.congruence import (
     parity_bars,
     random_machine,
 )
-from tsr.errors import TrapStateError, TsrError
-from tsr.join import join, join_lts
-from tsr.records import Lasso
+from tsr.errors import SizeBoundError, TrapStateError, TsrError
+from tsr.join import distinguishing_context, join, join_lts
+from tsr.languages import buchi_equiv, finite_equiv, shortest_accept_difference
+from tsr.records import TAU, Lasso
 from tsr.serialize import (
     dumps_canonical,
     instance_to_json,
@@ -197,8 +199,6 @@ def test_parity_bars_facts():
     assert left.final == {"q1"}
     assert right.final == {"q0"}
     assert trap_states(left) == frozenset()
-    from tsr.languages import buchi_equiv, finite_equiv
-
     assert buchi_equiv(left, right).equal
     verdict = finite_equiv(left, right)
     assert not verdict.equal
@@ -234,8 +234,6 @@ def test_check_instance_ft():
 
 
 def test_check_instance_b_finds_the_counterexample():
-    from tsr.join import distinguishing_context
-
     left, right = parity_bars()
     context = distinguishing_context(left.names, right.names, left.data)
     inst = check_instance("b", left, right, context)
@@ -271,13 +269,39 @@ def test_distinguish_by_context_equal_pair():
     left, _ = parity_bars()
     renamed = language_preserving_mutate(left, 3, "b")
     fully_equal = language_preserving_mutate(left, 4, "f")
-    from tsr.languages import buchi_equiv, finite_equiv
-
     if finite_equiv(left, fully_equal).equal and buchi_equiv(left, fully_equal).equal:
         assert distinguish_by_context(left, fully_equal) is None
     assert finite_equiv(left, renamed).equal or distinguish_by_context(
         left, renamed
     ) is not None
+
+
+def test_distinguish_by_context_refuses_anything_but_two_bars():
+    # A pair of equal joins, the parity pair without its final sets, and a
+    # Buchi automaton against a join.
+    left, right = parity_bars()
+    joined = join(left, right)
+    for pair in ((joined, joined), (base_of(left), base_of(right)), (left, joined)):
+        with pytest.raises(TsrError, match="distinguish compares two Buchi automata"):
+            distinguish_by_context(*pair)
+
+
+def test_distinguish_by_context_gives_none_when_an_invisible_step_blurs_the_difference():
+    # b1 accepts A=0 at once; b2 only after a further invisible step.  The
+    # lasso languages agree, and in a join that step fires together with the
+    # context's letter, so the candidate lasso is accepted by both joins and
+    # the direct comparison finds them equal.
+    b1 = bar(["q0", "q1"], ["A"], ["0"], [("q0", A, "q1"), ("q1", TAU, "q1")], ["q0"], ["q1"])
+    b2 = bar(
+        ["q0", "p", "f"], ["A"], ["0"],
+        [("q0", A, "p"), ("p", TAU, "f"), ("f", TAU, "f")],
+        ["q0"], ["f"],
+    )
+    assert shortest_accept_difference(b1, b2).symbols == (A,)
+    assert buchi_equiv(b1, b2).equal
+    context = distinguishing_context(b1.names, b2.names, b1.data)
+    assert buchi_equiv(join(b1, context), join(b2, context)).equal
+    assert distinguish_by_context(b1, b2) is None
 
 
 def test_fuzz_injects_the_counterexample_for_the_lasso_relation():
@@ -311,6 +335,28 @@ def test_fuzz_congruence_holds_on_small_runs():
         assert report.failed == 0
         assert report.failures == ()
         assert report.passed + report.vacuous == 25
+
+
+def test_fuzz_counts_a_trial_refused_by_a_size_bound_as_vacuous(monkeypatch):
+    params, trials = GenParams(seed=7), 6
+    first = fuzz_congruence("it", params, 1)
+    every = fuzz_congruence("it", params, trials)
+    check = congruence.check_instance
+    calls = []
+
+    def refuse_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise SizeBoundError("bound")
+        return check(*args)
+
+    monkeypatch.setattr(congruence, "check_instance", refuse_first)
+    report = fuzz_congruence("it", params, trials)
+    assert len(calls) == trials
+    assert report.vacuous == every.vacuous - first.vacuous + 1
+    assert report.passed == every.passed - first.passed
+    assert report.failed == every.failed == 0
+    assert report.join_traps_observed == every.join_traps_observed - first.join_traps_observed
 
 
 def test_fuzz_is_deterministic():

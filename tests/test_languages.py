@@ -752,6 +752,26 @@ def test_buchi_helpers_refuse_machines_without_one_final_set():
             buchi_intersect(machine, left)
         with pytest.raises(TsrError):
             buchi_intersect(left, machine)
+        with pytest.raises(TsrError, match="buchi_complement takes a Buchi automaton"):
+            buchi_complement(machine)
+
+
+def test_buchi_equiv_refuses_a_plain_system_and_loop_states_an_empty_period():
+    left, right = parity_bars()
+    with pytest.raises(TsrError, match="buchi_equiv compares two Buchi"):
+        buchi_equiv(base_of(left), right)
+    with pytest.raises(TsrError, match="period must be non-empty"):
+        accepting_loop_states(left, ())
+
+
+def test_infinite_traceable_equiv_refuses_past_the_pair_search_limit(monkeypatch):
+    # The parity pair's systems meet two pairs with both sides alive.
+    left, right = (base_of(b) for b in parity_bars())
+    monkeypatch.setattr(languages, "PAIR_SEARCH_LIMIT", 2)
+    assert infinite_traceable_equiv(left, right).equal
+    monkeypatch.setattr(languages, "PAIR_SEARCH_LIMIT", 1)
+    with pytest.raises(SizeBoundError, match="pair search limit"):
+        infinite_traceable_equiv(left, right)
 
 
 def test_accepting_loop_states_matches_lasso_acceptance():

@@ -6,8 +6,10 @@ complementation enumerates the alphabet, the joins and the language
 decisions read a machine's edges, initial states and final sets through its
 id table, only the period products and the intersection read the table's
 tuple rows, only the join builders hand a table to ``_indexed``'s memo,
-only graphs with no id table are explored with ``_explore``, and only
-``_index``, ``_kept``, the join and the degeneralization build a table."""
+only graphs with no id table are explored with ``_explore``, only
+``_index``, ``_kept``, the join and the degeneralization build a table, and
+only ``_cycles`` and ``strongly_connected_components`` split a graph into
+components with ``_sccs``."""
 
 import argparse
 import ast
@@ -74,14 +76,6 @@ def unexported_public_names(src: Path, exported) -> list:
     """Module-level public names that are not in ``exported`` and that
     nothing reads: library code that only tests or outside tools call."""
     return _unread(src, lambda name: not name.startswith("_") and name not in exported)
-
-
-def readers_of(src: Path, name: str) -> list:
-    """The top-level statements of the package that read ``name``, as a
-    bare name or as an attribute."""
-    return [
-        f"{module}:{stmt.lineno}" for module, stmt in _statements(src) if name in _referenced(stmt)
-    ]
 
 
 def _off_table(node: ast.Attribute) -> bool:
@@ -261,7 +255,7 @@ def test_no_library_statement_reads_base():
     # Bar.base is kept only for perfbench, which reads it; the library reads
     # machine fields directly and forgets acceptance with base_of, so the
     # alias can go once the benchmark stops reading it.
-    assert readers_of(SRC, "base") == []
+    assert name_readers(SRC, "base") == []
 
 
 def test_a_read_of_base_is_reported(tmp_path):
@@ -269,7 +263,7 @@ def test_a_read_of_base_is_reported(tmp_path):
         "class Bar:\n    base = property(lambda self: self)\n\n\n"
         "def states(m):\n    return m.base.states\n"
     )
-    assert readers_of(tmp_path, "base") == ["a.py:5"]
+    assert name_readers(tmp_path, "base") == ["states"]
 
 
 def test_only_complementation_enumerates_the_alphabet():
@@ -382,6 +376,26 @@ def test_a_stray_exploration_is_reported(tmp_path):
         "WALK = automata._explore\n"
     )
     assert name_readers(tmp_path, "_explore") == ["buchi_intersect", "buchi_empty", "WALK"]
+
+
+def test_only_cycles_and_the_public_wrapper_split_components():
+    # Lasso emptiness, liveness and the copy-one finals of degeneralization
+    # ask only which components hold a cycle, and _cycles answers that;
+    # strongly_connected_components hands every component out.
+    assert sorted(name_readers(SRC, "_sccs")) == ["_cycles", "strongly_connected_components"]
+
+
+def test_a_stray_component_split_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _sccs(succ, roots=None):\n    return [list(succ)]\n\n\n"
+        "def _cycles(succ, roots=None):\n    return [c for c in _sccs(succ, roots) if c[1:]]\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _cycles, _sccs\n\n\n"
+        "def buchi_empty(b):\n    return [v for scc in _sccs(b) for v in scc], _cycles\n\n\n"
+        "SPLIT = automata._sccs\n"
+    )
+    assert name_readers(tmp_path, "_sccs") == ["_cycles", "buchi_empty", "SPLIT"]
 
 
 def test_tables_are_built_only_by_indexing_cutting_joining_and_degeneralizing():
