@@ -159,23 +159,22 @@ def validate(m: Machine) -> list:
     if not m.initial <= m.states:
         out.append("initial states must be states of the machine")
     reports = []  # (report order, violations) of each transition that has some
+    checked = {}  # the label violations of each distinct Record, found once
+    states = m.states
     for t in m.transitions:
         if not (isinstance(t, tuple) and len(t) == 3):
             what = f"transition {t!r} is not a (source, label, target) triple"
             reports.append((_transition_key(t), [what]))
             continue
         src, label, dst = t
-        found = []
-        if src not in m.states or dst not in m.states:
-            found.append(f"transition {src} -{label}-> {dst} uses undeclared states")
-        if not isinstance(label, Record):
-            found.append(f"transition label {label!r} is not a record")
+        if isinstance(label, Record):
+            found = checked.get(label)
+            if found is None:
+                found = checked[label] = _label_violations(label, m.names, m.data)
         else:
-            if not label.domain <= m.names:
-                found.append(f"transition label {label} uses ports outside the name set")
-            for _, value in label.entries:
-                if value not in m.data:
-                    found.append(f"transition label {label} uses data outside the data set")
+            found = [f"transition label {label!r} is not a record"]
+        if src not in states or dst not in states:
+            found = [f"transition {src} -{label}-> {dst} uses undeclared states", *found]
         if found:
             reports.append((_transition_key(t), found))
     for _, found in sorted(reports):
@@ -190,6 +189,17 @@ def validate(m: Machine) -> list:
             if not member <= m.states:
                 out.append("every final-family member must be a set of states")
     return out
+
+
+def _label_violations(label: Record, names: frozenset, data: frozenset) -> list:
+    """What ``validate`` reports of a record label over ``names`` and ``data``."""
+    found = []
+    if not label.domain <= names:
+        found.append(f"transition label {label} uses ports outside the name set")
+    for _, value in label.entries:
+        if value not in data:
+            found.append(f"transition label {label} uses data outside the data set")
+    return found
 
 
 def _token_key(token) -> tuple:

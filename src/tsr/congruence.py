@@ -383,10 +383,11 @@ def distinguish_by_context(b1: Bar, b2: Bar) -> Optional[Tuple[Bar, Lasso]]:
     names = j1.names | j2.names
 
     candidates = []
-    for first, second in ((b1, b2), (b2, b1)):
-        w = shortest_accept_difference(first, second)
-        if w is not None:
-            candidates.append(Lasso(tuple(w.symbols), (loop_letter,), names))
+    if not fin.equal:  # else no finite word is accepted by just one of them
+        for first, second in ((b1, b2), (b2, b1)):
+            w = shortest_accept_difference(first, second)
+            if w is not None:
+                candidates.append(Lasso(tuple(w.symbols), (loop_letter,), names))
     if not buc.equal and buc.witness is not None:
         candidates.append(
             Lasso(tuple(buc.witness.prefix), tuple(buc.witness.period), names)

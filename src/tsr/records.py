@@ -27,7 +27,9 @@ ALPHABET_LIMIT_ENV = "TSR_ALPHABET_LIMIT"
 
 
 def check_token(token: str, what: str = "token") -> str:
-    if not isinstance(token, str) or not token or any(c.isspace() for c in token):
+    # split() drops every whitespace character, so it gives [token] exactly
+    # when the token is non-empty and holds none.
+    if not isinstance(token, str) or token.split() != [token]:
         raise InvalidRecordError(
             f"{what} must be a non-empty string without whitespace, got {token!r}"
         )

@@ -12,10 +12,12 @@ identically.  Its bytes equal ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, with non-ASCII characters written as ASCII escapes.
 
 ``dumps_canonical`` writes any payload.  ``dumps_machine`` writes one
-machine, as ``tsr join`` does, straight from the machine and with the same
-bytes as ``dumps_canonical(machine_to_json(m))``; ``_rows`` and
-``_final_field`` give both paths the one canonical order and acceptance
-field.
+machine, as ``tsr join`` does, straight from its id table and with the same
+bytes as ``dumps_canonical(machine_to_json(m))``: the table's ids follow the
+sorted state names, so it walks the rows in the order that ``_rows`` sorts
+them into for ``machine_to_json``.  ``_final_field`` gives both paths the
+one acceptance field.  ``machine_from_json`` checks each transition's shape
+and builds each distinct label once.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 import json
 from typing import Optional, Union
 
-from .automata import Bar, Gba, Ltsr, Machine, Verdict
+from .automata import Bar, Gba, Ltsr, Machine, Verdict, _canonical_family, _indexed
 from .congruence import CongruenceInstance, FuzzReport
 from .errors import MachineFormatError
-from .records import FiniteWord, Lasso, Record
+from .records import FiniteWord, Lasso, Record, check_token
 
 
 def record_to_json(r: Record) -> dict:
@@ -39,7 +41,12 @@ def record_from_json(obj) -> Record:
     for port, value in obj.items():
         if not isinstance(port, str) or not isinstance(value, str):
             raise MachineFormatError("record ports and values must be strings")
-    return Record.of(obj)
+    # Record's own checks, in its order: each entry's port, then its value.
+    entries = tuple(sorted(obj.items()))
+    for port, value in entries:
+        check_token(port, "port name")
+        check_token(value, "data value")
+    return Record._trusted(entries)
 
 
 def _label_from_json(obj, labels: dict) -> Record:
@@ -133,6 +140,9 @@ def machine_to_json(m: Machine) -> dict:
     }
 
 
+_TRANSITION_KEYS = frozenset({"from", "label", "to"})
+
+
 def _string_list(obj, key) -> list:
     value = obj.get(key)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -158,16 +168,21 @@ def machine_from_json(obj) -> Machine:
     transitions = []
     labels = {}
     for t in raw:
-        if not isinstance(t, dict) or set(t) != {"from", "label", "to"}:
+        if not isinstance(t, dict) or t.keys() != _TRANSITION_KEYS:
             raise MachineFormatError(
                 'each transition must be an object with exactly "from", "label", "to"'
             )
-        if not isinstance(t["from"], str) or not isinstance(t["to"], str):
+        src, dst = t["from"], t["to"]
+        if not isinstance(src, str) or not isinstance(dst, str):
             raise MachineFormatError("transition endpoints must be strings")
-        transitions.append((t["from"], _label_from_json(t["label"], labels), t["to"]))
-    fields = (states, names, data, transitions, initial)
+        transitions.append((src, _label_from_json(t["label"], labels), dst))
+    # The fields as the kinds' make() would build them, each built once.
+    fields = (
+        frozenset(states), frozenset(names), frozenset(data),
+        frozenset(transitions), frozenset(initial),
+    )
     if "final" in obj:
-        return Bar.make(*fields, _string_list(obj, "final"))
+        return Bar(*fields, frozenset(_string_list(obj, "final")))
     if "final_family" in obj:
         family = obj["final_family"]
         if not isinstance(family, list):
@@ -177,8 +192,8 @@ def machine_from_json(obj) -> Machine:
             if not isinstance(member, list) or not all(isinstance(x, str) for x in member):
                 raise MachineFormatError("every final-family member must be an array of strings")
             members.append(frozenset(member))
-        return Gba.make(*fields, members)
-    return Ltsr.make(*fields)
+        return Gba(*fields, _canonical_family(members))
+    return Ltsr(*fields)
 
 
 def instance_to_json(ci: CongruenceInstance) -> dict:
@@ -262,21 +277,33 @@ def _strings(values) -> str:
 
 
 def dumps_machine(m: Machine) -> str:
-    """``dumps_canonical(machine_to_json(m))``, written from the machine
-    without building its dicts: the rows are sorted once, each distinct
-    label is rendered once, and the pre-quoted parts are joined."""
-    labels = {}
+    """``dumps_canonical(machine_to_json(m))``, written from the machine's id
+    table without building its dicts.
+
+    Every transition must carry a record between declared states, as every
+    join result's do.  Ids follow the sorted state names, so the rows come out in
+    canonical order with no sort: sources by id, then labels in ``Record``
+    order, then targets by id.  Each state and each distinct label is quoted
+    once, and the pre-quoted parts are joined."""
+    table = _indexed(m)
+    quoted = [_quote(q) for q in table.order]
+    tails = [q + "\n    }" for q in quoted]
+    letters = []
+    for r, masks in sorted(table.masks.items(), key=lambda item: item[0].entries):
+        items = [_quote(port) + ": " + _quote(value) for port, value in r.entries]
+        label = "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
+        letters.append((',\n      "label": ' + label + ',\n      "to": ', masks))
     rows = []
-    for src, entries, dst in _rows(m):
-        label = labels.get(entries)
-        if label is None:
-            items = [_quote(port) + ": " + _quote(value) for port, value in entries]
-            label = "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
-            labels[entries] = label
-        rows.append(
-            '{\n      "from": ' + _quote(src) + ',\n      "label": ' + label
-            + ',\n      "to": ' + _quote(dst) + "\n    }"
-        )
+    for i, src in enumerate(quoted):
+        head = '{\n      "from": ' + src
+        for label, masks in letters:
+            mask = masks[i]
+            if mask:
+                prefix = head + label
+                while mask:  # _ids inlined: a join has many edges to write
+                    low = mask & -mask
+                    rows.append(prefix + tails[low.bit_length() - 1])
+                    mask ^= low
     out = ['{\n  "data": ', _strings(m.data)]
     for key, value in _final_field(m).items():
         out += [",\n  ", _quote(key), ": "]

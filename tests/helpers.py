@@ -363,3 +363,64 @@ def naive_lasso_accepts(m, family, lasso):
 A0 = rec(A="0")
 B0 = rec(B="0")
 TAU_ = TAU
+
+
+def naive_validate(m):
+    """``validate``'s report, re-derived one transition at a time.
+
+    Tokens are reported as ``check_token`` words them, strings in sorted order
+    and then other values by repr.  Transitions are reported by source, then
+    label, then target (records before other labels, which sort by repr), and
+    those that are not triples last, by repr; each transition's label is
+    checked on its own.
+    """
+
+    def token_key(x):
+        return (0, x) if isinstance(x, str) else (1, repr(x))
+
+    out = []
+    for items, what in ((m.states, "state id"), (m.names, "port name"), (m.data, "data value")):
+        for x in sorted(items, key=token_key):
+            if not isinstance(x, str) or not x or any(c.isspace() for c in x):
+                out.append(f"{what} must be a non-empty string without whitespace, got {x!r}")
+    if not m.states:
+        out.append("machine must have at least one state")
+    if not m.names:
+        out.append("machine must declare a non-empty name set")
+    if not m.initial:
+        out.append("machine must have at least one initial state")
+    if not m.initial <= m.states:
+        out.append("initial states must be states of the machine")
+    reports = []
+    for t in m.transitions:
+        if not (isinstance(t, tuple) and len(t) == 3):
+            reports.append((((2, repr(t)),), [f"transition {t!r} is not a (source, label, target) triple"]))
+            continue
+        src, label, dst = t
+        found = []
+        if src not in m.states or dst not in m.states:
+            found.append(f"transition {src} -{label}-> {dst} uses undeclared states")
+        if isinstance(label, Record):
+            key = (token_key(src), 0, label, token_key(dst))
+            if any(port not in m.names for port, _ in label.entries):
+                found.append(f"transition label {label} uses ports outside the name set")
+            for _, value in label.entries:
+                if value not in m.data:
+                    found.append(f"transition label {label} uses data outside the data set")
+        else:
+            key = (token_key(src), 1, repr(label), token_key(dst))
+            found.append(f"transition label {label!r} is not a record")
+        if found:
+            reports.append((key, found))
+    for _, found in sorted(reports):
+        out += found
+    if isinstance(m, Bar):
+        if not m.final:
+            out.append("final set must be non-empty")
+        if not m.final <= m.states:
+            out.append("final states must be states of the machine")
+    if isinstance(m, Gba):
+        for member in m.final_family:
+            if not member <= m.states:
+                out.append("every final-family member must be a set of states")
+    return out

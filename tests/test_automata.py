@@ -4,6 +4,7 @@ import hashlib
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from helpers import (
     lts_to_bar,
     naive_lasso_accepts,
     naive_live_ids,
+    naive_validate,
     reachable_from,
     rec,
     step,
@@ -330,6 +332,45 @@ def test_validate_reports_a_transition_that_is_not_a_triple_last():
         "transition 's0' is not a (source, label, target) triple",
         f"transition {('s0', A, 's0', 's0')!r} is not a (source, label, target) triple",
     ]
+
+
+def _faulty(seed):
+    """A seeded machine with faults added to its edges: labels that are fine
+    elsewhere put on edges to or from undeclared states, foreign ports,
+    foreign data, labels that are not records and transitions that are not
+    triples, each drawn at random."""
+    rng = random.Random(f"faulty:{seed}")
+    m = random_machine(GenParams(4, frozenset("AB"), frozenset("01"), seed=seed))
+    edges = sorted(m.transitions)
+    extra = set()
+    for _ in range(rng.randint(1, 6)):
+        src, label, dst = rng.choice(edges)
+        ghost = rng.choice(["zz", "a b", "q9"])
+        choice = rng.randrange(5)
+        if choice == 0:
+            extra.add(rng.choice([(src, label, ghost), (ghost, label, dst), (ghost, label, ghost)]))
+        elif choice == 1:
+            extra.add((src, rec({**dict(label.entries), "Z": "0"}), rng.choice([dst, ghost])))
+        elif choice == 2:
+            extra.add((src, rec({"A": "7", "B": rng.choice("017")}), rng.choice([dst, ghost])))
+        elif choice == 3:
+            extra.add((src, rng.choice(["A=0", ("A", "0"), 3]), rng.choice([dst, ghost])))
+        else:
+            extra.add(rng.choice([(src, label), (src, label, dst, dst), src, (3,)]))
+    kind = rng.choice([Ltsr, Bar, Gba])
+    fields = dict(vars(base_of(m)), transitions=m.transitions | extra)
+    if kind is Bar:
+        return Bar(**fields, final=frozenset(rng.sample(sorted(m.states) + ["q9"], 2)))
+    if kind is Gba:
+        return Gba(**fields, final_family=(m.final, frozenset({rng.choice(["q0", "q9"])})))
+    return Ltsr(**fields)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_validate_reports_what_a_per_transition_check_reports(seed):
+    m = _faulty(seed)
+    assert validate(m) == naive_validate(m)
+    assert validate(m), "every seeded machine carries a fault"
 
 
 def test_strongly_connected_components():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import bar, four_port_join, lts, rec, rename_machine
-from tsr import congruence
+from tsr import congruence, languages
 from tsr.automata import (
     Bar,
     Gba,
@@ -302,6 +302,26 @@ def test_distinguish_by_context_gives_none_when_an_invisible_step_blurs_the_diff
     context = distinguishing_context(b1.names, b2.names, b1.data)
     assert buchi_equiv(join(b1, context), join(b2, context)).equal
     assert distinguish_by_context(b1, b2) is None
+
+
+def test_distinguish_by_context_searches_finite_words_once_when_they_agree(monkeypatch):
+    # b1 loops on A=0 in one final state; b2 loops on A=0 in a non-final state
+    # that may step into a final dead end.  Both states of each are initial,
+    # so the finite languages are equal and the lasso languages are not.
+    b1 = bar(["q0"], ["A"], ["0"], [("q0", A, "q0")], ["q0"], ["q0"])
+    b2 = bar(["p", "f"], ["A"], ["0"], [("p", A, "p"), ("p", A, "f")], ["p", "f"], ["f"])
+    assert finite_equiv(b1, b2).equal and not buchi_equiv(b1, b2).equal
+    searches = []
+    search = languages._pair_search
+
+    def counted(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(languages, "_pair_search", counted)
+    context, lasso = distinguish_by_context(b1, b2)
+    assert searches == [None]
+    assert gba_accepts_lasso(join(b1, context), lasso) != gba_accepts_lasso(join(b2, context), lasso)
 
 
 def test_fuzz_injects_the_counterexample_for_the_lasso_relation():

@@ -298,6 +298,28 @@ def test_checked_constructors_still_reject_bad_tokens(token_checks):
         assert token_checks
 
 
+@pytest.mark.parametrize("space", [" ", "\t", "\x1c", "\xa0", "\u2028", "\u3000"])
+def test_check_token_rejects_every_kind_of_whitespace(space):
+    for token in (space, "a" + space, space + "b", "a" + space + "b"):
+        with pytest.raises(InvalidRecordError) as info:
+            records.check_token(token, "port name")
+        assert str(info.value) == (
+            f"port name must be a non-empty string without whitespace, got {token!r}"
+        )
+
+
+@pytest.mark.parametrize("char", ["\u200b", "\u00e9"])
+def test_check_token_accepts_characters_that_are_not_whitespace(char):
+    for token in (char, "a" + char, char + "b"):
+        assert records.check_token(token) == token
+
+
+def test_check_token_rejects_the_empty_string_and_non_strings():
+    for token in ("", None, 1, ("A",)):
+        with pytest.raises(InvalidRecordError, match="non-empty string without whitespace"):
+            records.check_token(token)
+
+
 def test_word_operations_skip_rechecking_symbols(monkeypatch):
     checked = []
     monkeypatch.setattr(records, "_check_symbols", lambda symbols, names: checked.append(symbols))

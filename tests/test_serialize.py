@@ -8,7 +8,7 @@ import pytest
 from helpers import bar, gba, lts, rec
 from tsr.automata import Verdict, base_of
 from tsr.congruence import GenParams, fuzz_congruence, random_machine
-from tsr.errors import MachineFormatError
+from tsr.errors import InvalidRecordError, MachineFormatError, TsrError
 from tsr.join import join, join_bar_flat, join_lts
 from tsr.records import FiniteWord, Lasso, Record
 from tsr.serialize import (
@@ -120,6 +120,43 @@ def test_machine_from_json_rejects_non_array_parts():
     for message, change in cases.items():
         with pytest.raises(MachineFormatError, match=message):
             machine_from_json({**good, **change})
+
+
+EDGE = {"from": "s0", "label": {"A": "0"}, "to": "s0"}
+SHAPE = 'each transition must be an object with exactly "from", "label", "to"'
+PORT = "port name must be a non-empty string without whitespace, got 'A B'"
+REFUSED_EDGES = {
+    "not-an-object": (["s0", {"A": "0"}, "s0"], MachineFormatError, SHAPE),
+    "missing-key": ({"from": "s0", "to": "s0"}, MachineFormatError, SHAPE),
+    "extra-key": ({**EDGE, "weight": "1"}, MachineFormatError, SHAPE),
+    "endpoint-not-a-string": (
+        {**EDGE, "from": 0}, MachineFormatError, "transition endpoints must be strings"
+    ),
+    "label-not-an-object": (
+        {**EDGE, "label": ["A", "0"]}, MachineFormatError, "a record must be a JSON object, got list"
+    ),
+    "label-value-not-a-string": (
+        {**EDGE, "label": {"A": 0}}, MachineFormatError, "record ports and values must be strings"
+    ),
+    "label-port-with-whitespace": ({**EDGE, "label": {"A B": "0"}}, InvalidRecordError, PORT),
+    # Record's order: entries by port, each port before its value.
+    "first-bad-token-by-port": ({**EDGE, "label": {"B": "x y", "A B": "0"}}, InvalidRecordError, PORT),
+    "bad-value-after-good-port": (
+        {**EDGE, "label": {"B": "x y", "A": "0"}}, InvalidRecordError,
+        "data value must be a non-empty string without whitespace, got 'x y'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_EDGES))
+def test_machine_from_json_refuses_a_bad_transition_with_its_message(case):
+    edge, error, message = REFUSED_EDGES[case]
+    good = machine_to_json(lts(["s0"], ["A"], ["0"], [("s0", A, "s0")], ["s0"]))
+    for edges in ([edge], [EDGE, edge]):
+        with pytest.raises(TsrError) as info:
+            machine_from_json({**good, "transitions": edges})
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 MALFORMED_LABELS = {
@@ -250,8 +287,9 @@ def test_dumps_canonical_refuses_a_key_that_is_not_a_string(obj):
         dumps_canonical(obj)
 
 
-# dumps_machine writes a machine's canonical text without building its dicts;
-# these pin it byte for byte to the generic writer.
+# dumps_machine writes a machine's rows in its id table's order, and
+# machine_to_json sorts them; these pin the two orders and the two writers to
+# each other byte for byte.
 GOLDEN_MACHINES = [
     path for path in sorted((Path(__file__).parent / "golden").glob("*.json"))
     if "states" in json.loads(path.read_text(encoding="utf-8"))
@@ -262,6 +300,22 @@ GOLDEN_MACHINES = [
 def test_dumps_machine_is_pinned_to_dumps_canonical_on_golden_machines(path):
     m = load_machine(str(path))
     assert dumps_machine(m) == dumps_canonical(machine_to_json(m))
+
+
+@pytest.mark.parametrize("path", GOLDEN_MACHINES, ids=lambda p: p.name)
+def test_golden_machines_load_as_make_builds_them(path):
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    edges = [(t["from"], Record.of(t["label"]), t["to"]) for t in obj["transitions"]]
+    fields = (obj["states"], obj["names"], obj["data"], edges, obj["initial"])
+    if "final" in obj:
+        made = bar(*fields, obj["final"])
+    elif "final_family" in obj:
+        made = gba(*fields, obj["final_family"])
+    else:
+        made = lts(*fields)
+    m = load_machine(str(path))
+    assert type(m) is type(made)
+    assert m == made
 
 
 def _renamed(m, seed):
