@@ -17,6 +17,10 @@ Three machine kinds share one transition structure:
 machine is read the same way and ``_rebuilt`` replaces any of its fields;
 ``base_of`` forgets a machine's acceptance.
 
+Every walk reads a machine through ``_indexed``, its memoized id table.
+``_named`` turns an id table into a machine of any kind, as the joins and
+``degeneralize`` do, and is the memo's one other writer.
+
 The invisible record is an ordinary letter here: no transition relation in
 this module ever skips or inserts steps on its own.
 """
@@ -351,9 +355,9 @@ def _id_rows(rows) -> list:
     return out
 
 
-# _indexed's memo of the last _TABLES_KEPT tables, oldest first.  The join
-# builders enter the table each join is named from, so a join is never
-# parsed back into ids.
+# _indexed's memo of the last _TABLES_KEPT tables, oldest first.  _named
+# enters the table each machine is named from, so a join is never parsed
+# back into ids.
 _tables: dict = {}
 _TABLES_KEPT = 512
 
@@ -410,9 +414,14 @@ def _kept(table: _Table, kept: list) -> _Table:
     return _Table(order, cut(table.initial), masks, tuple(map(cut, table.finals)))
 
 
-def _named(table: _Table, names, data) -> Ltsr:
-    """The transition system of a mask table over ``names`` and ``data``,
-    acceptance left out: state ``i`` is named ``table.order[i]``."""
+def _named(table: _Table, kind, names, data, pad: str = "") -> Machine:
+    """The machine of kind ``kind`` over ``names`` and ``data`` whose state
+    ``i`` is named ``table.order[i]``.  A Gba's family, or a Bar's one final
+    set, is ``table.finals``; a Bar with nothing final gets the fresh state
+    ``pad`` (see ``_buchi``).  The table is kept as the machine's
+    ``_indexed`` table when it is the one ``_index`` would build: no state
+    was padded and the ids follow the sorted names.  A plain system keeps
+    it with one final set holding every state."""
     order = table.order
     transitions = []
     for r, rows in table.masks.items():
@@ -422,7 +431,17 @@ def _named(table: _Table, names, data) -> Ltsr:
                 transitions.append((source, r, order[low.bit_length() - 1]))
                 mask ^= low
     initial = frozenset(order[p] for p in _ids(table.initial))
-    return Ltsr(frozenset(order), names, data, frozenset(transitions), initial)
+    m = Ltsr(frozenset(order), names, data, frozenset(transitions), initial)
+    if kind is Ltsr:
+        every = (1 << len(order)) - 1
+        if table.finals != (every,):
+            table = _Table(order, table.initial, table.masks, (every,))
+    else:
+        sets = tuple(frozenset(order[p] for p in _ids(f)) for f in table.finals)
+        m = Gba(**vars(m), final_family=sets) if kind is Gba else _buchi(m, *sets, pad)
+    if len(m.states) == len(order) and all(map(str.__lt__, order, order[1:])):
+        _remember(m, table)
+    return m
 
 
 def _state_mask(index: dict, states) -> int:
@@ -723,8 +742,7 @@ def _degeneralized(table: _Table, names, data) -> Bar:
     # Every state is (q,i) with i >= 1, and i holds no comma, so none reads
     # as the padding state (pad,0).
     copies = [f"({q},{c})" for c in range(1, k + 1) for q in order]
-    flat = _named(_Table(copies, table.initial, masks, (final,)), names, data)
-    return _buchi(flat, frozenset(copies[p] for p in _ids(final)), "(pad,0)")
+    return _named(_Table(copies, table.initial, masks, (final,)), Bar, names, data, "(pad,0)")
 
 
 def _buchi(m: Ltsr, final: frozenset, pad: str) -> Bar:

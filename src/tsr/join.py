@@ -31,9 +31,7 @@ from .automata import (
     _indexed,
     _kept,
     _named,
-    _remember,
     _Table,
-    base_of,
 )
 from .errors import DataSetMismatchError, TsrError
 from .records import Record, comp, union
@@ -63,8 +61,8 @@ def _joined_table(m1: Machine, m2: Machine) -> _Table:
 
     The final sets are those of both components, each spread over the other
     component's states: the join's family when both machines are Buchi
-    automata (see ``join``).  A plain system's one set holds every state, so
-    the join of two plain systems has one set holding every state.
+    automata (see ``join``).  ``join_lts`` passes machines of any kind, and
+    ``_named`` drops their sets.
     """
     if m1.data != m2.data:
         raise DataSetMismatchError(
@@ -121,27 +119,19 @@ def join(b1: Bar, b2: Bar) -> Gba:
     pruned), and the final family has one member per component: pairs whose
     left state is left-final, and pairs whose right state is right-final.
     An accepting run must revisit both components' final states forever.
-    The machine names the states, transitions and final sets of
-    ``_joined_table``, which is kept as its ``_indexed`` table.
+    The machine is ``_named`` from ``_joined_table``, which it keeps as its
+    ``_indexed`` table.
     """
-    table = _buchi_joined_table(b1, b2)
-    joined = _named(table, b1.names | b2.names, b1.data)
-    family = (frozenset(table.order[p] for p in _ids(f)) for f in table.finals)
-    gba = Gba(**vars(joined), final_family=tuple(family))
-    _remember(gba, table)
-    return gba
+    return _named(_buchi_joined_table(b1, b2), Gba, b1.names | b2.names, b1.data)
 
 
 def join_lts(m1: Machine, m2: Machine) -> Ltsr:
     """Join two transition systems, ignoring any acceptance structure.
 
-    The machine names ``_joined_table`` of the two plain systems, which is
-    kept as its ``_indexed`` table.
+    The machine is ``_named`` from ``_joined_table`` of the two machines'
+    own tables, with the final sets dropped.
     """
-    table = _joined_table(base_of(m1), base_of(m2))
-    joined = _named(table, m1.names | m2.names, m1.data)
-    _remember(joined, table)
-    return joined
+    return _named(_joined_table(m1, m2), Ltsr, m1.names | m2.names, m1.data)
 
 
 def join_bar_flat(b1: Bar, b2: Bar) -> Bar:

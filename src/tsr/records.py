@@ -218,6 +218,11 @@ def _check_symbols(symbols: tuple, names: frozenset) -> None:
             )
 
 
+def _names_read(symbols) -> frozenset:
+    """The ports the symbols assign: the name set of a word declared without one."""
+    return frozenset().union(*(r.domain for r in symbols))
+
+
 @dataclass(frozen=True)
 class FiniteWord:
     """A finite sequence of records over a declared name set."""
@@ -231,12 +236,7 @@ class FiniteWord:
     @classmethod
     def of(cls, symbols: Iterable[Record], names: Optional[Iterable[str]] = None) -> "FiniteWord":
         syms = tuple(symbols)
-        if names is None:
-            inferred = frozenset()
-            for r in syms:
-                inferred |= r.domain
-            names = inferred
-        return cls(syms, frozenset(names))
+        return cls(syms, _names_read(syms) if names is None else frozenset(names))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -272,12 +272,7 @@ class Lasso:
     ) -> "Lasso":
         pre = tuple(prefix)
         per = tuple(period)
-        if names is None:
-            inferred = frozenset()
-            for r in pre + per:
-                inferred |= r.domain
-            names = inferred
-        return cls(pre, per, frozenset(names))
+        return cls(pre, per, _names_read(pre + per) if names is None else frozenset(names))
 
 
 Word = Union[FiniteWord, Lasso]

@@ -304,6 +304,29 @@ def test_distinguish_by_context_gives_none_when_an_invisible_step_blurs_the_diff
     assert distinguish_by_context(b1, b2) is None
 
 
+def test_distinguish_by_context_falls_back_to_comparing_the_joins():
+    # The lasso languages agree.  The shortest finite difference, A=0, is
+    # blurred as above: b2's invisible step fires with the context's letter.
+    # The direct comparison of the joins finds A=0 A=0 and then the context's
+    # letter forever: b1 waits in its final p2, b2 in s2, which is not final.
+    b1 = bar(
+        ["p0", "p1", "p2"], ["A"], ["0"],
+        [("p0", A, "p1"), ("p1", TAU, "p1"), ("p1", A, "p2")],
+        ["p0"], ["p1", "p2"],
+    )
+    b2 = bar(
+        ["s0", "s1", "s1f", "s2"], ["A"], ["0"],
+        [("s0", A, "s1"), ("s1", TAU, "s1f"), ("s1f", TAU, "s1f"), ("s1", A, "s2")],
+        ["s0"], ["s1f"],
+    )
+    assert buchi_equiv(b1, b2).equal
+    assert shortest_accept_difference(b1, b2).symbols == (A,)
+    context, lasso = distinguish_by_context(b1, b2)
+    assert (lasso.prefix, lasso.period) == ((A, A), (rec(zz0="0"),))
+    assert gba_accepts_lasso(join(b1, context), lasso)
+    assert not gba_accepts_lasso(join(b2, context), lasso)
+
+
 def test_distinguish_by_context_searches_finite_words_once_when_they_agree(monkeypatch):
     # b1 loops on A=0 in one final state; b2 loops on A=0 in a non-final state
     # that may step into a final dead end.  Both states of each are initial,
@@ -358,25 +381,34 @@ def test_fuzz_congruence_holds_on_small_runs():
 
 
 def test_fuzz_counts_a_trial_refused_by_a_size_bound_as_vacuous(monkeypatch):
+    # The first trial is refused by a size bound, or its premise is made to
+    # fail after its joins were checked for traps.
     params, trials = GenParams(seed=7), 6
     first = fuzz_congruence("it", params, 1)
     every = fuzz_congruence("it", params, trials)
     check = congruence.check_instance
-    calls = []
 
-    def refuse_first(*args):
-        calls.append(args)
-        if len(calls) == 1:
-            raise SizeBoundError("bound")
-        return check(*args)
+    def refused(instance):
+        raise SizeBoundError("bound")
 
-    monkeypatch.setattr(congruence, "check_instance", refuse_first)
-    report = fuzz_congruence("it", params, trials)
-    assert len(calls) == trials
-    assert report.vacuous == every.vacuous - first.vacuous + 1
-    assert report.passed == every.passed - first.passed
-    assert report.failed == every.failed == 0
-    assert report.join_traps_observed == every.join_traps_observed - first.join_traps_observed
+    def premise_failed(instance):
+        return replace(instance, premise_holds=False)
+
+    for change, traps_lost in ((refused, first.join_traps_observed), (premise_failed, 0)):
+        calls = []
+
+        def change_first(*args):
+            calls.append(args)
+            instance = check(*args)
+            return change(instance) if len(calls) == 1 else instance
+
+        monkeypatch.setattr(congruence, "check_instance", change_first)
+        report = fuzz_congruence("it", params, trials)
+        assert len(calls) == trials
+        assert report.vacuous == every.vacuous - first.vacuous + 1
+        assert report.passed == every.passed - first.passed
+        assert report.failed == every.failed == 0
+        assert report.join_traps_observed == every.join_traps_observed - traps_lost
 
 
 def test_fuzz_is_deterministic():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     bar,
+    gba,
     lts,
     lts_to_bar,
     naive_join_edges,
@@ -15,6 +16,7 @@ from helpers import (
     rename_machine,
     states_reaching_accepting_cycles,
 )
+from tsr import automata
 from tsr.automata import (
     Bar,
     Gba,
@@ -228,9 +230,47 @@ def test_joined_table_is_the_id_table_of_the_named_join(relation, data):
 def test_flat_and_plain_joins_of_renumbered_bars_match_their_definitions(relation, data):
     b1, b2 = (awkward_bar(data, names) for names in NAME_SET_PAIRS[relation])
     assert join_bar_flat(b1, b2) == degeneralize(join(b1, b2))
-    for joined in (join(b1, b2), join_lts(b1, b2)):
+    for joined in (join(b1, b2), join_lts(b1, b2), join_bar_flat(b1, b2)):
         same_table(_indexed(joined), _index(joined))
+    _indexed.cache_clear()  # degeneralize names its own table, not join_bar_flat's
+    flat = degeneralize(join(b1, b2))
+    same_table(_indexed(flat), _index(flat))
     assert join_lts(b1, b2) == join_lts(base_of(b1), base_of(b2))
+
+
+def counted_indexing(monkeypatch) -> list:
+    """The machines ``_index`` is called on from now on, the memo emptied."""
+    calls = []
+    monkeypatch.setattr(automata, "_index", lambda m: calls.append(m) or _index(m))
+    _indexed.cache_clear()
+    return calls
+
+
+def test_join_lts_after_join_indexes_nothing_new(monkeypatch):
+    b1, b2 = two_state_cycle(["q1"]), firing_context()
+    calls = counted_indexing(monkeypatch)
+    join(b1, b2)
+    assert calls == [b1, b2]
+    join_lts(b1, b2)
+    assert calls == [b1, b2]
+
+
+def test_a_flattened_join_whose_copies_sort_keeps_its_table(monkeypatch):
+    # Both members of the join's family hold every state, so it has one
+    # member, and the names (q,1) sort as the joined names q do.
+    b1, b2 = two_state_cycle(["q0", "q1"]), firing_context()
+    calls = counted_indexing(monkeypatch)
+    flat = join_bar_flat(b1, b2)
+    table = _indexed(flat)
+    assert calls == [b1, b2]
+    same_table(table, _index(flat))
+
+
+def test_a_padded_flattening_is_indexed_from_its_edges():
+    g = gba(["p", "q"], ["A"], ["0"], [("p", A, "q")], ["p"], [{"p"}, {"q"}])
+    flat = degeneralize(g)
+    assert "(pad,0)" in flat.states and flat.final == {"(pad,0)"}
+    same_table(_indexed(flat), _index(flat))
 
 
 def restricted(m, states):

@@ -592,6 +592,82 @@ def test_decision_outputs_are_pinned():
     assert decision_digest() == expected
 
 
+WIDE_NAMES, WIDE_DATA = frozenset({"A", "B", "C"}), frozenset({"0", "1"})
+
+
+def ladder_triple(rel, t):
+    """The machines a, b and c of trial ``t`` of the size ladder for ``rel``:
+    drawn as ``congruence._trial_inputs`` draws a fuzz trial, from a master
+    generator seeded ``scale:{rel}:{t}``, with up to nine states."""
+    params = GenParams(9, WIDE_NAMES, WIDE_DATA, trapless=rel == "it")
+    kind = "lts" if rel in ("ft", "it") else "bar"
+    master = random.Random(f"scale:{rel}:{t}")
+    a = random_machine(replace(params, seed=master.getrandbits(64)), kind)
+    b = language_preserving_mutate(a, master.getrandbits(64), rel)
+    roll = master.random()
+    if roll < 1 / 3:
+        context_names = frozenset({f"cx{master.getrandbits(8) % 2}"})
+    elif roll < 2 / 3:
+        context_names = params.name_pool
+    else:
+        context_names = frozenset({min(params.name_pool), "cx0"})
+    c = random_machine(replace(params, seed=master.getrandbits(64), name_pool=context_names), kind)
+    return a, b, c
+
+
+def unequal_triple(s):
+    """Two unrelated Buchi automata of up to nine states and a context over
+    {A, cx0}, drawn from seeds s, s + 1000 and s + 2000."""
+    params = GenParams(9, WIDE_NAMES, WIDE_DATA, seed=s)
+    a = random_machine(params, "bar")
+    b = random_machine(replace(params, seed=s + 1000), "bar")
+    c = random_machine(replace(params, seed=s + 2000, name_pool=frozenset({"A", "cx0"})), "bar")
+    return a, b, c
+
+
+def wide_decision_digest() -> str:
+    """sha256 of the decision procedures' outputs on pairs of joins of up
+    to 126 states.
+
+    The pairs are ``x(a, c)`` against ``x(b, c)`` for each builder x of
+    ``join``, ``join_lts`` and ``join_bar_flat``.  The triples are the size
+    ladder's equal ft trials 4 and 18 and it trials 2, 8 and 14, whose plain
+    systems are read as Buchi automata with every state final, and the
+    unequal triples of seeds 2, 4, 5, 66 and 71.  Their tables hold 6 to
+    126 states, on both sides of 8, 16 and 64.  Covered, as canonical JSON:
+    ``finite_equiv``, ``infinite_traceable_equiv`` and
+    ``shortest_accept_difference`` both ways on every pair, and
+    ``buchi_equiv`` on the ladder's Buchi pairs and on the joins of seeds 2,
+    4 and 5; on the other pairs it takes seconds to minutes.
+    """
+    ladder = [("ft", 4), ("ft", 18), ("it", 2), ("it", 8), ("it", 14)]
+    catalogue = [
+        (map(lts_to_bar, ladder_triple(*trial)), (join, join_bar_flat)) for trial in ladder
+    ]
+    catalogue += [(unequal_triple(s), (join,) if s in (2, 4, 5) else ()) for s in (2, 4, 5, 66, 71)]
+    digest = hashlib.sha256()
+    for (a, b, c), lasso_builders in catalogue:
+        lines = []
+        for build in (join, join_lts, join_bar_flat):
+            x1, x2 = build(a, c), build(b, c)
+            verdicts = [finite_equiv(x1, x2), infinite_traceable_equiv(x1, x2)]
+            if build in lasso_builders:
+                verdicts.append(buchi_equiv(x1, x2))
+            lines += [dumps_canonical(verdict_to_json(v)) for v in verdicts]
+            lines += [
+                dumps_canonical(witness_to_json(shortest_accept_difference(y1, y2)))
+                for y1, y2 in ((x1, x2), (x2, x1))
+            ]
+        digest.update("\n".join(lines).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_wide_decision_outputs_are_pinned():
+    # Recorded before the join builders were named through one routine.
+    expected = (GOLDEN / "decisions_wide.sha256").read_text(encoding="utf-8").strip()
+    assert wide_decision_digest() == expected
+
+
 def builder_digest(seeds=range(60)) -> str:
     """sha256 of the machines the product builders make, as canonical JSON.
 
