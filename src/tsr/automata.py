@@ -14,12 +14,14 @@ Three machine kinds share one transition structure:
                 intersection of the family.  Join composition produces these.
 
 ``Bar`` and ``Gba`` are ``Ltsr`` subclasses that add one field each, so every
-machine is read the same way and ``_rebuilt`` replaces any of its fields;
-``base_of`` forgets a machine's acceptance.
+machine is read the same way and ``_rebuilt`` replaces any of its fields.
 
 Every walk reads a machine through ``_indexed``, its memoized id table.
 ``_named`` turns an id table into a machine of any kind, as the joins and
-``degeneralize`` do, and is the memo's one other writer.
+``degeneralize`` do.  ``base_of`` forgets a machine's acceptance; when the
+machine's table is in the memo, the plain system's table is ``_plain``'s view
+of it, so the edges are indexed once.  These two are the memo's only other
+writers.
 
 The invisible record is an ordinary letter here: no transition relation in
 this module ever skips or inserts steps on its own.
@@ -65,11 +67,17 @@ def base_of(m: Machine) -> Ltsr:
     """The plain transition system of a machine, its acceptance forgotten.
 
     A Bar or Gba never compares equal to its plain system, so the caches
-    keyed on machines keep the two apart.
+    keyed on machines keep the two apart.  When the machine's id table is in
+    the memo, the plain system's is ``_plain``'s view of it, so its edges are
+    not indexed again; a machine not yet indexed is not indexed here.
     """
     if type(m) is Ltsr:
         return m
-    return Ltsr(m.states, m.names, m.data, m.transitions, m.initial)
+    plain = Ltsr(m.states, m.names, m.data, m.transitions, m.initial)
+    table = _tables.get(m)
+    if table is not None and plain not in _tables:
+        _remember(plain, _plain(table))
+    return plain
 
 
 @dataclass(frozen=True)
@@ -357,7 +365,7 @@ def _id_rows(rows) -> list:
 
 # _indexed's memo of the last _TABLES_KEPT tables, oldest first.  _named
 # enters the table each machine is named from, so a join is never parsed
-# back into ids.
+# back into ids, and base_of the view of an indexed machine's table.
 _tables: dict = {}
 _TABLES_KEPT = 512
 
@@ -421,7 +429,7 @@ def _named(table: _Table, kind, names, data, pad: str = "") -> Machine:
     ``pad`` (see ``_buchi``).  The table is kept as the machine's
     ``_indexed`` table when it is the one ``_index`` would build: no state
     was padded and the ids follow the sorted names.  A plain system keeps
-    it with one final set holding every state."""
+    its ``_plain`` view."""
     order = table.order
     transitions = []
     for r, rows in table.masks.items():
@@ -433,15 +441,23 @@ def _named(table: _Table, kind, names, data, pad: str = "") -> Machine:
     initial = frozenset(order[p] for p in _ids(table.initial))
     m = Ltsr(frozenset(order), names, data, frozenset(transitions), initial)
     if kind is Ltsr:
-        every = (1 << len(order)) - 1
-        if table.finals != (every,):
-            table = _Table(order, table.initial, table.masks, (every,))
+        table = _plain(table)
     else:
         sets = tuple(frozenset(order[p] for p in _ids(f)) for f in table.finals)
         m = Gba(**vars(m), final_family=sets) if kind is Gba else _buchi(m, *sets, pad)
     if len(m.states) == len(order) and all(map(str.__lt__, order, order[1:])):
         _remember(m, table)
     return m
+
+
+def _plain(table: _Table) -> _Table:
+    """``table`` with acceptance set aside: the same ids and masks, and one
+    final set holding every state, as ``_index`` builds for a plain system.
+    ``table`` itself when that is its one final set already."""
+    every = (1 << len(table.order)) - 1
+    if table.finals == (every,):
+        return table
+    return _Table(table.order, table.initial, table.masks, (every,))
 
 
 def _state_mask(index: dict, states) -> int:

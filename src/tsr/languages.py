@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .automata import (
@@ -426,11 +426,11 @@ def buchi_equiv(
     idempotents with joint subset-construction states instead of whole
     monoid elements.  It runs while the monoid is built: idempotents are
     met in shortlex order of their shortest words, each new class of them
-    is scanned against every prefix state pair at once, and the first
-    disagreement ends the call, so unequal machines can be told apart
-    before the closure would pass ``monoid_limit``.  The witness lasso is
-    built from shortest realizing words and is accepted by exactly one
-    machine.
+    is scanned against the prefix state pairs, found only as far as the
+    scan needs them, and the first disagreement ends the call, so unequal
+    machines can be told apart before the closure would pass
+    ``monoid_limit``.  The witness lasso is built from shortest realizing
+    words and is accepted by exactly one machine.
 
     Each side may be a ``Bar`` or a ``Gba``, so joins are compared as they
     are, never degeneralized.  A ``Gba``'s profiles carry one packed final
@@ -447,22 +447,30 @@ def buchi_equiv(
         return Verdict(True)
     spaces = (_profile_space(table1, letters), _profile_space(table2, letters))
     start = (table1.initial, table2.initial)
-    pairs = list(_subset_pairs(table1.masks, table2.masks, start, letters))
+    pairs = []  # the prefix pairs found so far
+    unfound = _subset_pairs(table1.masks, table2.masks, start, letters)
+
+    def found():
+        for pair in unfound:
+            pairs.append(pair)
+            yield pair
 
     # A period matters only through the states from which reading it forever
     # accepts, so one idempotent per such pair of state sets is scanned: the
     # one with the shortest word, which the closure meets first.  The pairs
     # come in shortlex order of their words too, so the witness is the least
-    # prefix for the least period class on which the machines disagree.
+    # prefix for the least period class on which the machines disagree.  A
+    # class with no entry on either side agrees at every pair, so it is not
+    # scanned, and the pairs are found only as far as a scan needs them.
     classes = set()
     for e, period in _joint_closure(spaces, letters, monoid_limit):
         if not _idempotent(spaces, e):
             continue
         entries1, entries2 = (s.loop_entries(x) for s, x in zip(spaces, e))
-        if (entries1, entries2) in classes:
+        if not (entries1 or entries2) or (entries1, entries2) in classes:
             continue
         classes.add((entries1, entries2))
-        for (mask1, mask2), word in pairs:
+        for (mask1, mask2), word in chain(pairs, found()):
             if bool(mask1 & entries1) != bool(mask2 & entries2):
                 return Verdict(False, Lasso(tuple(word), tuple(period), names))
     return Verdict(True)

@@ -14,7 +14,6 @@ from tsr.automata import (
     accepts_finite,
     accepts_lasso,
     finite_targets,
-    gba_accepts_lasso,
     reach,
     traceable,
     validate,
@@ -124,7 +123,7 @@ def test_c02_lasso_equivalence_is_not_a_congruence():
 
     j_left = join(instance.left, instance.context)
     j_right = join(instance.right, instance.context)
-    gba_split = gba_accepts_lasso(j_left, witness) and not gba_accepts_lasso(
+    gba_split = accepts_lasso(j_left, witness) and not accepts_lasso(
         j_right, witness
     )
     flat_split = accepts_lasso(
@@ -338,8 +337,8 @@ def test_c08_distinguishing_contexts_for_inequivalent_machines():
             unverifiable += 1
             continue
         context, witness = result
-        hit_left = gba_accepts_lasso(join(b1, context), witness)
-        hit_right = gba_accepts_lasso(join(b2, context), witness)
+        hit_left = accepts_lasso(join(b1, context), witness)
+        hit_right = accepts_lasso(join(b2, context), witness)
         if hit_left == hit_right:
             unverifiable += 1
     elapsed = time.monotonic() - started

@@ -382,6 +382,12 @@ GOLDEN_CASES += [
         codes,
     )
 ]
+# The parity pair under ft, f and it: ft compares the two plain systems.
+GOLDEN_CASES += [
+    (f"parity.equiv_{relation}", ["equiv", "--relation", relation,
+                                  "parity_left.json", "parity_right.json"], code)
+    for relation, code in (("ft", 0), ("f", 1), ("it", 0))
+]
 # join of the parity pair (a Gba), the same join flattened (a Bar), and the
 # plain system joined with itself (an Ltsr).
 GOLDEN_CASES += [

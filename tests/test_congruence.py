@@ -13,8 +13,8 @@ from tsr.automata import (
     Gba,
     Verdict,
     _indexed,
+    accepts_lasso,
     base_of,
-    gba_accepts_lasso,
     trap_states,
     validate,
 )
@@ -219,8 +219,8 @@ def test_buchi_counterexample():
     assert loop_letter.domain == inst.context.names
     j1 = join(inst.left, inst.context)
     j2 = join(inst.right, inst.context)
-    assert gba_accepts_lasso(j1, w)
-    assert not gba_accepts_lasso(j2, w)
+    assert accepts_lasso(j1, w)
+    assert not accepts_lasso(j2, w)
 
 
 def test_check_instance_ft():
@@ -241,7 +241,7 @@ def test_check_instance_b_finds_the_counterexample():
     assert not inst.conclusion_holds
     assert inst.witness is not None
     j1, j2 = join(left, context), join(right, context)
-    assert gba_accepts_lasso(j1, inst.witness) != gba_accepts_lasso(j2, inst.witness)
+    assert accepts_lasso(j1, inst.witness) != accepts_lasso(j2, inst.witness)
 
 
 def test_check_instance_rejects_bad_inputs():
@@ -262,7 +262,7 @@ def test_distinguish_by_context_on_the_parity_pair():
     context, lasso = result
     assert isinstance(context, Bar)
     j1, j2 = join(left, context), join(right, context)
-    assert gba_accepts_lasso(j1, lasso) != gba_accepts_lasso(j2, lasso)
+    assert accepts_lasso(j1, lasso) != accepts_lasso(j2, lasso)
 
 
 def test_distinguish_by_context_equal_pair():
@@ -323,8 +323,8 @@ def test_distinguish_by_context_falls_back_to_comparing_the_joins():
     assert shortest_accept_difference(b1, b2).symbols == (A,)
     context, lasso = distinguish_by_context(b1, b2)
     assert (lasso.prefix, lasso.period) == ((A, A), (rec(zz0="0"),))
-    assert gba_accepts_lasso(join(b1, context), lasso)
-    assert not gba_accepts_lasso(join(b2, context), lasso)
+    assert accepts_lasso(join(b1, context), lasso)
+    assert not accepts_lasso(join(b2, context), lasso)
 
 
 def test_distinguish_by_context_searches_finite_words_once_when_they_agree(monkeypatch):
@@ -344,7 +344,7 @@ def test_distinguish_by_context_searches_finite_words_once_when_they_agree(monke
     monkeypatch.setattr(languages, "_pair_search", counted)
     context, lasso = distinguish_by_context(b1, b2)
     assert searches == [None]
-    assert gba_accepts_lasso(join(b1, context), lasso) != gba_accepts_lasso(join(b2, context), lasso)
+    assert accepts_lasso(join(b1, context), lasso) != accepts_lasso(join(b2, context), lasso)
 
 
 def test_fuzz_injects_the_counterexample_for_the_lasso_relation():
@@ -367,7 +367,7 @@ def test_fuzz_b_decides_the_trial_the_flattened_joins_refused():
     w = failure.witness
     assert len(w.period) == 1
     j1, j2 = join(failure.left, failure.context), join(failure.right, failure.context)
-    assert gba_accepts_lasso(j1, w) != gba_accepts_lasso(j2, w)
+    assert accepts_lasso(j1, w) != accepts_lasso(j2, w)
 
 
 def test_fuzz_congruence_holds_on_small_runs():

@@ -24,12 +24,12 @@ from tsr.automata import (
     _indexed,
     _kept,
     accepts_finite,
+    accepts_lasso,
     base_of,
     degeneralize,
-    gba_accepts_lasso,
     validate,
 )
-from tsr.congruence import GenParams, random_machine
+from tsr.congruence import GenParams, random_machine, relation_equiv
 from tsr.errors import DataSetMismatchError, TsrError
 from tsr.join import (
     _joined_table,
@@ -40,7 +40,7 @@ from tsr.join import (
     join_lts,
     product_state,
 )
-from tsr.languages import _productive, buchi_intersect
+from tsr.languages import _productive, buchi_intersect, componentwise_lasso_traceable
 from tsr.records import TAU, FiniteWord, Lasso, Record
 
 A = rec(A="0")
@@ -255,6 +255,43 @@ def test_join_lts_after_join_indexes_nothing_new(monkeypatch):
     assert calls == [b1, b2]
 
 
+def test_plain_systems_of_indexed_bars_index_nothing_new(monkeypatch):
+    b1, b2 = two_state_cycle(["q1"]), firing_context()
+    calls = counted_indexing(monkeypatch)
+    _indexed(b1), _indexed(b2)
+    relation_equiv.cache_clear()
+    relation_equiv("ft", b1, b2)
+    assert calls == [b1, b2]
+    assert componentwise_lasso_traceable(Lasso.of([], [AF]), b1, b2)
+    assert calls == [b1, b2]
+
+
+def test_the_plain_system_of_an_unindexed_bar_indexes_nothing(monkeypatch):
+    b = two_state_cycle(["q1"])
+    calls = counted_indexing(monkeypatch)
+    assert base_of(b) == b.base
+    assert calls == []
+
+
+def padded_flattening():
+    g = gba(["p", "q"], ["A"], ["0"], [("p", A, "q")], ["p"], [{"p"}, {"q"}])
+    return degeneralize(g)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: two_state_cycle(["q1"]),
+    lambda: gba(["p", "q"], ["A"], ["0"], [("p", A, "q"), ("q", A, "q")], ["p"], []),
+    padded_flattening,
+    lambda: join(two_state_cycle(["q1"]), firing_context()),
+], ids=["bar", "empty_family", "padded_flattening", "join"])
+def test_the_plain_system_shares_its_machines_table(build):
+    m = build()
+    table = _indexed(m)
+    plain = base_of(m)
+    same_table(_indexed(plain), _index(plain))
+    assert _indexed(plain).masks is table.masks
+
+
 def test_a_flattened_join_whose_copies_sort_keeps_its_table(monkeypatch):
     # Both members of the join's family hold every state, so it has one
     # member, and the names (q,1) sort as the joined names q do.
@@ -267,8 +304,7 @@ def test_a_flattened_join_whose_copies_sort_keeps_its_table(monkeypatch):
 
 
 def test_a_padded_flattening_is_indexed_from_its_edges():
-    g = gba(["p", "q"], ["A"], ["0"], [("p", A, "q")], ["p"], [{"p"}, {"q"}])
-    flat = degeneralize(g)
+    flat = padded_flattening()
     assert "(pad,0)" in flat.states and flat.final == {"(pad,0)"}
     same_table(_indexed(flat), _index(flat))
 
@@ -332,7 +368,7 @@ def test_join_bar_flat_is_a_buchi_automaton_with_the_same_lasso_language():
         Lasso.of([], [AF], names=g.names),
         Lasso.of([F], [A, F], names=g.names),
     ]:
-        assert accepts_lasso(flat, lasso) == gba_accepts_lasso(g, lasso)
+        assert accepts_lasso(flat, lasso) == accepts_lasso(g, lasso)
 
 
 def comma_named_pair():

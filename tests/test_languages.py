@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from tsr.automata import (
     accepts_lasso,
     base_of,
     degeneralize,
-    gba_accepts_lasso,
     reach,
     traceable,
     validate,
@@ -280,7 +280,7 @@ def test_buchi_equiv_on_joins_matches_the_flattened_joins(pair):
     assert verdict.equal == buchi_equiv(flat1, flat2).equal
     if not verdict.equal:
         w = verdict.witness
-        assert gba_accepts_lasso(g1, w) != gba_accepts_lasso(g2, w)
+        assert accepts_lasso(g1, w) != accepts_lasso(g2, w)
         assert accepts_lasso(flat1, w) != accepts_lasso(flat2, w)
 
 
@@ -292,8 +292,8 @@ def test_buchi_equiv_empty_family_accepts_every_infinite_run():
     once = gba(["s0", "s1"], ["A"], ["0"], edges, ["s0"], [["s0"]])
     verdict = buchi_equiv(anything, once)
     assert not verdict.equal
-    assert gba_accepts_lasso(anything, verdict.witness)
-    assert not gba_accepts_lasso(once, verdict.witness)
+    assert accepts_lasso(anything, verdict.witness)
+    assert not accepts_lasso(once, verdict.witness)
 
 
 @st.composite
@@ -666,6 +666,43 @@ def test_wide_decision_outputs_are_pinned():
     # Recorded before the join builders were named through one routine.
     expected = (GOLDEN / "decisions_wide.sha256").read_text(encoding="utf-8").strip()
     assert wide_decision_digest() == expected
+
+
+# buchi_equiv(join(a, c), join(b, c)) on unequal_triple(s), as canonical JSON,
+# recorded while every prefix pair was still listed before the closure: that
+# took 17 s for s = 1 and 9 s for s = 3 on 2 CPUs.
+UNEQUAL_JOIN_VERDICTS = {
+    1: {"equal": False, "witness_kind": "lasso", "witness": {
+        "prefix": [], "period": [{"A": "1", "B": "0"}, {"A": "1", "B": "0", "C": "1"}]}},
+    3: {"equal": False, "witness_kind": "lasso", "witness": {
+        "prefix": [], "period": [{}, {"A": "0", "B": "0"}, {"A": "0", "B": "1", "cx0": "0"}]}},
+}
+
+
+@pytest.mark.parametrize("s", sorted(UNEQUAL_JOIN_VERDICTS))
+def test_unequal_join_verdicts_are_pinned_and_found_without_every_prefix_pair(s):
+    a, b, c = unequal_triple(s)
+    j1, j2 = join(a, c), join(b, c)
+    started = time.monotonic()
+    verdict = buchi_equiv(j1, j2)
+    elapsed = time.monotonic() - started
+    assert dumps_canonical(verdict_to_json(verdict)) == dumps_canonical(UNEQUAL_JOIN_VERDICTS[s])
+    assert accepts_lasso(j1, verdict.witness) != accepts_lasso(j2, verdict.witness)
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_flattened_join_refusal_is_pinned_and_found_without_every_prefix_pair():
+    # The closure passes the bound before any class disagrees; listing the
+    # prefix pairs first took 78 s on 2 CPUs.
+    a, b, c = unequal_triple(2)
+    started = time.monotonic()
+    with pytest.raises(SizeBoundError) as refused:
+        buchi_equiv(join_bar_flat(a, c), join_bar_flat(b, c), monoid_limit=300)
+    elapsed = time.monotonic() - started
+    assert str(refused.value) == (
+        "profile monoid exceeded 300 elements; reduce machine size or raise the bound"
+    )
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
 def builder_digest(seeds=range(60)) -> str:

@@ -400,13 +400,14 @@ def test_a_stray_component_split_is_reported(tmp_path):
 
 def test_tables_are_built_only_by_indexing_cutting_joining_and_degeneralizing():
     # Any other table is one of these cut down or renumbered by _kept, or
-    # _named's view of one with every state final, which a plain join keeps.
+    # _plain's view of one with every state final, which a plain join and
+    # base_of keep.
     assert sorted(callers(SRC, "_Table")) == [
         "_degeneralized",
         "_index",
         "_joined_table",
         "_kept",
-        "_named",
+        "_plain",
     ]
 
 
@@ -425,10 +426,13 @@ def test_a_stray_table_build_is_reported(tmp_path):
 
 def test_only_the_join_builders_hand_a_table_to_the_memo():
     # A kept table must be the one _index would build from the machine, which
-    # test_joined_table_is_the_id_table_of_the_named_join checks for joins.
-    # Every join builder names its machine through _named, which keeps it.
+    # test_joined_table_is_the_id_table_of_the_named_join checks for joins and
+    # test_the_plain_system_shares_its_machines_table for base_of.  Every join
+    # builder names its machine through _named, which keeps it.
     readers = {path.name: readers_in(path, "_remember") for path in sorted(SRC.glob("*.py"))}
-    assert {name: r for name, r in readers.items() if r} == {"automata.py": ["_indexed", "_named"]}
+    assert {name: r for name, r in readers.items() if r} == {
+        "automata.py": ["base_of", "_indexed", "_named"]
+    }
 
 
 def test_no_private_function_takes_a_constant_argument():
