@@ -18,10 +18,8 @@ machine is read the same way and ``_rebuilt`` replaces any of its fields.
 
 Every walk reads a machine through ``_indexed``, its memoized id table.
 ``_named`` turns an id table into a machine of any kind, as the joins and
-``degeneralize`` do.  ``base_of`` forgets a machine's acceptance; when the
-machine's table is in the memo, the plain system's table is ``_plain``'s view
-of it, so the edges are indexed once.  These two are the memo's only other
-writers.
+``degeneralize`` do, and is the memo's only other writer.  ``base_of``
+forgets a machine's acceptance.
 
 The invisible record is an ordinary letter here: no transition relation in
 this module ever skips or inserts steps on its own.
@@ -67,17 +65,11 @@ def base_of(m: Machine) -> Ltsr:
     """The plain transition system of a machine, its acceptance forgotten.
 
     A Bar or Gba never compares equal to its plain system, so the caches
-    keyed on machines keep the two apart.  When the machine's id table is in
-    the memo, the plain system's is ``_plain``'s view of it, so its edges are
-    not indexed again; a machine not yet indexed is not indexed here.
+    keyed on machines keep the two apart.
     """
     if type(m) is Ltsr:
         return m
-    plain = Ltsr(m.states, m.names, m.data, m.transitions, m.initial)
-    table = _tables.get(m)
-    if table is not None and plain not in _tables:
-        _remember(plain, _plain(table))
-    return plain
+    return Ltsr(m.states, m.names, m.data, m.transitions, m.initial)
 
 
 @dataclass(frozen=True)
@@ -365,7 +357,7 @@ def _id_rows(rows) -> list:
 
 # _indexed's memo of the last _TABLES_KEPT tables, oldest first.  _named
 # enters the table each machine is named from, so a join is never parsed
-# back into ids, and base_of the view of an indexed machine's table.
+# back into ids.
 _tables: dict = {}
 _TABLES_KEPT = 512
 

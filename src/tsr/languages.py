@@ -108,19 +108,20 @@ def _union_letters(table1: _Table, table2: _Table) -> List[Record]:
     return sorted(table1.masks.keys() | table2.masks.keys())
 
 
-def _subset_pairs(masks1, masks2, start, letters):
+def _subset_pairs(table1: _Table, table2: _Table, letters):
     """Breadth-first search over the product of two subset constructions.
 
-    Each side is a bit mask of ids stepped over its own per-letter masks,
-    whose rows for each letter are looked up once per search.  Yields every
-    joint pair reachable from ``start`` once, with a shortest word reaching
-    it, in the order the pairs are found; letters are tried in the order
-    given, so the first pair with a property carries a shortest,
-    deterministic word.  The pair whose sides are both empty is yielded but
-    not expanded: it only steps to itself.
+    Each side is a bit mask of ids stepped over its own table's per-letter
+    masks, whose rows for each letter are looked up once per search.  Yields
+    every joint pair reachable from the two initial masks once, with a
+    shortest word reaching it, in the order the pairs are found; letters are
+    tried in the order given, so the first pair with a property carries a
+    shortest, deterministic word.  The pair whose sides are both empty is
+    yielded but not expanded: it only steps to itself.
     """
+    start = (table1.initial, table2.initial)
     yield start, ()
-    steps = [(r, masks1.get(r), masks2.get(r)) for r in letters]
+    steps = [(r, table1.masks.get(r), table2.masks.get(r)) for r in letters]
     seen = {start}
     queue = deque([(start, ())])
     while queue:
@@ -141,9 +142,8 @@ def _pair_search(table1: _Table, table2: _Table, names, stop) -> Optional[Finite
     ``stop``, given the pair of acceptance flags, returns True: a shortest
     witness, over the name set ``names``."""
     t1, t2 = table1.targets, table2.targets
-    start = (table1.initial, table2.initial)
     letters = _union_letters(table1, table2)
-    for (s1, s2), word in _subset_pairs(table1.masks, table2.masks, start, letters):
+    for (s1, s2), word in _subset_pairs(table1, table2, letters):
         if stop(bool(s1 & t1), bool(s2 & t2)):
             return FiniteWord(word, names)
     return None
@@ -446,9 +446,8 @@ def buchi_equiv(
     if _simulated(table1, table2) and _simulated(table2, table1):
         return Verdict(True)
     spaces = (_profile_space(table1, letters), _profile_space(table2, letters))
-    start = (table1.initial, table2.initial)
     pairs = []  # the prefix pairs found so far
-    unfound = _subset_pairs(table1.masks, table2.masks, start, letters)
+    unfound = _subset_pairs(table1, table2, letters)
 
     def found():
         for pair in unfound:
@@ -743,9 +742,8 @@ def infinite_traceable_equiv(m1: Machine, m2: Machine) -> Verdict:
     table1, table2 = _indexed(m1), _indexed(m2)
     letters = _union_letters(table1, table2)
     table1, table2 = _productive(table1), _productive(table2)
-    start = (table1.initial, table2.initial)
     live = 0  # pairs with both sides alive; the all-dead pair is not counted
-    for (s1, s2), word in _subset_pairs(table1.masks, table2.masks, start, letters):
+    for (s1, s2), word in _subset_pairs(table1, table2, letters):
         if bool(s1) != bool(s2):
             lasso = _extend_to_lasso(word, s1 or s2, (table1 if s1 else table2).masks, names)
             return Verdict(False, lasso)

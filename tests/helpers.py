@@ -260,17 +260,23 @@ def naive_profile_compose(a, b):
     return (compose(reach_a, reach_b), fins)
 
 
+def graph_search(successors, sources) -> set:
+    """``sources`` and every node reachable from them; ``successors(w)``
+    lists the successors of node ``w``."""
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for w in successors(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def reachable_from(succ, v) -> set:
     """Nodes reachable from ``v`` in one step or more; ``succ[w]`` lists the
     successors of node ``w``."""
-    seen = set()
-    frontier = list(succ[v])
-    while frontier:
-        w = frontier.pop()
-        if w not in seen:
-            seen.add(w)
-            frontier.extend(succ[w])
-    return seen
+    return graph_search(succ.__getitem__, succ[v])
 
 
 def reachable_states(m):
@@ -291,19 +297,9 @@ def states_reaching_accepting_cycles(m):
     succ = {}
     for src, _, dst in m.base.transitions:
         succ.setdefault(src, set()).add(dst)
-
-    def reachable(sources):
-        seen = set(sources)
-        frontier = list(sources)
-        while frontier:
-            for child in succ.get(frontier.pop(), ()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
-
-    on_cycle = {f for f in m.final if f in reachable(succ.get(f, ()))}
-    return {q for q in m.base.states if reachable([q]) & on_cycle}
+    step = lambda q: succ.get(q, ())
+    on_cycle = {f for f in m.final if f in graph_search(step, step(f))}
+    return {q for q in m.base.states if graph_search(step, [q]) & on_cycle}
 
 
 def naive_live_ids(succ, lists):
@@ -341,21 +337,11 @@ def naive_lasso_accepts(m, family, lasso):
         nxt = i + 1 if i + 1 < len(syms) else len(lasso.prefix)
         return {(d, nxt) for s, r, d in base.transitions if s == q and r == syms[i]}
 
-    def reachable(sources):
-        seen = set(sources)
-        frontier = list(sources)
-        while frontier:
-            for child in succ(frontier.pop()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
-
-    for v in reachable({(q, 0) for q in base.initial}):
-        ahead = reachable(succ(v))
+    for v in graph_search(succ, {(q, 0) for q in base.initial}):
+        ahead = graph_search(succ, succ(v))
         if v not in ahead:
             continue
-        cycle = {u for u in ahead if v in reachable({u})}
+        cycle = {u for u in ahead if v in graph_search(succ, {u})}
         if all(any(q in f for q, _ in cycle) for f in family):
             return True
     return False
@@ -363,6 +349,18 @@ def naive_lasso_accepts(m, family, lasso):
 A0 = rec(A="0")
 B0 = rec(B="0")
 TAU_ = TAU
+
+
+def parity_left():
+    """Two states swapping on one letter, the second final: it accepts the
+    words of odd length, and the same lassos as ``parity_right``."""
+    return bar(["q0", "q1"], ["A"], ["0"], [("q0", A0, "q1"), ("q1", A0, "q0")], ["q0"], ["q1"])
+
+
+def parity_right():
+    """``parity_left`` with the first state final: it accepts the words of
+    even length."""
+    return bar(["q0", "q1"], ["A"], ["0"], [("q0", A0, "q1"), ("q1", A0, "q0")], ["q0"], ["q0"])
 
 
 def naive_validate(m):

@@ -17,6 +17,8 @@ from helpers import (
     naive_lasso_accepts,
     naive_live_ids,
     naive_validate,
+    parity_left,
+    parity_right,
     reachable_from,
     rec,
     step,
@@ -52,22 +54,6 @@ from tsr.serialize import dumps_canonical, machine_to_json
 A = rec(A="0")
 GOLDEN = Path(__file__).parent / "golden"
 F = rec(zz0="0")
-
-
-def parity_left():
-    return bar(
-        ["q0", "q1"], ["A"], ["0"],
-        [("q0", A, "q1"), ("q1", A, "q0")],
-        ["q0"], ["q1"],
-    )
-
-
-def parity_right():
-    return bar(
-        ["q0", "q1"], ["A"], ["0"],
-        [("q0", A, "q1"), ("q1", A, "q0")],
-        ["q0"], ["q0"],
-    )
 
 
 def test_reach_steps_one_letter():

@@ -1,6 +1,9 @@
-"""End-to-end command line behaviour, driven in process through main()."""
+"""End-to-end command line behaviour, driven in process through main(); the
+golden cases also run through an installed tsr console script."""
 
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -397,11 +400,30 @@ GOLDEN_CASES += [
 ]
 
 
+def golden_streams(name):
+    """The stdout and stderr recorded for the golden case ``name``."""
+    err = GOLDEN / f"{name}.err"
+    return (
+        (GOLDEN / f"{name}.out").read_text(encoding="utf-8"),
+        err.read_text(encoding="utf-8") if err.exists() else "",
+    )
+
+
 @pytest.mark.parametrize("name,argv,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_golden_outputs(name, argv, code, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert main(argv) == code
     captured = capsys.readouterr()
-    assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    err = GOLDEN / f"{name}.err"
-    assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")
+    assert (captured.out, captured.err) == golden_streams(name)
+
+
+@pytest.mark.parametrize("name,argv,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_outputs_of_the_console_script(name, argv, code):
+    # The installed tsr script in its own process; CI runs this after
+    # installing the package, from outside the checkout.
+    script = shutil.which("tsr")
+    if script is None:
+        pytest.skip("no tsr console script on PATH")
+    run = subprocess.run([script, *argv], cwd=GOLDEN, capture_output=True, encoding="utf-8")
+    assert run.returncode == code
+    assert (run.stdout, run.stderr) == golden_streams(name)

@@ -23,13 +23,14 @@ from tsr.automata import (
     _index,
     _indexed,
     _kept,
+    _plain,
     accepts_finite,
     accepts_lasso,
     base_of,
     degeneralize,
     validate,
 )
-from tsr.congruence import GenParams, random_machine, relation_equiv
+from tsr.congruence import GenParams, random_machine
 from tsr.errors import DataSetMismatchError, TsrError
 from tsr.join import (
     _joined_table,
@@ -40,7 +41,7 @@ from tsr.join import (
     join_lts,
     product_state,
 )
-from tsr.languages import _productive, buchi_intersect, componentwise_lasso_traceable
+from tsr.languages import _productive, buchi_intersect
 from tsr.records import TAU, FiniteWord, Lasso, Record
 
 A = rec(A="0")
@@ -255,17 +256,6 @@ def test_join_lts_after_join_indexes_nothing_new(monkeypatch):
     assert calls == [b1, b2]
 
 
-def test_plain_systems_of_indexed_bars_index_nothing_new(monkeypatch):
-    b1, b2 = two_state_cycle(["q1"]), firing_context()
-    calls = counted_indexing(monkeypatch)
-    _indexed(b1), _indexed(b2)
-    relation_equiv.cache_clear()
-    relation_equiv("ft", b1, b2)
-    assert calls == [b1, b2]
-    assert componentwise_lasso_traceable(Lasso.of([], [AF]), b1, b2)
-    assert calls == [b1, b2]
-
-
 def test_the_plain_system_of_an_unindexed_bar_indexes_nothing(monkeypatch):
     b = two_state_cycle(["q1"])
     calls = counted_indexing(monkeypatch)
@@ -285,11 +275,17 @@ def padded_flattening():
     lambda: join(two_state_cycle(["q1"]), firing_context()),
 ], ids=["bar", "empty_family", "padded_flattening", "join"])
 def test_the_plain_system_shares_its_machines_table(build):
+    # Its table is the machine's with acceptance set aside, but reading the
+    # plain system, or a Bar's base, leaves the memo as it was.
+    _indexed.cache_clear()
     m = build()
     table = _indexed(m)
+    kept = list(automata._tables.items())
     plain = base_of(m)
-    same_table(_indexed(plain), _index(plain))
-    assert _indexed(plain).masks is table.masks
+    if isinstance(m, Bar):
+        assert m.base == plain
+    assert list(automata._tables.items()) == kept
+    same_table(_plain(table), _index(plain))
 
 
 def test_a_flattened_join_whose_copies_sort_keeps_its_table(monkeypatch):

@@ -21,6 +21,8 @@ from helpers import (
     lts_to_bar,
     naive_profile_compose,
     naive_reach,
+    parity_left,
+    parity_right,
     reachable_states,
     rec,
     rename_machine,
@@ -84,22 +86,6 @@ F = rec(zz0="0")
 def simulated(a, b) -> bool:
     """``_simulated`` on the id tables of two machines."""
     return _simulated(_indexed(a), _indexed(b))
-
-
-def parity_left():
-    return bar(
-        ["q0", "q1"], ["A"], ["0"],
-        [("q0", A, "q1"), ("q1", A, "q0")],
-        ["q0"], ["q1"],
-    )
-
-
-def parity_right():
-    return bar(
-        ["q0", "q1"], ["A"], ["0"],
-        [("q0", A, "q1"), ("q1", A, "q0")],
-        ["q0"], ["q0"],
-    )
 
 
 def a_loop():

@@ -400,8 +400,7 @@ def test_a_stray_component_split_is_reported(tmp_path):
 
 def test_tables_are_built_only_by_indexing_cutting_joining_and_degeneralizing():
     # Any other table is one of these cut down or renumbered by _kept, or
-    # _plain's view of one with every state final, which a plain join and
-    # base_of keep.
+    # _plain's view of one with every state final, which a plain join keeps.
     assert sorted(callers(SRC, "_Table")) == [
         "_degeneralized",
         "_index",
@@ -426,12 +425,12 @@ def test_a_stray_table_build_is_reported(tmp_path):
 
 def test_only_the_join_builders_hand_a_table_to_the_memo():
     # A kept table must be the one _index would build from the machine, which
-    # test_joined_table_is_the_id_table_of_the_named_join checks for joins and
-    # test_the_plain_system_shares_its_machines_table for base_of.  Every join
-    # builder names its machine through _named, which keeps it.
+    # test_joined_table_is_the_id_table_of_the_named_join checks for joins.
+    # Every join builder names its machine through _named, which keeps it;
+    # _indexed keeps the tables it builds.
     readers = {path.name: readers_in(path, "_remember") for path in sorted(SRC.glob("*.py"))}
     assert {name: r for name, r in readers.items() if r} == {
-        "automata.py": ["base_of", "_indexed", "_named"]
+        "automata.py": ["_indexed", "_named"]
     }
 
 
