@@ -322,37 +322,43 @@ def _profile_space(table: _Table, letters: Iterable[Record]) -> _ProfileSpace:
 def _joint_closure(spaces, letters, limit):
     """BFS closure of the joint profile monoid, shortest words first.
 
-    Yields each element that a non-empty word realizes once, with its
-    shortest such word, in shortlex order of those words; every element but
-    the unit is among them, and period profiles must come from them (the
-    unit may only be realized by the empty word).  Raises ``SizeBoundError``
-    once the monoid, unit included, would pass ``limit`` elements, so a
-    caller that stops early may decide before the bound trips.
+    Returns lists indexed by element id, in discovery order with the unit as
+    id 0, and a lazy iterator that fills them: ``elements``; ``words``, a
+    shortest word realizing each, a non-empty one for the unit once found;
+    and ``succ``, the Cayley graph, the id of each expanded element times
+    each letter.  The iterator yields the id of each element that a
+    non-empty word realizes once, in shortlex order of those words: period
+    profiles must come from them.  It raises ``SizeBoundError`` once the
+    monoid, unit included, would pass ``limit`` elements, so a caller that
+    stops early may decide before the bound trips.
     """
     unit = tuple(s.unit for s in spaces)
-    seen = {unit}
-    unit_found = False
-    queue = deque([(unit, ())])
-    while queue:
-        elem, word = queue.popleft()
-        steps = zip(*(s.successors(e, letters) for s, e in zip(spaces, elem)))
-        for r, nxt in zip(letters, steps):
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise SizeBoundError(
-                        f"profile monoid exceeded {limit} elements; "
-                        "reduce machine size or raise the bound"
-                    )
-                seen.add(nxt)
-                queue.append((nxt, word + (r,)))
-                yield nxt, word + (r,)
-            elif not unit_found and nxt == unit:
-                unit_found = True
-                yield nxt, word + (r,)
+    elements, words, succ = [unit], [()], []
 
+    def closure():
+        ids = {unit: 0}
+        for x, elem in enumerate(elements):  # grows while it is read
+            word, row = words[x], []
+            succ.append(row)
+            steps = zip(*(s.successors(e, letters) for s, e in zip(spaces, elem)))
+            for r, nxt in zip(letters, steps):
+                y = ids.get(nxt, len(elements))
+                row.append(y)
+                if y == len(elements):
+                    if y >= limit:
+                        raise SizeBoundError(
+                            f"profile monoid exceeded {limit} elements; "
+                            "reduce machine size or raise the bound"
+                        )
+                    ids[nxt] = y
+                    elements.append(nxt)
+                    words.append(word + (r,))
+                    yield y
+                elif not (y or words[0]):
+                    words[0] = word + (r,)
+                    yield y
 
-def _idempotent(spaces, e) -> bool:
-    return all(s.mult(x, x) == x for s, x in zip(spaces, e))
+    return elements, words, succ, closure()
 
 
 def _simulated(table_a: _Table, table_b: _Table) -> bool:
@@ -462,16 +468,18 @@ def buchi_equiv(
     # class with no entry on either side agrees at every pair, so it is not
     # scanned, and the pairs are found only as far as a scan needs them.
     classes = set()
-    for e, period in _joint_closure(spaces, letters, monoid_limit):
-        if not _idempotent(spaces, e):
-            continue
-        entries1, entries2 = (s.loop_entries(x) for s, x in zip(spaces, e))
+    elements, words, _, closure = _joint_closure(spaces, letters, monoid_limit)
+    for e in closure:
+        joint = elements[e]
+        if any(s.mult(x, x) != x for s, x in zip(spaces, joint)):
+            continue  # not idempotent
+        entries1, entries2 = (s.loop_entries(x) for s, x in zip(spaces, joint))
         if not (entries1 or entries2) or (entries1, entries2) in classes:
             continue
         classes.add((entries1, entries2))
         for (mask1, mask2), word in chain(pairs, found()):
             if bool(mask1 & entries1) != bool(mask2 & entries2):
-                return Verdict(False, Lasso(tuple(word), tuple(period), names))
+                return Verdict(False, Lasso(tuple(word), words[e], names))
     return Verdict(True)
 
 
@@ -499,7 +507,11 @@ def buchi_complement(b: Bar) -> Bar:
     so every state that can reach a final state can reach an accepting cycle.
     They are found on the reversed Cayley graph before exploring: block
     ``b<rho>_x`` is live when x reaches rho, and reader ``r<x>`` when x
-    reaches a reader with a commitment.
+    reaches a reader with a commitment.  The monoid closure records that
+    graph, so no product is computed twice: rho is idempotent when its word,
+    walked from rho, comes back to rho, and the sigmas linked to rho are the
+    fixed points of x -> x*rho, built for every x by composing the letters'
+    columns along that word.
     When no cut is reachable, a lone final state ``never`` pads the result.
     """
     if not isinstance(b, Bar):
@@ -512,31 +524,29 @@ def buchi_complement(b: Bar) -> Bar:
         )
     letters = enumerate_alphabet(b.names, b.data)
     space = _profile_space(table, letters)
-    nonempty = dict(_joint_closure((space,), letters, COMPLEMENT_MONOID_LIMIT))
+    elements, words, succ, closure = _joint_closure((space,), letters, COMPLEMENT_MONOID_LIMIT)
+    periods = list(closure)  # the ids a non-empty word realizes, in the closure's order
+    column = dict(zip(letters, zip(*succ)))  # letter -> the id of x times it, per id x
 
-    # Work on single profiles indexed by element id; ids follow the closure
-    # order after the unit, which is id 0.
-    order = [space.unit] + [e[0] for e in nonempty if e[0] != space.unit]
-    ids = {x: i for i, x in enumerate(order)}
-    succ = [[ids[y] for y in space.successors(x, letters)] for x in order]
-
-    # reach[id of sigma]: the states sigma drives the initial states to, read
-    # off sigma's relation rows.  rhos[id of sigma]: the ids of the periods
-    # rho such that (sigma, rho) is a linked, non-accepting pair.
+    # reach[sigma]: the states sigma drives the initial states to; rhos[sigma]:
+    # the periods rho such that (sigma, rho) is a linked, non-accepting pair.
     n, full = space.n, (1 << space.n) - 1
-    reach = [_step([x[0] >> p * n & full for p in range(n)], table.initial) for x in order]
-    columns = [space.columns(x) for x in order]
+    reach = [_step([x >> p * n & full for p in range(n)], table.initial) for (x, _), in elements]
     rhos = {}
-    for e in nonempty:
-        if not _idempotent((space,), e):
+    for rho in periods:
+        path = [column[r] for r in words[rho]]
+        x = rho
+        for col in path:
+            x = col[x]
+        if x != rho:
             continue
-        rho = e[0]
-        entries = space.loop_entries(rho)
-        rows = _rows(rho, space.n, space.frow)
-        for sigma_id, sigma in enumerate(order):
-            if reach[sigma_id] & entries or _mult_columns(columns[sigma_id], rows) != sigma:
-                continue
-            rhos.setdefault(sigma_id, []).append(ids[rho])
+        entries = space.loop_entries(elements[rho][0])
+        times_rho = range(len(elements))
+        for col in path:
+            times_rho = [col[x] for x in times_rho]
+        for sigma, x in enumerate(times_rho):
+            if x == sigma and not reach[sigma] & entries:
+                rhos.setdefault(sigma, []).append(rho)
 
     # Every predecessor of a live state is live, so exploring only live
     # states finds them all.  The initial reader, id 0, is kept regardless.
@@ -568,15 +578,7 @@ def buchi_complement(b: Bar) -> Bar:
             yield from edges(("b", state[1], 0))
 
     found, rows = _explore([("r", 0)], edges)
-
-    def name(state):
-        if state[0] == "r":
-            return f"r{state[1]}"
-        if state[0] == "b":
-            return f"b{state[1]}_{state[2]}"
-        return f"c{state[1]}"
-
-    names = [name(q) for q in found]
+    names = [q[0] + "_".join(map(str, q[1:])) for q in found]  # r<sigma>, b<rho>_<x>, c<rho>
     final = frozenset(names[i] for i, q in enumerate(found) if q[0] == "c")
     return _buchi(_named_rows(names, rows, 1, b), final, "never")
 
@@ -620,10 +622,8 @@ def buchi_intersect(b1: Bar, b2: Bar) -> Bar:
 
     roots = [(q1, q2, 1) for q1 in _ids(table1.initial) for q2 in _ids(table2.initial)]
     found, rows = _explore(roots, edges)
-    order1, order2 = table1.order, table2.order
-    names = [
-        f"({_component(order1[q1])},{_component(order2[q2])},{copy})" for q1, q2, copy in found
-    ]
+    names1, names2 = ([_component(q) for q in table.order] for table in (table1, table2))
+    names = [f"({names1[q1]},{names2[q2]},{copy})" for q1, q2, copy in found]
     final = frozenset(
         name for name, (q1, _, copy) in zip(names, found) if copy == 1 and final1 >> q1 & 1
     )

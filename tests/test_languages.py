@@ -450,6 +450,44 @@ def test_buchi_complement_state_guard_counts_reachable_states():
     assert accepts_lasso(comp, Lasso((), (TAU,), frozenset({"A"})))
 
 
+def c9_machine(seed):
+    """One of the machines C9 complements: up to five states over {A}x{0, 1}."""
+    params = GenParams(max_states=5, name_pool=frozenset({"A"}), data_pool=frozenset({"0", "1"}))
+    return random_machine(replace(params, seed=seed), "bar")
+
+
+# The profile monoid of C9's machine 11, unit included, has this many elements.
+C9_MACHINE_11_MONOID = 148
+
+
+def test_buchi_complement_monoid_bound_trips_one_below_the_monoid(monkeypatch):
+    b = c9_machine(11)
+    expected = buchi_complement(b)
+    monkeypatch.setattr(languages, "COMPLEMENT_MONOID_LIMIT", C9_MACHINE_11_MONOID)
+    assert buchi_complement(b) == expected
+    limit = C9_MACHINE_11_MONOID - 1
+    monkeypatch.setattr(languages, "COMPLEMENT_MONOID_LIMIT", limit)
+    with pytest.raises(SizeBoundError, match=f"profile monoid exceeded {limit} elements"):
+        buchi_complement(b)
+
+
+def test_buchi_complement_computes_each_product_once(monkeypatch):
+    # The closure expands each element once and records its Cayley graph;
+    # idempotents and linked pairs are read off that graph.
+    calls = {"successors": 0, "mult": 0}
+    space_class = languages._ProfileSpace
+    for method in calls:
+        real = getattr(space_class, method)
+
+        def counted(self, *args, _real=real, _method=method):
+            calls[_method] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(space_class, method, counted)
+    buchi_complement(c9_machine(11))
+    assert calls == {"successors": C9_MACHINE_11_MONOID, "mult": 0}
+
+
 def emptiness_line(b) -> str:
     """``buchi_empty(b)`` as ``complement_path_digest`` pins it.  The digest
     was recorded while a witness lasso came wrapped with the name of the

@@ -6,10 +6,11 @@ complementation enumerates the alphabet, the joins and the language
 decisions read a machine's edges, initial states and final sets through its
 id table, only the period products and the intersection read the table's
 tuple rows, only the join builders hand a table to ``_indexed``'s memo,
-only graphs with no id table are explored with ``_explore``, only
-``_index``, ``_kept``, the join and the degeneralization build a table, and
-only ``_cycles`` and ``strongly_connected_components`` split a graph into
-components with ``_sccs``."""
+only graphs with no id table are explored with ``_explore``, only the
+monoid closure steps profiles by letters, only ``_index``, ``_kept``, the
+join and the degeneralization build a table, and only ``_cycles`` and
+``strongly_connected_components`` split a graph into components with
+``_sccs``."""
 
 import argparse
 import ast
@@ -351,6 +352,23 @@ def test_a_stray_read_of_tuple_rows_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("ROWS = table.succ\n")
     assert attribute_readers(tmp_path, "succ") == ["_loop_ids", "_degeneralized", "ROWS"]
+
+
+def test_only_the_monoid_closure_steps_profiles():
+    # One breadth-first search builds the profile monoid and records its
+    # Cayley graph; equivalence and complementation both read that search.
+    assert attribute_readers(SRC, "successors") == ["_joint_closure"]
+
+
+def test_a_second_monoid_search_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class _ProfileSpace:\n    def successors(self, a, letters):\n        return [a]\n\n\n"
+        "def _joint_closure(spaces, letters):\n"
+        "    return [s.successors(s.unit, letters) for s in spaces]\n\n\n"
+        "def buchi_complement(space, letters):\n    return space.successors(space.unit, letters)\n"
+    )
+    (tmp_path / "b.py").write_text("STEP = _ProfileSpace.successors\n")
+    assert attribute_readers(tmp_path, "successors") == ["_joint_closure", "buchi_complement", "STEP"]
 
 
 def test_only_discovered_graphs_are_explored():
