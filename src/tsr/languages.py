@@ -401,13 +401,23 @@ def _simulated(table_a: _Table, table_b: _Table) -> bool:
             for p, row in enumerate(moves):
                 keep = sim[p]
                 for rows_b, targets in row:
-                    for t in _ids(targets):
-                        target = sim[t]
-                        keep = sum(1 << q for q in _ids(keep) if rows_b[q] & target)
+                    while targets and keep:  # _ids inlined: this is the kernel's hot path
+                        bit = targets & -targets
+                        target = sim[bit.bit_length() - 1]
+                        targets ^= bit
+                        left = keep
+                        while left:
+                            low = left & -left
+                            if not rows_b[low.bit_length() - 1] & target:
+                                keep ^= low
+                            left ^= low
                 if keep != sim[p]:
                     sim[p] = keep
                     changed = True
-        if all(sim[p] & start_b for p in starts_a):
+            # sim only shrinks, so a start of a that lost every start of b stays lost.
+            if not all(sim[p] & start_b for p in starts_a):
+                break
+        else:
             return True
     return False
 

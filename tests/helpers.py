@@ -346,6 +346,46 @@ def naive_lasso_accepts(m, family, lasso):
             return True
     return False
 
+
+def naive_simulated(a, b):
+    """Whether ``b`` directly simulates ``a`` from every initial state of
+    ``a``, for some map from ``b``'s final sets to stand-ins among ``a``'s.
+
+    The textbook greatest fixpoint over pairs of state names, read straight
+    from ``transitions`` and the final sets: per map, start from the pairs
+    (p, q) where q lies in every final set of ``b`` whose stand-in holds p,
+    and drop a pair while some move of p has no move of q on the same label
+    to a pair still kept.  A Gba with no final set has one holding every
+    state.
+    """
+    finals_a, finals_b = (
+        [m.final] if isinstance(m, Bar) else list(m.final_family) or [m.states] for m in (a, b)
+    )
+    for stand_in in product(range(len(finals_a)), repeat=len(finals_b)):
+        kept = {
+            (p, q)
+            for p in a.states
+            for q in b.states
+            if all(q in finals_b[j] for j, i in enumerate(stand_in) if p in finals_a[i])
+        }
+        while True:
+            dropped = {
+                (p, q)
+                for p, q in kept
+                if any(
+                    not any(s == q and r == label and (dst, d) in kept for s, r, d in b.transitions)
+                    for src, label, dst in a.transitions
+                    if src == p
+                )
+            }
+            if not dropped:
+                break
+            kept -= dropped
+        if all(any((p, q) in kept for q in b.initial) for p in a.initial):
+            return True
+    return False
+
+
 A0 = rec(A="0")
 B0 = rec(B="0")
 TAU_ = TAU

@@ -21,6 +21,7 @@ from helpers import (
     lts_to_bar,
     naive_profile_compose,
     naive_reach,
+    naive_simulated,
     parity_left,
     parity_right,
     reachable_states,
@@ -354,6 +355,44 @@ def test_simulation_on_joins_maps_every_final_set():
         assert simulated(g, renamed) and simulated(renamed, g)
         assert buchi_equiv(degeneralize(g), degeneralize(renamed)).equal
     assert flipped
+
+
+def two_member_joins():
+    """``join_pairs`` whose joins both have two final sets."""
+    return join_pairs().filter(
+        lambda pair: len(pair[0].final_family) == len(pair[1].final_family) == 2
+    )
+
+
+@given(
+    st.one_of(
+        small_bar_pairs(),
+        two_member_joins(),
+        two_member_joins().map(lambda pair: (degeneralize(pair[0]), pair[1])),
+    )
+)
+def test_simulation_is_the_textbook_greatest_fixpoint(pair):
+    # Inclusion bounds simulation only from above, so this pins the fixpoint
+    # itself: a kernel that refines too far or too little fails here.
+    x, y = pair
+    assert simulated(x, y) == naive_simulated(x, y)
+    assert simulated(y, x) == naive_simulated(y, x)
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_ladder_b_joins_are_pinned_equal_by_simulation(t, monkeypatch):
+    # Joins of 2 to 40 trimmed states; simulation settles each of them both
+    # ways, so no profile monoid is built.
+    closures, joint_closure = [], languages._joint_closure
+
+    def counted(*args):
+        closures.append(args)
+        return joint_closure(*args)
+
+    monkeypatch.setattr(languages, "_joint_closure", counted)
+    a, b, c = ladder_triple("b", t)
+    assert buchi_equiv(join(a, c), join(b, c)).equal
+    assert closures == []
 
 
 def test_buchi_equiv_tries_simulation_before_the_monoid():
