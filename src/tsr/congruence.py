@@ -33,14 +33,17 @@ from .automata import (
     Ltsr,
     Machine,
     Verdict,
+    _indexed,
+    _plain,
     _rebuilt,
     accepts_lasso,
-    base_of,
     trap_states,
 )
 from .errors import AlphabetLimitError, SizeBoundError, TrapStateError, TsrError
 from .join import distinguishing_context, fresh_name, join, join_lts
 from .languages import (
+    _pair_search,
+    _union_names,
     buchi_equiv,
     finite_equiv,
     infinite_traceable_equiv,
@@ -147,7 +150,9 @@ def random_machine(params: GenParams, kind: str = "bar") -> Machine:
 def relation_equiv(rel: str, a: Machine, b: Machine) -> Verdict:
     """Decide ``a ~ b`` for one of the relations ``ft``, ``f``, ``it``, ``b``."""
     if rel == "ft":
-        return finite_equiv(*map(base_of, (a, b)))
+        tables = (_plain(_indexed(a)), _plain(_indexed(b)))
+        witness = _pair_search(*tables, _union_names(a, b), lambda a1, a2: a1 != a2)
+        return Verdict(witness is None, witness)
     if rel == "f":
         return finite_equiv(a, b)
     if rel == "it":

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, count, product
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .automata import (
@@ -54,13 +54,13 @@ from .automata import (
     _kept,
     _live_ids,
     _loop_ids,
+    _plain,
+    _read,
     _reached,
     _reversed,
     _step,
     _Table,
     accepts_finite,
-    accepts_lasso,
-    base_of,
     traceable,
 )
 from .errors import (
@@ -158,9 +158,7 @@ def finite_equiv(x1: Machine, x2: Machine) -> Verdict:
     """
     names = _union_names(x1, x2)
     witness = _pair_search(_indexed(x1), _indexed(x2), names, lambda a1, a2: a1 != a2)
-    if witness is None:
-        return Verdict(True)
-    return Verdict(False, witness)
+    return Verdict(witness is None, witness)
 
 
 def shortest_accept_difference(x1: Machine, x2: Machine) -> Optional[FiniteWord]:
@@ -718,22 +716,21 @@ def _productive(table: _Table) -> _Table:
     return _kept(table, [i for i, keep in enumerate(live) if keep])
 
 
-def _extend_to_lasso(prefix_word, mask, masks, names) -> Lasso:
-    """Continue from the lowest id in ``mask``, along the least letter and
-    then the lowest id it reaches, until a state repeats; peel the cycle.
-    Ids follow the sorted state names, so this is the least (letter, name)
-    edge each time."""
-    letters = sorted(masks)
-    q = next(_ids(mask))
+def _extend_to_lasso(word: FiniteWord, table: _Table) -> Lasso:
+    """Continue ``word`` from the lowest id it reaches in ``table``, along the
+    least letter and then the lowest id it reaches, until a state repeats; peel
+    the cycle.  Ids follow the sorted names: the least (letter, name) edge."""
+    letters = sorted(table.masks)
+    q = next(_ids(_read(table, table.initial, word.symbols)))
     visited = {q: 0}
     labels = []
     while True:
-        r = next(r for r in letters if masks[r][q])
+        r = next(r for r in letters if table.masks[r][q])
         labels.append(r)
-        dst = next(_ids(masks[r][q]))
+        dst = next(_ids(table.masks[r][q]))
         if dst in visited:
             i = visited[dst]
-            return Lasso(prefix_word + tuple(labels[:i]), tuple(labels[i:]), names)
+            return Lasso(word.symbols + tuple(labels[:i]), tuple(labels[i:]), word.names)
         visited[dst] = len(labels)
         q = dst
 
@@ -744,24 +741,24 @@ def infinite_traceable_equiv(m1: Machine, m2: Machine) -> Verdict:
     An infinite word is traceable exactly when all its finite prefixes keep a
     run alive among productive states (states with some infinite run ahead);
     the finitely-branching run tree then contains an infinite branch.  So the
-    two languages differ exactly when the synchronized subset search over the
-    pruned machines reaches a pair where one side is dead and the other
-    alive, and any infinite continuation of the live side is a witness.
+    two languages differ exactly when ``_pair_search`` over the productive
+    plain tables meets a pair where one side is dead and the other alive,
+    and any infinite continuation of the live side is a witness.
     """
     names = _union_names(m1, m2)
-    table1, table2 = _indexed(m1), _indexed(m2)
-    letters = _union_letters(table1, table2)
-    table1, table2 = _productive(table1), _productive(table2)
-    live = 0  # pairs with both sides alive; the all-dead pair is not counted
-    for (s1, s2), word in _subset_pairs(table1, table2, letters):
-        if bool(s1) != bool(s2):
-            lasso = _extend_to_lasso(word, s1 or s2, (table1 if s1 else table2).masks, names)
-            return Verdict(False, lasso)
-        if s1:
-            live += 1
-            if live > PAIR_SEARCH_LIMIT:
-                raise SizeBoundError("infinite-trace comparison exceeded the pair search limit")
-    return Verdict(True)
+    table1, table2 = (_plain(_productive(_indexed(m))) for m in (m1, m2))
+    live = count(1)  # numbers the pairs with both sides alive; the all-dead pair is not one
+
+    def apart(a1, a2):
+        if a1 and a2 and next(live) > PAIR_SEARCH_LIMIT:
+            raise SizeBoundError("infinite-trace comparison exceeded the pair search limit")
+        return a1 != a2
+
+    witness = _pair_search(table1, table2, names, apart)
+    if witness is None:
+        return Verdict(True)
+    alive = table1 if _read(table1, table1.initial, witness.symbols) else table2
+    return Verdict(False, _extend_to_lasso(witness, alive))
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +789,8 @@ def componentwise_lasso_traceable(l: Lasso, m1: Machine, m2: Machine) -> bool:
         if isinstance(part, FiniteWord):
             ok = traceable(m, part)
         else:
-            ok = accepts_lasso(base_of(m), part)
+            table = _plain(_indexed(m))
+            ok = bool(_read(table, table.initial, part.prefix) & _loop_ids(table, part.period))
         if not ok:
             return False
     return True

@@ -30,7 +30,7 @@ from tsr.automata import (
     degeneralize,
     validate,
 )
-from tsr.congruence import GenParams, random_machine
+from tsr.congruence import GenParams, random_machine, relation_equiv
 from tsr.errors import DataSetMismatchError, TsrError
 from tsr.join import (
     _joined_table,
@@ -41,7 +41,7 @@ from tsr.join import (
     join_lts,
     product_state,
 )
-from tsr.languages import _productive, buchi_intersect
+from tsr.languages import _productive, buchi_intersect, componentwise_lasso_traceable
 from tsr.records import TAU, FiniteWord, Lasso, Record
 
 A = rec(A="0")
@@ -260,6 +260,22 @@ def test_the_plain_system_of_an_unindexed_bar_indexes_nothing(monkeypatch):
     b = two_state_cycle(["q1"])
     calls = counted_indexing(monkeypatch)
     assert base_of(b) == b.base
+    assert calls == []
+
+
+@pytest.mark.parametrize("decide", [
+    lambda b1, b2: relation_equiv("ft", b1, b2).equal,
+    lambda b1, b2: componentwise_lasso_traceable(Lasso((), (AF,), frozenset({"A", "zz0"})), b1, b2),
+], ids=["ft", "lasso_traces"])
+def test_plain_decisions_on_indexed_bars_index_nothing_more(monkeypatch, decide):
+    # Both read the plain view of each Bar's own table, so Bars already
+    # indexed are not indexed again.
+    b1, b2 = two_state_cycle(["q1"]), firing_context()
+    calls = counted_indexing(monkeypatch)
+    _indexed(b1), _indexed(b2)
+    relation_equiv.cache_clear()
+    del calls[:]
+    decide(b1, b2)
     assert calls == []
 
 

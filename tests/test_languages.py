@@ -52,6 +52,7 @@ from tsr.congruence import (
     language_preserving_mutate,
     parity_bars,
     random_machine,
+    relation_equiv,
 )
 from tsr.errors import (
     AlphabetLimitError,
@@ -941,13 +942,24 @@ def test_buchi_equiv_refuses_a_plain_system_and_loop_states_an_empty_period():
 
 
 def test_infinite_traceable_equiv_refuses_past_the_pair_search_limit(monkeypatch):
-    # The parity pair's systems meet two pairs with both sides alive.
-    left, right = (base_of(b) for b in parity_bars())
-    monkeypatch.setattr(languages, "PAIR_SEARCH_LIMIT", 2)
-    assert infinite_traceable_equiv(left, right).equal
-    monkeypatch.setattr(languages, "PAIR_SEARCH_LIMIT", 1)
-    with pytest.raises(SizeBoundError, match="pair search limit"):
-        infinite_traceable_equiv(left, right)
+    # The parity pair meets two pairs with both sides alive, whether its
+    # plain systems or its Bars are compared.
+    bars = parity_bars()
+    for left, right in (map(base_of, bars), bars):
+        monkeypatch.setattr(languages, "PAIR_SEARCH_LIMIT", 2)
+        assert infinite_traceable_equiv(left, right).equal
+        monkeypatch.setattr(languages, "PAIR_SEARCH_LIMIT", 1)
+        with pytest.raises(SizeBoundError, match="pair search limit"):
+            infinite_traceable_equiv(left, right)
+
+
+@given(st.one_of(small_bar_pairs(), join_pairs()))
+def test_ft_and_it_decide_a_machine_as_its_plain_system(pair):
+    x, y = pair
+    plain = finite_equiv(base_of(x), base_of(y))
+    assert verdict_to_json(relation_equiv("ft", x, y)) == verdict_to_json(plain)
+    plain = infinite_traceable_equiv(base_of(x), base_of(y))
+    assert verdict_to_json(infinite_traceable_equiv(x, y)) == verdict_to_json(plain)
 
 
 def test_accepting_loop_states_matches_lasso_acceptance():

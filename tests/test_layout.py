@@ -8,9 +8,10 @@ id table, only the period products and the intersection read the table's
 tuple rows, only the join builders hand a table to ``_indexed``'s memo,
 only graphs with no id table are explored with ``_explore``, only the
 monoid closure steps profiles by letters, only ``_index``, ``_kept``, the
-join and the degeneralization build a table, and only ``_cycles`` and
+join and the degeneralization build a table, only ``_cycles`` and
 ``strongly_connected_components`` split a graph into components with
-``_sccs``."""
+``_sccs``, only the pair search and ``buchi_equiv``'s prefix scan walk
+``_subset_pairs``, and no decision reads ``base_of``."""
 
 import argparse
 import ast
@@ -254,7 +255,7 @@ def test_an_unexported_unread_name_is_reported(tmp_path):
 
 def test_no_library_statement_reads_base():
     # Bar.base is kept only for perfbench, which reads it; the library reads
-    # machine fields directly and forgets acceptance with base_of, so the
+    # machine fields directly and forgets acceptance with _plain, so the
     # alias can go once the benchmark stops reading it.
     assert name_readers(SRC, "base") == []
 
@@ -414,6 +415,43 @@ def test_a_stray_component_split_is_reported(tmp_path):
         "SPLIT = automata._sccs\n"
     )
     assert name_readers(tmp_path, "_sccs") == ["_cycles", "buchi_empty", "SPLIT"]
+
+
+def test_only_the_pair_search_and_the_prefix_scan_walk_subset_pairs():
+    # ft, f and it decide through _pair_search on views of the machines'
+    # tables; buchi_equiv pairs its idempotents with the same walk's pairs.
+    assert sorted(name_readers(SRC, "_subset_pairs")) == ["_pair_search", "buchi_equiv"]
+
+
+def test_a_second_subset_walk_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _subset_pairs(table1, table2, letters):\n    yield (table1, table2), ()\n\n\n"
+        "def _pair_search(t1, t2, stop):\n    return next(_subset_pairs(t1, t2, []))\n\n\n"
+        "def infinite_traceable_equiv(m1, m2):\n    return list(_subset_pairs(m1, m2, []))\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _subset_pairs\n\n\nWALK = languages._subset_pairs\n"
+    )
+    found = name_readers(tmp_path, "_subset_pairs")
+    assert found == ["_pair_search", "infinite_traceable_equiv", "WALK"]
+
+
+def test_no_decision_reads_base_of():
+    # A decision forgets acceptance with _plain, a view of the machine's own
+    # table; base_of builds a machine that would be indexed again.
+    for module in ("congruence.py", "languages.py"):
+        assert readers_in(SRC / module, "base_of") == []
+
+
+def test_a_decision_reading_base_of_is_reported(tmp_path):
+    path = tmp_path / "languages.py"
+    path.write_text(
+        "from .automata import base_of\n\n\n"
+        "def finite_equiv(x1, x2):\n    return _pair_search(_plain(_indexed(x1)), x2)\n\n\n"
+        "def relation_equiv(rel, a, b):\n    return finite_equiv(*map(base_of, (a, b)))\n\n\n"
+        "PLAIN = automata.base_of\n"
+    )
+    assert readers_in(path, "base_of") == ["relation_equiv", "PLAIN"]
 
 
 def test_tables_are_built_only_by_indexing_cutting_joining_and_degeneralizing():
