@@ -316,10 +316,11 @@ class _Table:
     any letter, as tuples; they are built from the masks when first read,
     as most decisions step on the masks alone.  ``loops`` is ``_loop_ids``'
     memo: it maps the least rotation of a primitive period to one id mask
-    per position.  It is the one part of a table that fills as periods are
-    asked, and what it holds depends on the machine and the period alone,
-    never on which caller asked first; it goes with its table.
-    Tables are shared through the caches, so no caller changes one otherwise.
+    per position, and ``plain`` is ``_plain``'s view of the table, built when
+    first asked.  They are the parts of a table that fill as it is read, and
+    what they hold depends on the table alone, never on which caller asked
+    first; they go with their table.  Tables are shared through the caches,
+    so no caller changes one otherwise.
     """
 
     def __init__(self, order: list, initial: int, masks: dict, finals: tuple):
@@ -329,6 +330,7 @@ class _Table:
         self.finals = finals
         self.targets = reduce(int.__and__, finals)
         self.loops = {}
+        self.plain = None
 
     @cached_property
     def succ(self) -> dict:
@@ -445,11 +447,14 @@ def _named(table: _Table, kind, names, data, pad: str = "") -> Machine:
 def _plain(table: _Table) -> _Table:
     """``table`` with acceptance set aside: the same ids and masks, and one
     final set holding every state, as ``_index`` builds for a plain system.
-    ``table`` itself when that is its one final set already."""
-    every = (1 << len(table.order)) - 1
-    if table.finals == (every,):
-        return table
-    return _Table(table.order, table.initial, table.masks, (every,))
+    ``table`` itself when that is its one final set already; otherwise a
+    view built once and kept as ``table.plain``."""
+    if table.plain is None:
+        every = (1 << len(table.order)) - 1
+        if table.finals == (every,):
+            return table
+        table.plain = _Table(table.order, table.initial, table.masks, (every,))
+    return table.plain
 
 
 def _state_mask(index: dict, states) -> int:

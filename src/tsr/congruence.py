@@ -33,8 +33,6 @@ from .automata import (
     Ltsr,
     Machine,
     Verdict,
-    _indexed,
-    _plain,
     _rebuilt,
     accepts_lasso,
     trap_states,
@@ -42,10 +40,9 @@ from .automata import (
 from .errors import AlphabetLimitError, SizeBoundError, TrapStateError, TsrError
 from .join import distinguishing_context, fresh_name, join, join_lts
 from .languages import (
-    _pair_search,
-    _union_names,
     buchi_equiv,
     finite_equiv,
+    finite_trace_equiv,
     infinite_traceable_equiv,
     shortest_accept_difference,
 )
@@ -150,9 +147,7 @@ def random_machine(params: GenParams, kind: str = "bar") -> Machine:
 def relation_equiv(rel: str, a: Machine, b: Machine) -> Verdict:
     """Decide ``a ~ b`` for one of the relations ``ft``, ``f``, ``it``, ``b``."""
     if rel == "ft":
-        tables = (_plain(_indexed(a)), _plain(_indexed(b)))
-        witness = _pair_search(*tables, _union_names(a, b), lambda a1, a2: a1 != a2)
-        return Verdict(witness is None, witness)
+        return finite_trace_equiv(a, b)
     if rel == "f":
         return finite_equiv(a, b)
     if rel == "it":

@@ -161,6 +161,15 @@ def finite_equiv(x1: Machine, x2: Machine) -> Verdict:
     return Verdict(witness is None, witness)
 
 
+def finite_trace_equiv(x1: Machine, x2: Machine) -> Verdict:
+    """Decide equality of finite-trace languages: ``finite_equiv`` on the
+    plain views of the machines' tables, where every state is final.  The
+    witness, when present, is a shortest word traceable in exactly one."""
+    tables = (_plain(_indexed(x1)), _plain(_indexed(x2)))
+    witness = _pair_search(*tables, _union_names(x1, x2), lambda a1, a2: a1 != a2)
+    return Verdict(witness is None, witness)
+
+
 def shortest_accept_difference(x1: Machine, x2: Machine) -> Optional[FiniteWord]:
     """Shortest finite word accepted by x1 but not x2, if any."""
     names = _union_names(x1, x2)

@@ -279,6 +279,38 @@ def test_plain_decisions_on_indexed_bars_index_nothing_more(monkeypatch, decide)
     assert calls == []
 
 
+def test_a_lasso_read_again_builds_no_period_products(monkeypatch):
+    # _plain keeps the view it builds on each Bar's table, and with it the
+    # view's memo of period products.
+    b1, b2 = two_state_cycle(["q1"]), firing_context()
+    _indexed.cache_clear()
+    _indexed(b1), _indexed(b2)
+    calls = []
+    live_ids = automata._live_ids
+    monkeypatch.setattr(automata, "_live_ids", lambda *rows: calls.append(rows) or live_ids(*rows))
+    l = Lasso((), (AF,), frozenset({"A", "zz0"}))
+    assert componentwise_lasso_traceable(l, b1, b2)
+    assert calls
+    del calls[:]
+    assert componentwise_lasso_traceable(l, b1, b2)
+    assert calls == []
+
+
+def test_plain_keeps_one_view_per_table():
+    b1, b2 = two_state_cycle(["q1"]), firing_context()
+    _indexed.cache_clear()
+    table = _indexed(b1)
+    view = _plain(table)
+    assert view is not table and _plain(table) is view
+    plain = _indexed(base_of(b1))
+    assert _plain(plain) is plain and _plain(view) is view
+    relation_equiv.cache_clear()
+    relation_equiv("ft", join(b1, b2), join_lts(b1, b2))
+    # A table holding itself would wait for the cycle collector.
+    tables = [table, view, plain, *automata._tables.values()]
+    assert all(t.plain is not t for t in tables)
+
+
 def padded_flattening():
     g = gba(["p", "q"], ["A"], ["0"], [("p", A, "q")], ["p"], [{"p"}, {"q"}])
     return degeneralize(g)

@@ -31,6 +31,7 @@ from helpers import (
     states_reaching_accepting_cycles,
     words_up_to,
 )
+import tsr
 from tsr import languages
 from tsr.automata import (
     Bar,
@@ -73,6 +74,7 @@ from tsr.languages import (
     componentwise_lasso_traceable,
     componentwise_traceable,
     finite_equiv,
+    finite_trace_equiv,
     infinite_traceable_equiv,
     shortest_accept_difference,
 )
@@ -956,8 +958,10 @@ def test_infinite_traceable_equiv_refuses_past_the_pair_search_limit(monkeypatch
 @given(st.one_of(small_bar_pairs(), join_pairs()))
 def test_ft_and_it_decide_a_machine_as_its_plain_system(pair):
     x, y = pair
-    plain = finite_equiv(base_of(x), base_of(y))
-    assert verdict_to_json(relation_equiv("ft", x, y)) == verdict_to_json(plain)
+    plain = verdict_to_json(finite_equiv(base_of(x), base_of(y)))
+    assert verdict_to_json(finite_trace_equiv(x, y)) == plain
+    assert verdict_to_json(relation_equiv("ft", x, y)) == plain
+    assert "finite_trace_equiv" in tsr.__all__
     plain = infinite_traceable_equiv(base_of(x), base_of(y))
     assert verdict_to_json(infinite_traceable_equiv(x, y)) == verdict_to_json(plain)
 

@@ -11,7 +11,9 @@ monoid closure steps profiles by letters, only ``_index``, ``_kept``, the
 join and the degeneralization build a table, only ``_cycles`` and
 ``strongly_connected_components`` split a graph into components with
 ``_sccs``, only the pair search and ``buchi_equiv``'s prefix scan walk
-``_subset_pairs``, and no decision reads ``base_of``."""
+``_subset_pairs``, no decision reads ``base_of``, and ``congruence.py``
+reads none of the decision layer's searches and views (``_pair_search``,
+``_plain``, ``_indexed``, ``_union_names``)."""
 
 import argparse
 import ast
@@ -452,6 +454,26 @@ def test_a_decision_reading_base_of_is_reported(tmp_path):
         "PLAIN = automata.base_of\n"
     )
     assert readers_in(path, "base_of") == ["relation_equiv", "PLAIN"]
+
+
+def test_congruence_decides_through_the_public_decisions():
+    # relation_equiv calls finite_trace_equiv, finite_equiv,
+    # infinite_traceable_equiv and buchi_equiv by name, so the decision
+    # layer's searches and views stay inside languages.py.
+    for name in ("_pair_search", "_plain", "_indexed", "_union_names"):
+        assert readers_in(SRC / "congruence.py", name) == []
+
+
+def test_a_search_inside_congruence_is_reported(tmp_path):
+    path = tmp_path / "congruence.py"
+    path.write_text(
+        "from .languages import _pair_search, _union_names, finite_equiv\n\n\n"
+        "def relation_equiv(rel, a, b):\n    return finite_equiv(a, b)\n\n\n"
+        "def _ft(a, b):\n    return _pair_search(_plain(_indexed(a)), _union_names(a, b))\n\n\n"
+        "SEARCH = languages._pair_search\n"
+    )
+    found = {name: readers_in(path, name) for name in ("_pair_search", "_plain", "_union_names")}
+    assert found == {"_pair_search": ["_ft", "SEARCH"], "_plain": ["_ft"], "_union_names": ["_ft"]}
 
 
 def test_tables_are_built_only_by_indexing_cutting_joining_and_degeneralizing():

@@ -61,6 +61,12 @@ def test_record_token_rules():
         Record([("A", "1")])
 
 
+def test_get_reads_one_port():
+    assert AB.get("B") == "2"
+    assert A1.get("B") is None
+    assert TAU.get("A") is None
+
+
 def test_invisible_record():
     assert TAU.is_invisible
     assert TAU.domain == frozenset()
