@@ -19,7 +19,8 @@ machine is read the same way and ``_rebuilt`` replaces any of its fields.
 Every walk reads a machine through ``_indexed``, its memoized id table.
 ``_named`` turns an id table into a machine of any kind, as the joins and
 ``degeneralize`` do, and is the memo's only other writer.  ``base_of``
-forgets a machine's acceptance.
+forgets a machine's acceptance.  ``_accepts`` is the one membership
+reader: every test of whether a machine accepts a word goes through it.
 
 The invisible record is an ordinary letter here: no transition relation in
 this module ever skips or inserts steps on its own.
@@ -32,7 +33,7 @@ from functools import cached_property, reduce
 from typing import Iterable, Optional, Union
 
 from .errors import InvalidRecordError
-from .records import FiniteWord, Lasso, Record, check_token
+from .records import TAU, FiniteWord, Lasso, Record, check_token
 
 
 @dataclass(frozen=True)
@@ -252,9 +253,18 @@ def _read(table: _Table, mask: int, symbols) -> int:
     return mask
 
 
+def _accepts(table: _Table, w: Union[FiniteWord, Lasso]) -> bool:
+    """Whether ``table`` accepts ``w``: a finite word when its reach meets the
+    ``targets``, a lasso when its prefix reaches ids that meet ``_loop_ids``
+    of its period; a prefix that dies builds no period product."""
+    if isinstance(w, FiniteWord):
+        return bool(_read(table, table.initial, w.symbols) & table.targets)
+    mask = _read(table, table.initial, w.prefix)
+    return bool(mask and mask & _loop_ids(table, w.period))
+
+
 def traceable(m: Machine, w: FiniteWord) -> bool:
-    table = _indexed(m)
-    return bool(_read(table, table.initial, w.symbols))
+    return _accepts(_plain(_indexed(m)), w)
 
 
 def _final_sets(m: Machine) -> tuple:
@@ -291,8 +301,7 @@ def finite_targets(m: Machine) -> frozenset:
 
 
 def accepts_finite(m: Machine, w: FiniteWord) -> bool:
-    table = _indexed(m)
-    return bool(_read(table, table.initial, w.symbols) & table.targets)
+    return _accepts(_indexed(m), w)
 
 
 def trap_states(m: Machine) -> frozenset:
@@ -675,11 +684,7 @@ def accepts_lasso(m: Machine, l: Lasso) -> bool:
     The prefix is read like a finite word; the lasso is accepted when it
     leads to a state from which reading the period forever can accept.
     """
-    table = _indexed(m)
-    current = _read(table, table.initial, l.prefix)
-    if not current:
-        return False
-    return bool(current & _loop_ids(table, l.period))
+    return _accepts(_indexed(m), l)
 
 
 gba_accepts_lasso = accepts_lasso
@@ -784,8 +789,6 @@ def with_idle_loops(m: Machine) -> Machine:
     factorizes exactly into the component reach sets on restricted visible
     words, which is what the componentwise language formulas assume.
     """
-    from .records import TAU
-
     kept = {t for t in m.transitions if not t[1].is_invisible}
     kept |= {(q, TAU, q) for q in m.states}
     return _rebuilt(m, transitions=frozenset(kept))

@@ -16,8 +16,9 @@ letter tells apart.
 
 The fuzzer generates a random machine, derives a provably equivalent mate by
 a verified language-preserving mutation, picks a random context, and checks
-that the joins stay equivalent.  Trials whose premise fails verification are
-counted as vacuous, never as passes.
+that the joins stay equivalent.  Trials whose premise fails verification,
+or in which any decision exceeds its size bound, are counted as vacuous,
+never as passes.
 """
 
 from __future__ import annotations
@@ -271,7 +272,8 @@ def language_preserving_mutate(m: Machine, seed, relation: str = "f") -> Machine
     final-marker shift along an even cycle); each candidate is re-verified with the relation's decision
     procedure and discarded on failure.  A renaming, which cannot change any
     language, is always among them, so ``TsrError`` is raised when every
-    candidate fails: the decision procedure is then broken.
+    candidate fails: the decision procedure is then broken.  A check past
+    its size bound raises ``SizeBoundError``: a vacuous fuzz trial.
     """
     rng = random.Random(f"mutate:{relation}:{seed}")
     ops = [_rename_states, _duplicate_state, _add_unreachable]
@@ -433,7 +435,8 @@ def fuzz_congruence(rel: str, params: GenParams, trials: int) -> FuzzReport:
     built-in counterexample, so expected violations surface deterministically.
     The infinite-trace relation forces trapless generation, matching its
     precondition; whether the joins acquire traps is recorded as an
-    observation, not assumed either way.
+    observation, not assumed either way.  A ``SizeBoundError`` anywhere in a
+    trial, the mate's check included, makes that trial vacuous.
     """
     if rel not in RELATIONS:
         raise TsrError(f"unknown relation {rel!r}")
@@ -445,12 +448,11 @@ def fuzz_congruence(rel: str, params: GenParams, trials: int) -> FuzzReport:
     failures = []
     join_traps = 0
     for t in range(trials):
-        a, b, c = _trial_inputs(rel, params, t)
         try:
-            instance = check_instance(rel, a, b, c)
+            instance = check_instance(rel, *_trial_inputs(rel, params, t))
         except SizeBoundError:
-            # The joined machines' profile monoid outgrew its bound; the
-            # trial produced no evidence either way.
+            # A decision refused within its size bound; the trial produced
+            # no evidence either way.
             vacuous += 1
             continue
         if rel == "it":

@@ -45,6 +45,7 @@ from .automata import (
     Ltsr,
     Machine,
     Verdict,
+    _accepts,
     _buchi,
     _component,
     _cycles,
@@ -60,8 +61,6 @@ from .automata import (
     _reversed,
     _step,
     _Table,
-    accepts_finite,
-    traceable,
 )
 from .errors import (
     AlphabetMismatchError,
@@ -766,7 +765,7 @@ def infinite_traceable_equiv(m1: Machine, m2: Machine) -> Verdict:
     witness = _pair_search(table1, table2, names, apart)
     if witness is None:
         return Verdict(True)
-    alive = table1 if _read(table1, table1.initial, witness.symbols) else table2
+    alive = table1 if _accepts(table1, witness) else table2
     return Verdict(False, _extend_to_lasso(witness, alive))
 
 
@@ -780,9 +779,7 @@ def componentwise_traceable(w: FiniteWord, m1: Machine, m2: Machine) -> bool:
     component can trace the visible part of the word restricted to its own
     ports.  Exact for machines that can always idle invisibly in place.
     """
-    return traceable(m1, vis(restrict_word(w, m1.names))) and traceable(
-        m2, vis(restrict_word(w, m2.names))
-    )
+    return all(_accepts(_plain(_indexed(m)), vis(restrict_word(w, m.names))) for m in (m1, m2))
 
 
 def componentwise_lasso_traceable(l: Lasso, m1: Machine, m2: Machine) -> bool:
@@ -791,22 +788,14 @@ def componentwise_lasso_traceable(l: Lasso, m1: Machine, m2: Machine) -> bool:
     Restricting a lasso to one component's ports and dropping invisible
     records leaves either a finite word (the component eventually only
     idles: membership is finite traceability) or a lasso (membership is
-    infinite traceability).  Exact for trapless idle-capable machines.
+    infinite traceability); ``_accepts`` on the plain view reads either.
+    Exact for trapless idle-capable machines.
     """
-    for m in (m1, m2):
-        part = vis_lasso(restrict_lasso(l, m.names))
-        if isinstance(part, FiniteWord):
-            ok = traceable(m, part)
-        else:
-            table = _plain(_indexed(m))
-            ok = bool(_read(table, table.initial, part.prefix) & _loop_ids(table, part.period))
-        if not ok:
-            return False
-    return True
+    return all(
+        _accepts(_plain(_indexed(m)), vis_lasso(restrict_lasso(l, m.names))) for m in (m1, m2)
+    )
 
 
 def componentwise_accepts_finite(w: FiniteWord, b1: Bar, b2: Bar) -> bool:
     """Membership formula for the finite-word language of a join of Bars."""
-    return accepts_finite(b1, vis(restrict_word(w, b1.names))) and accepts_finite(
-        b2, vis(restrict_word(w, b2.names))
-    )
+    return all(_accepts(_indexed(b), vis(restrict_word(w, b.names))) for b in (b1, b2))

@@ -259,6 +259,13 @@ def test_fuzz_b_exits_zero_despite_failures(capsys):
     assert report["failed"] == 1
 
 
+def test_fuzz_reports_a_run_with_a_refused_mate_check(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["fuzz", "--relation", "b", "--max-states", "7", "--seed", "25", "--trials", "3"]
+    assert main(argv + ["-o", str(report)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["vacuous"] == 1
+
+
 def test_counterexample_command(capsys):
     assert main(["counterexample"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -411,6 +411,13 @@ def test_fuzz_counts_a_trial_refused_by_a_size_bound_as_vacuous(monkeypatch):
         assert report.join_traps_observed == every.join_traps_observed - traps_lost
 
 
+def test_fuzz_counts_a_trial_whose_mate_check_is_refused_as_vacuous():
+    # Verifying the mate of one trial passes the profile monoid's bound; the
+    # run goes on to the next trial instead of ending in the refusal.
+    report = fuzz_congruence("b", GenParams(max_states=7, seed=25), 3)
+    assert (report.passed, report.vacuous, report.failed) == (1, 1, 1)
+
+
 def test_fuzz_is_deterministic():
     r1 = fuzz_congruence("ft", GenParams(seed=3), 10)
     r2 = fuzz_congruence("ft", GenParams(seed=3), 10)

@@ -296,6 +296,19 @@ def test_a_lasso_read_again_builds_no_period_products(monkeypatch):
     assert calls == []
 
 
+def test_a_dead_prefix_builds_no_period_product(monkeypatch):
+    # The left Bar cannot read the lasso's first letter, so its part is
+    # rejected on the prefix alone and the formula stops there.
+    left, right = bar(["p"], ["A"], ["0", "1"], [("p", A, "p")], ["p"], ["p"]), firing_context()
+    _indexed.cache_clear()
+    calls = []
+    live_ids = automata._live_ids
+    monkeypatch.setattr(automata, "_live_ids", lambda *rows: calls.append(rows) or live_ids(*rows))
+    l = Lasso((rec(A="1"),), (AF,), frozenset({"A", "zz0"}))
+    assert not componentwise_lasso_traceable(l, left, right)
+    assert calls == []
+
+
 def test_plain_keeps_one_view_per_table():
     b1, b2 = two_state_cycle(["q1"]), firing_context()
     _indexed.cache_clear()

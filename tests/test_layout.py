@@ -11,8 +11,9 @@ monoid closure steps profiles by letters, only ``_index``, ``_kept``, the
 join and the degeneralization build a table, only ``_cycles`` and
 ``strongly_connected_components`` split a graph into components with
 ``_sccs``, only the pair search and ``buchi_equiv``'s prefix scan walk
-``_subset_pairs``, no decision reads ``base_of``, and ``congruence.py``
-reads none of the decision layer's searches and views (``_pair_search``,
+``_subset_pairs``, only ``_accepts`` and ``accepting_loop_states`` read
+``_loop_ids``, no decision reads ``base_of``, and ``congruence.py`` reads
+none of the decision layer's searches and views (``_pair_search``,
 ``_plain``, ``_indexed``, ``_union_names``)."""
 
 import argparse
@@ -436,6 +437,28 @@ def test_a_second_subset_walk_is_reported(tmp_path):
     )
     found = name_readers(tmp_path, "_subset_pairs")
     assert found == ["_pair_search", "infinite_traceable_equiv", "WALK"]
+
+
+def test_only_the_membership_reader_and_the_batched_loop_states_read_period_products():
+    # Every test of whether a machine accepts a lasso goes through _accepts,
+    # which builds no product for a dead prefix; accepting_loop_states hands
+    # the product's answer out for many prefixes at once.
+    assert sorted(name_readers(SRC, "_loop_ids")) == ["_accepts", "accepting_loop_states"]
+
+
+def test_a_second_lasso_reader_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _loop_ids(table, period):\n    return 0\n\n\n"
+        "def _accepts(table, w):\n    return _loop_ids(table, w.period)\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _loop_ids\n\n\n"
+        "def componentwise_lasso_traceable(l, table):\n"
+        "    return _read(table, l.prefix) & _loop_ids(table, l.period)\n\n\n"
+        "READ = _loop_ids\n"
+    )
+    found = name_readers(tmp_path, "_loop_ids")
+    assert found == ["_accepts", "componentwise_lasso_traceable", "READ"]
 
 
 def test_no_decision_reads_base_of():
